@@ -1,52 +1,41 @@
 """Dense exact linear algebra kernels over prime fields.
 
 Everything downstream (graded solves, rank counts, homology tables) funnels
-into row reduction of int64 matrices with entries reduced mod p.  Two
-interchangeable implementations are provided:
-
-* a numba ``@njit`` build (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Selection is controlled by the environment variable ``HMF_KERNEL`` with
-values ``numba`` or ``numpy``.  Both implementations use first-nonzero
-pivoting and Gauss-Jordan elimination, so their outputs are bit-identical;
-``benchmarks/bench_linalg.py`` compares their speed.
+into row reduction of int64 matrices with entries reduced mod p.  ``rref``
+is Gauss-Jordan elimination in numpy: the first nonzero entry of each column
+is the pivot, the pivot row is scaled to 1 and the column is cleared above
+and below with one outer-product update, so the result is the unique reduced
+row echelon form.
 
 A Fraction-based reducer backs the optional characteristic-zero field.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 import numpy as np
 
-_BACKEND_REQUESTED = os.environ.get("HMF_KERNEL", "").strip().lower()
 
-_HAVE_NUMBA = False
-if _BACKEND_REQUESTED != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - env without numba
-        _HAVE_NUMBA = False
-
-if _BACKEND_REQUESTED == "numba" and not _HAVE_NUMBA:  # pragma: no cover
-    raise RuntimeError("HMF_KERNEL=numba requested but numba is not importable")
+def backend_name():
+    """Name of the row-reduction implementation, for run environment records."""
+    return "numpy"
 
 
-def _rref_numpy(R, p):
-    """Gauss-Jordan reduce R in place mod p; return pivot column array."""
+def rref(A, p):
+    """Reduced row echelon form of A mod p.
+
+    Returns (R, piv_cols); A is not modified.
+    """
+    R = np.array(A, dtype=np.int64, order="C")
+    R %= p
     m, n = R.shape
     piv_cols = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        col = R[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(R[r:, c])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -61,73 +50,7 @@ def _rref_numpy(R, p):
             R[nzrows] = (R[nzrows] - np.outer(factor[nzrows], R[r])) % p
         piv_cols.append(c)
         r += 1
-    return np.asarray(piv_cols, dtype=np.int64)
-
-
-def _rref_loops(R, p):
-    m, n = R.shape
-    piv_cols = np.empty(min(m, n), dtype=np.int64)
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = -1
-        for i in range(r, m):
-            if R[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for j in range(n):
-                tmp = R[r, j]
-                R[r, j] = R[piv, j]
-                R[piv, j] = tmp
-        # modular inverse via binary exponentiation
-        base = R[r, c]
-        e = p - 2
-        inv = 1
-        while e > 0:
-            if e & 1:
-                inv = (inv * base) % p
-            base = (base * base) % p
-            e >>= 1
-        for j in range(n):
-            R[r, j] = (R[r, j] * inv) % p
-        for i in range(m):
-            if i != r and R[i, c] != 0:
-                f = R[i, c]
-                for j in range(n):
-                    R[i, j] = (R[i, j] - f * R[r, j]) % p
-        piv_cols[r] = c
-        r += 1
-    return piv_cols[:r].copy()
-
-
-if _HAVE_NUMBA:
-    _rref_numba = njit(cache=True)(_rref_loops)
-
-
-def backend_name():
-    if _BACKEND_REQUESTED == "numpy" or not _HAVE_NUMBA:
-        return "numpy"
-    return "numba"
-
-
-def rref(A, p):
-    """Reduced row echelon form of A mod p.
-
-    Returns (R, piv_cols); A is not modified.
-    """
-    R = np.array(A, dtype=np.int64, copy=True)
-    R %= p
-    if R.size == 0:
-        return R, np.empty(0, dtype=np.int64)
-    if backend_name() == "numba":
-        piv = _rref_numba(R, p)
-    else:
-        piv = _rref_numpy(R, p)
-    return R, piv
+    return R, np.asarray(piv_cols, dtype=np.int64)
 
 
 def rank(A, p):

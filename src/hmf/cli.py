@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import io_json
@@ -27,12 +26,6 @@ from .oracle import (
     exactness_certificate,
     formula_suite,
 )
-
-
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("HMF_THREADS", "1") or "1")
 
 
 def _load_hmf(path):
@@ -90,8 +83,7 @@ def cmd_resolve_s(args):
         raise SchemaError(f"{args.file}: invalid factorization: {rep.failures[:1]}")
     bundle = build_finite(F)
     L = bundle.complex
-    cert = exactness_certificate(L, (1, L.hi), args.degree_bound,
-                                 threads=_threads(args))
+    cert = exactness_certificate(L, (1, L.hi), args.degree_bound)
     print("betti:", " ".join(str(r) for r in L.betti_list()))
     _maybe_tex(args, L)
     payload = io_json.complex_to_json(L, provenance="finite")
@@ -109,8 +101,7 @@ def cmd_resolve_r(args):
         raise SchemaError(f"{args.file}: invalid factorization: {rep.failures[:1]}")
     bundle = build_infinite(F, args.steps)
     T = bundle.complex
-    cert = exactness_certificate(T, (1, T.hi - 1), args.degree_bound,
-                                 threads=_threads(args))
+    cert = exactness_certificate(T, (1, T.hi - 1), args.degree_bound)
     print("betti:", " ".join(str(r) for r in T.betti_list()))
     _maybe_tex(args, T)
     payload = io_json.complex_to_json(T, provenance="quotient-tower",
@@ -126,8 +117,7 @@ def cmd_intermediate(args):
     F = _load_hmf(args.file)
     bundle = build_intermediate(F, args.j, args.steps)
     Q = bundle.complex
-    cert = exactness_certificate(Q, (1, Q.hi - 1), args.degree_bound,
-                                 threads=_threads(args))
+    cert = exactness_certificate(Q, (1, Q.hi - 1), args.degree_bound)
     print("betti:", " ".join(str(r) for r in Q.betti_list()))
     _maybe_tex(args, Q)
     payload = io_json.complex_to_json(Q, provenance="intermediate")
@@ -166,7 +156,7 @@ def cmd_box(args):
     bundle = box(L, f_idx, theta, tau)
     fails = box_homotopy_failures(bundle)
     cert = exactness_certificate(bundle.complex, (1, bundle.complex.hi),
-                                 args.degree_bound, threads=_threads(args))
+                                 args.degree_bound)
     payload = io_json.complex_to_json(bundle.complex, provenance="box")
     payload["homotopy_failures"] = fails
     payload["exactness"] = cert.row()
@@ -245,8 +235,7 @@ def cmd_suite(args):
     )
     if rep.ok:
         rows.extend(
-            formula_suite(F, steps=args.steps, D=args.degree_bound,
-                          threads=_threads(args))
+            formula_suite(F, steps=args.steps, D=args.degree_bound)
         )
     payload = io_json.report_rows_to_json(rows)
     _emit(args, payload)
@@ -283,9 +272,6 @@ def main(argv=None):
         p.add_argument("--tex", help="write a TeX arrow diagram here")
         p.add_argument("--degree-bound", type=int, default=None,
                        help="internal degree bound for certificates")
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallel cells for the verifier "
-                            "(default: HMF_THREADS or 1)")
         if steps_default is not None:
             p.add_argument("--steps", type=int, default=steps_default)
 

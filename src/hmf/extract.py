@@ -261,42 +261,34 @@ def multiplication_injective_on_coker(comp, f, D):
     comp is a MatrixMap at some level; the cokernel is taken over the
     quotient at that level.  Returns (ok, first failing degree or None).
     """
-    from .oracle import _hstack, _ideal_cols, _piece_matrix, piece_dim
-    from .graded import _mon_index, piece_layout
+    from .graded import piece_matrix
+    from .oracle import _hstack, _ideal_piece, piece_dim
 
     ring = comp.ring
     fld = ring.field
     gens = ring.regseq[: comp.level]
     q = f.degree()
     tgt = comp.dst
+
+    def image(e):
+        A = piece_matrix(ring, comp.entries, comp.src.twists, tgt.twists,
+                         comp.shift, e)
+        F = _ideal_piece(ring, tgt.twists, gens, e) if gens else None
+        return _hstack(fld, [A, F])
+
     for e in range(0, D + 1):
         dimP = piece_dim(ring, tgt, e)
         if dimP == 0:
             continue
-        A_e = _piece_matrix(ring, comp, e)
-        F_e = _ideal_cols(ring, tgt, e, gens) if gens else None
-        im_e = _hstack(fld, [A_e, F_e])
+        im_e = image(e)
         rk_e = fld.rank(im_e) if im_e is not None else 0
         cdim = dimP - rk_e
         if cdim == 0:
             continue
-        A_eq = _piece_matrix(ring, comp, e + q)
-        F_eq = _ideal_cols(ring, tgt, e + q, gens) if gens else None
-        im_eq = _hstack(fld, [A_eq, F_eq])
+        im_eq = image(e + q)
         rk_eq = fld.rank(im_eq) if im_eq is not None else 0
-        # multiplication matrix piece_e -> piece_{e+q}
-        dst_off, nrows = piece_layout(ring, tgt.twists, e + q)
-        src_off, ncols = piece_layout(ring, tgt.twists, e)
-        M = fld.zeros(nrows, ncols)
-        for k in range(tgt.rank):
-            mons = ring.monomials(e - tgt.twists[k])
-            idx = _mon_index(ring, e + q - tgt.twists[k])
-            for cix, mon in enumerate(mons):
-                for expo, cval in f.terms.items():
-                    tot = tuple(a + b for a, b in zip(expo, mon))
-                    M[idx[tot] + dst_off[k], src_off[k] + cix] = fld.add(
-                        M[idx[tot] + dst_off[k], src_off[k] + cix], cval
-                    )
+        # multiplication by f: the map f * I from tgt(-q) to tgt
+        M = _ideal_piece(ring, tgt.twists, (f,), e + q)
         st = _hstack(fld, [M, im_eq])
         rk_join = fld.rank(st) if st is not None else 0
         img_dim = rk_join - rk_eq

@@ -10,24 +10,14 @@ with free variables set to zero, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+from operator import add
+
 from . import _kernels
 from .ring import Poly, RingError
 
 
 class SolveError(ValueError):
     pass
-
-
-def _mon_index(ring, d):
-    cache = getattr(ring, "_monidx_cache", None)
-    if cache is None:
-        cache = {}
-        ring._monidx_cache = cache
-    got = cache.get(d)
-    if got is None:
-        got = {m: i for i, m in enumerate(ring.monomials(d))}
-        cache[d] = got
-    return got
 
 
 def piece_layout(ring, twists, e):
@@ -40,22 +30,42 @@ def piece_layout(ring, twists, e):
     return offsets, total
 
 
-def vec_coords_into(ring, twists, e, vec, col, out, offsets):
-    """Accumulate the coordinates of vec (deg-e vector) into out[:, col]."""
-    fld = ring.field
-    for k, q in enumerate(vec):
-        if q is None or q.is_zero():
+def piece_matrix(ring, entries, src_twists, dst_twists, shift, e):
+    """Scalar matrix of a map between degree pieces of free modules.
+
+    entries[i][j] (a Poly, or None for zero) sends source generator j, of
+    twist src_twists[j], to target generator i, of twist dst_twists[i], and
+    the map raises degree by shift.  Columns are the degree-(e - shift)
+    piece of the source and rows the degree-e piece of the target, each laid
+    out by piece_layout.  A term that lands outside the target piece (a term
+    of the wrong degree) raises SolveError.
+    """
+    src_off, ncols = piece_layout(ring, src_twists, e - shift)
+    dst_off, nrows = piece_layout(ring, dst_twists, e)
+    A = ring.field.zeros(nrows, ncols)
+    for j, tj in enumerate(src_twists):
+        mons = ring.monomials(e - shift - tj)
+        if not mons:
             continue
-        idx = _mon_index(ring, e - twists[k])
-        off = offsets[k]
-        for expo, c in q.terms.items():
-            row = idx.get(expo)
-            if row is None:
-                raise SolveError(
-                    f"component {k} has a term of degree "
-                    f"{ring.mono_degree(expo)}, expected {e - twists[k]}"
-                )
-            out[off + row, col] = fld.add(out[off + row, col], c)
+        col0 = src_off[j]
+        for i, row in enumerate(entries):
+            q = row[j]
+            if q is None or not q.terms:
+                continue
+            idx = ring.monomial_index(e - dst_twists[i])
+            row0 = dst_off[i]
+            for expo, c in q.terms.items():
+                for col, mon in enumerate(mons, col0):
+                    r = idx.get(tuple(map(add, expo, mon)))
+                    if r is None:
+                        raise SolveError(
+                            f"entry ({i}, {j}) has a term of degree "
+                            f"{ring.mono_degree(expo)}, expected "
+                            f"{shift + tj - dst_twists[i]}"
+                        )
+                    # each (term, monomial) pair hits its own cell
+                    A[row0 + r, col] = c
+    return A
 
 
 def graded_solve(ring, dst_twists, e, slots, targets, variant=0):
@@ -70,31 +80,23 @@ def graded_solve(ring, dst_twists, e, slots, targets, variant=0):
     second deterministic representative whenever the solution is not unique.
     """
     fld = ring.field
-    offsets, nrows = piece_layout(ring, dst_twists, e)
+    rows = range(len(dst_twists))
+    # the slots are the columns of a map from a free module with one
+    # generator per slot; a target is a map from one generator of twist e
+    A = piece_matrix(ring, [[vec[k] for vec, _ in slots] for k in rows],
+                     [sdeg for _, sdeg in slots], dst_twists, 0, e)
+    B = piece_matrix(ring, [[tgt[k] for tgt in targets] for k in rows],
+                     [e] * len(targets), dst_twists, 0, e)
+    if A.shape[0] == 0:
+        # B has no rows either, so every target was zero
+        return [[ring.zero() for _ in slots] for _ in targets]
     col_slot = []
     col_mono = []
-    for si in range(len(slots)):
-        _, sdeg = slots[si]
+    for si, (_, sdeg) in enumerate(slots):
         for m in ring.monomials(e - sdeg):
             col_slot.append(si)
             col_mono.append(m)
     ncols = len(col_slot)
-    A = fld.zeros(nrows, ncols)
-    for col in range(ncols):
-        vec, _ = slots[col_slot[col]]
-        shifted = [q.mono_shift(col_mono[col]) if q is not None else None for q in vec]
-        vec_coords_into(ring, dst_twists, e, shifted, col, A, offsets)
-    B = fld.zeros(nrows, len(targets))
-    for j, tgt in enumerate(targets):
-        vec_coords_into(ring, dst_twists, e, tgt, j, B, offsets)
-    if nrows == 0:
-        results = []
-        for tgt in targets:
-            if all(q is None or q.is_zero() for q in tgt):
-                results.append([ring.zero() for _ in slots])
-            else:
-                results.append(None)
-        return results
     ok, X = fld.solve_many(A, B)
     null_first = None
     if variant and ncols:
@@ -152,18 +154,9 @@ def _ideal_echelon(ring, gens, e):
     if got is not None:
         return got
     fld = ring.field
-    nrows = len(ring.monomials(e))
-    cols = []
-    for g in gens:
-        dg = g.degree()
-        for m in ring.monomials(e - dg):
-            cols.append(g.mono_shift(m))
-    # rows of A are the spanning vectors, so membership is row reduction
-    A = fld.zeros(len(cols), nrows)
-    idx = _mon_index(ring, e)
-    for row, q in enumerate(cols):
-        for expo, c in q.terms.items():
-            A[row, idx[expo]] = fld.add(A[row, idx[expo]], c)
+    # rows of A are the spanning vectors g_i * m, so membership is row
+    # reduction: A is the transpose of the row map [g_1 ... g_r] into S
+    A = piece_matrix(ring, [gens], [g.degree() for g in gens], (0,), 0, e).T
     if fld.char:
         R, piv = _kernels.rref(A, fld.char)
     else:
@@ -182,10 +175,7 @@ def homogeneous_in_ideal(g, gens):
     e = g.degree()
     R, piv = _ideal_echelon(ring, tuple(gens), e)
     fld = ring.field
-    idx = _mon_index(ring, e)
-    b = [fld.canon(0)] * len(idx)
-    for expo, c in g.terms.items():
-        b[idx[expo]] = c
+    b = piece_matrix(ring, [[g]], (e,), (0,), 0, e)[:, 0]
     if fld.char:
         res = _kernels.in_row_space_complement(R, piv, b, fld.char)
         return not res.any()

@@ -24,6 +24,30 @@ def _require(cond, where, msg):
         raise SchemaError(f"{where}: {msg}")
 
 
+_KIND_NAMES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _key(obj, key, kind, where):
+    """obj[key], which must be present and of the JSON type kind."""
+    _require(isinstance(obj, dict), where, "expected an object")
+    _require(key in obj, where, f"missing key {key!r}")
+    val = obj[key]
+    ok = _is_int(val) if kind is int else isinstance(val, kind)
+    _require(ok, where, f"{key!r} must be {_KIND_NAMES[kind]}")
+    return val
+
+
+def _twists(obj, key, where):
+    tws = _key(obj, key, list, where)
+    _require(all(_is_int(t) for t in tws), where,
+             f"{key!r} must be a list of integers")
+    return tuple(tws)
+
+
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -82,15 +106,23 @@ def complex_from_json(obj, where="complex"):
     _require(isinstance(obj, dict), where, "expected an object")
     _require(obj.get("schema") == 1, where, "unsupported schema")
     _require(obj.get("kind") == "complex", where, "kind must be 'complex'")
-    ring = ring_from_json(obj["ring"], where + ".ring")
-    lo, hi = obj["range"]
+    ring = ring_from_json(_key(obj, "ring", dict, where), where + ".ring")
+    span = _key(obj, "range", list, where)
+    _require(len(span) == 2 and all(_is_int(x) for x in span), where,
+             "'range' must be two integers [lo, hi]")
+    lo, hi = span
     mods = {}
-    for k, m in enumerate(obj["modules"]):
-        mods[lo + k] = FreeModule(tuple(m["twists"]), tuple(m.get("labels") or ()) or None)
-    level = int(obj["level"])
+    for k, m in enumerate(_key(obj, "modules", list, where)):
+        at = f"{where}.modules[{k}]"
+        mods[lo + k] = FreeModule(_twists(m, "twists", at),
+                                  tuple(m.get("labels") or ()) or None)
+    level = _key(obj, "level", int, where)
     _require(0 <= level <= ring.codim, where, "level out of range")
+    rows_all = _key(obj, "diffs", list, where)
+    _require(not rows_all or len(rows_all) < len(mods), where,
+             "more differentials than consecutive module pairs")
     diffs = {}
-    for k, rows in enumerate(obj["diffs"]):
+    for k, rows in enumerate(rows_all):
         i = lo + 1 + k
         try:
             diffs[i] = MatrixMap.from_strings(
@@ -148,16 +180,17 @@ def hmf_from_json(obj, where="hmf"):
     _require(isinstance(obj, dict), where, "expected an object")
     _require(obj.get("schema") == 1, where, "unsupported schema")
     _require(obj.get("kind") == "hmf", where, "kind must be 'hmf'")
-    ring = ring_from_json(obj["ring"], where + ".ring")
-    c = int(obj["c"])
+    ring = ring_from_json(_key(obj, "ring", dict, where), where + ".ring")
+    c = _key(obj, "c", int, where)
     flags = obj.get("flags") or {}
     generalized = bool(flags.get("generalized"))
     b1 = {}
     b0 = {}
-    for rec in obj["B"]:
-        p = int(rec["p"])
-        b1[p] = FreeModule(tuple(rec["B1"]))
-        b0[p] = FreeModule(tuple(rec["B0"]))
+    for k, rec in enumerate(_key(obj, "B", list, where)):
+        at = f"{where}.B[{k}]"
+        p = _key(rec, "p", int, at)
+        b1[p] = FreeModule(_twists(rec, "B1", at))
+        b0[p] = FreeModule(_twists(rec, "B0", at))
     rank1 = {p: b1.get(p, FreeModule(())).rank for p in range(0, c + 1)}
     rank0 = {p: b0.get(p, FreeModule(())).rank for p in range(0, c + 1)}
     off1 = {p: sum(rank1[q] for q in range(0, p)) for p in range(0, c + 2)}

@@ -10,11 +10,11 @@ closed-form rank data against the built resolutions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import koszul_complex
 from .factorization import signature
+from .graded import piece_layout, piece_matrix
 
 
 @dataclass
@@ -41,50 +41,14 @@ def default_degree_bound(C):
     return (max(tws) if tws else 0) + fdeg + 2
 
 
-def _piece_matrix(ring, mm, e):
-    """Scalar matrix of a degree-0 map on the degree-e pieces."""
-    from .graded import _mon_index, piece_layout
-
-    fld = ring.field
-    src_off, ncols = piece_layout(ring, mm.src.twists, e - mm.shift)
-    dst_off, nrows = piece_layout(ring, mm.dst.twists, e)
-    A = fld.zeros(nrows, ncols)
-    for j in range(mm.src.rank):
-        col_mons = ring.monomials(e - mm.shift - mm.src.twists[j])
-        for cix, mon in enumerate(col_mons):
-            col = src_off[j] + cix
-            for i in range(mm.dst.rank):
-                q = mm.entries[i][j]
-                if q.is_zero():
-                    continue
-                idx = _mon_index(ring, e - mm.dst.twists[i])
-                for expo, c in q.terms.items():
-                    tot = tuple(a + b for a, b in zip(expo, mon))
-                    A[idx[tot] + dst_off[i], col] = fld.add(
-                        A[idx[tot] + dst_off[i], col], c
-                    )
-    return A
-
-
-def _ideal_cols(ring, module, e, gens):
-    """Columns spanning (gens) * module in degree e."""
-    from .graded import _mon_index, piece_layout
-
-    fld = ring.field
-    dst_off, nrows = piece_layout(ring, module.twists, e)
-    cols = []
-    for g in gens:
-        dg = g.degree()
-        for k in range(module.rank):
-            for mon in ring.monomials(e - module.twists[k] - dg):
-                cols.append((k, g, mon))
-    A = fld.zeros(nrows, len(cols))
-    for cix, (k, g, mon) in enumerate(cols):
-        idx = _mon_index(ring, e - module.twists[k])
-        for expo, c in g.terms.items():
-            tot = tuple(a + b for a, b in zip(expo, mon))
-            A[idx[tot] + dst_off[k], cix] = fld.add(A[idx[tot] + dst_off[k], cix], c)
-    return A
+def _ideal_piece(ring, twists, gens, e):
+    """Columns spanning (gens) * P in degree e, P free with the given twists:
+    the piece of the block map [g_1 I | ... | g_r I] onto P."""
+    n = len(twists)
+    entries = [[g if k == i else None for g in gens for k in range(n)]
+               for i in range(n)]
+    src = [t + g.degree() for g in gens for t in twists]
+    return piece_matrix(ring, entries, src, twists, 0, e)
 
 
 def _hstack(fld, mats):
@@ -100,19 +64,15 @@ def _hstack(fld, mats):
 
 
 def piece_dim(ring, module, e):
-    from .graded import piece_layout
-
     return piece_layout(ring, module.twists, e)[1]
 
 
-def graded_homology(C, hom_range=None, D=None, extra_gens=(), threads=None):
+def graded_homology(C, hom_range=None, D=None, extra_gens=()):
     """Exact dims of H_i(C)_e for i in hom_range and e <= D.
 
     The quotient by (f_1..f_level) + extra_gens is realised by augmenting
     images with generator-multiple columns; each cell costs a few ranks.
     """
-    import os
-
     ring = C.ring
     fld = ring.field
     D = default_degree_bound(C) if D is None else D
@@ -120,20 +80,24 @@ def graded_homology(C, hom_range=None, D=None, extra_gens=(), threads=None):
     gens = tuple(ring.regseq[: C.level]) + tuple(extra_gens)
     table = {}
 
-    def cell(args):
-        i, e = args
+    def cell(i, e):
         P = C.module(i)
         dimP = piece_dim(ring, P, e)
         if dimP == 0:
-            return (i, e, 0)
-        A = _piece_matrix(ring, C.diff(i), e) if i > C.lo else None
-        Bm = _piece_matrix(ring, C.diff(i + 1), e) if i < C.hi else None
-        Fi = _ideal_cols(ring, P, e, gens) if gens else None
-        Fi_1 = (
-            _ideal_cols(ring, C.module(i - 1), e, gens)
-            if gens and i > C.lo
-            else None
-        )
+            return 0
+        A = Bm = Fi = Fi_1 = None
+        if i > C.lo:
+            d = C.diff(i)
+            A = piece_matrix(ring, d.entries, d.src.twists, d.dst.twists,
+                             d.shift, e)
+        if i < C.hi:
+            d = C.diff(i + 1)
+            Bm = piece_matrix(ring, d.entries, d.src.twists, d.dst.twists,
+                              d.shift, e)
+        if gens:
+            Fi = _ideal_piece(ring, P.twists, gens, e)
+            if i > C.lo:
+                Fi_1 = _ideal_piece(ring, C.module(i - 1).twists, gens, e)
         rank_AF = 0
         rank_F1 = 0
         if A is not None or Fi_1 is not None:
@@ -155,21 +119,11 @@ def graded_homology(C, hom_range=None, D=None, extra_gens=(), threads=None):
             stM = _hstack(fld, [M, Fi_1])
             rank_M = fld.rank(stM) if stM is not None else 0
             corr = rank_M - rank_F1
-        h = ker_dim - im_dim + corr
-        return (i, e, h)
+        return ker_dim - im_dim + corr
 
-    jobs = [(i, e) for i in range(lo, hi + 1) for e in range(0, D + 1)]
-    nthreads = threads
-    if nthreads is None:
-        nthreads = int(os.environ.get("HMF_THREADS", "1") or "1")
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            for i, e, h in ex.map(cell, jobs):
-                table[(i, e)] = h
-    else:
-        for job in jobs:
-            i, e, h = cell(job)
-            table[(i, e)] = h
+    for i in range(lo, hi + 1):
+        for e in range(0, D + 1):
+            table[(i, e)] = cell(i, e)
     return table
 
 
@@ -179,12 +133,12 @@ def homology_is_zero(table, hom_range, D):
     return sorted(bad)
 
 
-def exactness_certificate(C, hom_range=None, D=None, extra_gens=(), threads=None):
+def exactness_certificate(C, hom_range=None, D=None, extra_gens=()):
     """PASS iff homology vanishes in the window (degrees 1..hi-1 by default,
     guarding the truncation edge)."""
     lo, hi = (1, C.hi - 1) if hom_range is None else hom_range
     D = default_degree_bound(C) if D is None else D
-    table = graded_homology(C, (lo, hi), D, extra_gens, threads)
+    table = graded_homology(C, (lo, hi), D, extra_gens)
     bad = homology_is_zero(table, (lo, hi), D)
     return CheckItem(
         f"exactness in degrees {lo}..{hi} up to internal degree {D}",
@@ -205,8 +159,9 @@ def hilbert_function(pres, D, extra_gens=()):
         if dimP == 0:
             out[e] = 0
             continue
-        A = _piece_matrix(ring, pres, e)
-        F = _ideal_cols(ring, pres.dst, e, gens) if gens else None
+        A = piece_matrix(ring, pres.entries, pres.src.twists, pres.dst.twists,
+                         pres.shift, e)
+        F = _ideal_piece(ring, pres.dst.twists, gens, e) if gens else None
         st = _hstack(fld, [A, F])
         out[e] = dimP - (fld.rank(st) if st is not None else 0)
     return out
@@ -354,7 +309,7 @@ def ext_dimension_counts(F):
     return total_S
 
 
-def formula_suite(F, finite=None, tower=None, steps=None, D=None, threads=None):
+def formula_suite(F, finite=None, tower=None, steps=None, D=None):
     """Every closed-form rank statement compared against built resolutions.
 
     Returns a list of CheckItem rows; verdicts are PASS/FAIL/N-A.  The
@@ -567,8 +522,8 @@ def formula_suite(F, finite=None, tower=None, steps=None, D=None, threads=None):
         )
     )
     # homology certificates
-    items.append(exactness_certificate(L, (1, L.hi), DL, threads=threads))
-    items.append(exactness_certificate(T, (1, T.hi - 1), DT, threads=threads))
+    items.append(exactness_certificate(L, (1, L.hi), DL))
+    items.append(exactness_certificate(T, (1, T.hi - 1), DT))
     # Euler characteristic consistency: the Hilbert function of the top
     # module matches the alternating twist sum of the finite resolution
     # divided by prod (1 - x^(deg var)), as power series up to DL

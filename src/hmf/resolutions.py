@@ -31,6 +31,7 @@ from .complexes import (
     mapping_cone,
     two_term_complex,
 )
+from .graded import piece_matrix
 from .lifting import (
     Obstruction,
     SolverBug,
@@ -58,14 +59,12 @@ class ResolutionBundle:
 
 def _scalar_part(ring, mm):
     """Constant coefficients of entries at required degree 0 (reduction of a
-    map modulo the graded maximal ideal)."""
-    fld = ring.field
-    A = fld.zeros(mm.dst.rank, mm.src.rank)
-    for i in range(mm.dst.rank):
-        for j in range(mm.src.rank):
-            if mm.required_degree(i, j) == 0:
-                A[i, j] = mm.entries[i][j].constant_part()
-    return A
+    map modulo the graded maximal ideal): the degree-0 piece of the map with
+    every twist set to 0 and the other entries dropped."""
+    entries = [[q if mm.required_degree(i, j) == 0 else None
+                for j, q in enumerate(row)] for i, row in enumerate(mm.entries)]
+    return piece_matrix(ring, entries, (0,) * mm.src.rank,
+                        (0,) * mm.dst.rank, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -262,8 +262,15 @@ class GradedRing:
 
     def monomials(self, d):
         """All exponent tuples of weighted degree d, grevlex-descending."""
+        return self._monomial_basis(d)[0]
+
+    def monomial_index(self, d):
+        """Position of each degree-d exponent tuple in monomials(d)."""
+        return self._monomial_basis(d)[1]
+
+    def _monomial_basis(self, d):
         if d < 0:
-            return ()
+            return (), {}
         got = self._mon_cache.get(d)
         if got is not None:
             return got
@@ -286,8 +293,9 @@ class GradedRing:
             rec(0, d, [])
         out.sort(key=cmp_to_key(lambda a, b: _grevlex_cmp((d, a), (d, b))))
         res = tuple(out)
-        self._mon_cache[d] = res
-        return res
+        got = (res, {m: i for i, m in enumerate(res)})
+        self._mon_cache[d] = got
+        return got
 
     # -- parsing
 
@@ -330,10 +338,6 @@ class Poly:
         for e, c in self.terms.items():
             parts.setdefault(self.ring.mono_degree(e), {})[e] = c
         return {d: Poly(self.ring, t) for d, t in sorted(parts.items())}
-
-    def constant_part(self):
-        zero = (0,) * self.ring.nvars
-        return self.terms.get(zero, self.ring.field.canon(0))
 
     # -- arithmetic
 

@@ -161,13 +161,8 @@ def test_koszul_tensor_homology_prediction(F):
     # homology of K(f_1) (x) B(2) concentrates in degrees <= 1, and the
     # degree-1 piece has the dimensions of Ker(b_2) over the hypersurface,
     # computed independently from raw pieces
-    from hmf.oracle import (
-        _hstack,
-        _ideal_cols,
-        _piece_matrix,
-        graded_homology,
-        piece_dim,
-    )
+    from hmf.graded import piece_matrix
+    from hmf.oracle import _hstack, _ideal_piece, graded_homology, piece_dim
 
     ring = F.ring
     B = two_term_complex(F.ring, F.b_block(2))
@@ -176,10 +171,12 @@ def test_koszul_tensor_homology_prediction(F):
     assert all(table[(2, e)] == 0 for e in range(0, 9))
     f1 = ring.regseq[0]
     fld = ring.field
+    d1 = B.diff(1)
     for e in range(0, 9):
-        A = _piece_matrix(ring, B.diff(1), e)
-        F1 = _ideal_cols(ring, B.module(1), e, (f1,))
-        F0 = _ideal_cols(ring, B.module(0), e, (f1,))
+        A = piece_matrix(ring, d1.entries, d1.src.twists, d1.dst.twists,
+                         d1.shift, e)
+        F1 = _ideal_piece(ring, B.module(1).twists, (f1,), e)
+        F0 = _ideal_piece(ring, B.module(0).twists, (f1,), e)
         dim1 = piece_dim(ring, B.module(1), e) - (
             fld.rank(F1) if F1.shape[1] else 0
         )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -188,3 +189,65 @@ def test_cli_entry_point_subprocess():
         env=env,
     )
     assert proc.returncode == 0
+
+
+DIGESTS = os.path.join(os.path.dirname(corpus_dir()), "perfbench", "digests.json")
+ALL_COMMANDS = ("validate", "suite", "resolve-s", "resolve-r", "extract",
+                "strengthen", "peel", "box")
+# codim3 suite, resolve-s and resolve-r take about 30 s together; the
+# benchmark's corpus workload checks their digests
+GOLDEN_RUNS = [(name, command)
+               for name in ("micro_codim1", "codim2_xa_yb", "codim2_xz_y2")
+               for command in ALL_COMMANDS] + [
+    ("codim3_shifted", command)
+    for command in ("validate", "extract", "strengthen", "peel", "box")]
+
+
+@pytest.mark.parametrize("name,command", GOLDEN_RUNS)
+def test_cli_golden_report(tmp_path, name, command):
+    with open(DIGESTS) as fh:
+        want = json.load(fh)[f"{name}.{command}"]
+    report = tmp_path / "report.json"
+    argv = [command, golden_path(name), "-o", str(report)]
+    if command == "resolve-r":
+        argv += ["--steps", "5"]
+    if name == "codim3_shifted" and command in ("suite", "resolve-s",
+                                                 "resolve-r", "box"):
+        argv += ["--degree-bound", "6"]
+    assert main(argv) == want["exit"]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == want["sha256"]
+
+
+MALFORMED = [
+    pytest.param(kind, path, value,
+                 id=f"{kind}-{'.'.join(map(str, path))}-"
+                    f"{'missing' if value is None else json.dumps(value)}")
+    for kind, paths in (
+        ("hmf", [("B",), ("c",), ("B", 0, "p"), ("B", 0, "B1"), ("B", 0, "B0")]),
+        ("complex", [("range",), ("modules",), ("level",), ("diffs",),
+                     ("modules", 0, "twists")]),
+    )
+    for path in paths
+    for value in (None, "x", [["1"]])
+]
+
+
+@pytest.mark.parametrize("kind,path,value", MALFORMED)
+def test_malformed_keys_exit_2(tmp_path, capsys, kind, path, value):
+    # value None deletes the key; the others have the wrong JSON type
+    F = codim2_xa_yb()
+    obj = (io_json.hmf_to_json(F) if kind == "hmf"
+           else io_json.complex_to_json(build_finite(F).complex))
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(io_json.dumps(obj))
+    with pytest.raises(SchemaError):
+        io_json.load(str(bad))
+    assert main(["extract" if kind == "complex" else "validate", str(bad)]) == 2
+    assert "input error" in capsys.readouterr().err

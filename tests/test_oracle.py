@@ -124,13 +124,3 @@ def test_formula_suite_trivial():
     triv = HMF(ring, {}, {}, [], {1: [], 2: []})
     rows = formula_suite(triv)
     assert all(r.verdict == "PASS" for r in rows)
-
-
-def test_homology_thread_pool_matches():
-    F = micro_codim1()
-    from hmf.resolutions import build_infinite
-
-    T = build_infinite(F, 6).complex
-    t1 = graded_homology(T, (1, 5), 6, threads=1)
-    t2 = graded_homology(T, (1, 5), 6, threads=2)
-    assert t1 == t2
