@@ -58,6 +58,29 @@ def rank(A, p):
     return int(piv.size)
 
 
+def matmul(A, B, p):
+    """A @ B mod p, computed exactly with a float64 (BLAS) product.
+
+    NumPy's int64 matmul has no BLAS.  A float64 sum of products of
+    residues is exact while it stays below 2**53, so the inner dimension
+    is cut into chunks of k terms with p + k*(p-1)**2 <= 2**53 and the
+    running sum is reduced after each chunk (the FFLAS-FFPACK bound).
+    Primes too large for even one term keep the int64 product.
+    """
+    A = np.asarray(A, dtype=np.int64) % p
+    B = np.asarray(B, dtype=np.int64) % p
+    step = (2**53 - p) // (p - 1) ** 2
+    if step == 0:
+        return (A @ B) % p
+    Af = A.astype(np.float64)
+    Bf = B.astype(np.float64)
+    C = np.zeros((A.shape[0], B.shape[1]), dtype=np.float64)
+    for s in range(0, A.shape[1], step):
+        C += Af[:, s:s + step] @ Bf[s:s + step]
+        np.fmod(C, p, out=C)
+    return C.astype(np.int64)
+
+
 def solve_many(A, B, p):
     """Solve A X = B columnwise mod p.
 

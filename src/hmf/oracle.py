@@ -110,13 +110,12 @@ def graded_homology(C, hom_range=None, D=None, extra_gens=()):
         ker_dim = dimP - rank_AF + rank_F1 - rank_F
         im_dim = rank_B - rank_F
         # the image need not lie in the kernel when the input is broken;
-        # measure the composite so mutations are detected, not masked
+        # measure the composite so mutations are detected, not masked.
+        # A @ Fi is left out: A is a module map, so it lies in the span
+        # of Fi_1 already.
         corr = 0
-        if A is not None and st2 is not None:
-            M = A @ st2
-            if fld.char:
-                M %= fld.char
-            stM = _hstack(fld, [M, Fi_1])
+        if A is not None and Bm is not None:
+            stM = _hstack(fld, [fld.matmul(A, Bm), Fi_1])
             rank_M = fld.rank(stM) if stM is not None else 0
             corr = rank_M - rank_F1
         return ker_dim - im_dim + corr

@@ -101,6 +101,11 @@ class Field:
             return _kernels.rank(A, self.char)
         return _kernels.rank_frac(A)
 
+    def matmul(self, A, B):
+        if self.char:
+            return _kernels.matmul(A, B, self.char)
+        return A @ B
+
     def solve_many(self, A, B):
         if self.char:
             return _kernels.solve_many(A, B, self.char)

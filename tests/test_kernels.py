@@ -49,6 +49,20 @@ def test_inconsistent_column_flagged():
     assert (X[:, 0] == 0).all()
 
 
+@pytest.mark.parametrize("p", [2, P, 2**26 - 5])
+@pytest.mark.parametrize("m,k,n", [(3, 0, 4), (1, 1, 1), (5, 7, 3), (9, 300, 6)])
+def test_matmul_exact(p, m, k, n):
+    # 2**26 - 5 allows two terms per float64 chunk, so the chunked
+    # reduction runs; the all-(p - 1) inputs give the largest partial sums
+    rng = np.random.default_rng(m * k + n)
+    for A, B in [(rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n))),
+                 (np.full((m, k), p - 1), np.full((k, n), p - 1))]:
+        ref = (A.astype(object) @ B.astype(object)) % p if k else np.zeros((m, n))
+        C = _kernels.matmul(A, B, p)
+        assert C.dtype == np.int64 and C.shape == (m, n)
+        assert (C == ref).all()
+
+
 def reference_rref(A, p):
     """Scalar Gauss-Jordan elimination mod p, one entry at a time: the
     reference the numpy kernel is compared against."""
