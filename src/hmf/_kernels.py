@@ -65,13 +65,11 @@ def matmul(A, B, p):
     residues is exact while it stays below 2**53, so the inner dimension
     is cut into chunks of k terms with p + k*(p-1)**2 <= 2**53 and the
     running sum is reduced after each chunk (the FFLAS-FFPACK bound).
-    Primes too large for even one term keep the int64 product.
+    Field admits only primes with at least one term per chunk.
     """
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
     step = (2**53 - p) // (p - 1) ** 2
-    if step == 0:
-        return (A @ B) % p
     Af = A.astype(np.float64)
     Bf = B.astype(np.float64)
     C = np.zeros((A.shape[0], B.shape[1]), dtype=np.float64)
@@ -128,16 +126,6 @@ def nullspace(A, p):
         for r0, c in enumerate(piv):
             N[int(c), j] = (-R[r0, fcol]) % p
     return N
-
-
-def in_row_space_complement(R, piv, b, p):
-    """Reduce b against RREF rows; return the residual vector."""
-    v = np.array(b, dtype=np.int64) % p
-    for r0, c in enumerate(piv):
-        f = v[int(c)]
-        if f:
-            v = (v - f * R[r0]) % p
-    return v
 
 
 # ---------------------------------------------------------------------------

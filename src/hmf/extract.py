@@ -19,8 +19,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .complexes import Complex, FreeModule, MatrixMap, ShapeError
 from .factorization import HMF, Report, validate_hmf
+from .graded import QuotientPieces
 from .lifting import ci_from_lifting, higher_homotopies, Obstruction
 from .resolutions import PeelError, _scalar_part, peel
 
@@ -261,37 +264,29 @@ def multiplication_injective_on_coker(comp, f, D):
     comp is a MatrixMap at some level; the cokernel is taken over the
     quotient at that level.  Returns (ok, first failing degree or None).
     """
-    from .graded import piece_matrix
-    from .oracle import _hstack, _ideal_piece, piece_dim
-
     ring = comp.ring
     fld = ring.field
-    gens = ring.regseq[: comp.level]
+    Q = QuotientPieces(ring, ring.regseq[: comp.level])
     q = f.degree()
     tgt = comp.dst
+    mult = MatrixMap.poly_times_identity(ring, f, tgt)
+    images = {}
 
     def image(e):
-        A = piece_matrix(ring, comp.entries, comp.src.twists, tgt.twists,
-                         comp.shift, e)
-        F = _ideal_piece(ring, tgt.twists, gens, e) if gens else None
-        return _hstack(fld, [A, F])
+        if e not in images:
+            M = Q.induced(comp, e)
+            images[e] = (M, fld.rank(M))
+        return images[e]
 
     for e in range(0, D + 1):
-        dimP = piece_dim(ring, tgt, e)
-        if dimP == 0:
-            continue
-        im_e = image(e)
-        rk_e = fld.rank(im_e) if im_e is not None else 0
-        cdim = dimP - rk_e
+        cdim = Q.dim(tgt.twists, e)
+        if cdim:
+            cdim -= image(e)[1]
         if cdim == 0:
             continue
-        im_eq = image(e + q)
-        rk_eq = fld.rank(im_eq) if im_eq is not None else 0
-        # multiplication by f: the map f * I from tgt(-q) to tgt
-        M = _ideal_piece(ring, tgt.twists, (f,), e + q)
-        st = _hstack(fld, [M, im_eq])
-        rk_join = fld.rank(st) if st is not None else 0
-        img_dim = rk_join - rk_eq
+        im_eq, rk_eq = image(e + q)
+        M = Q.induced(mult, e + q)
+        img_dim = fld.rank(np.concatenate([M, im_eq], axis=1)) - rk_eq
         if img_dim < cdim:
             return False, e
     return True, None

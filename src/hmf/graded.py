@@ -6,11 +6,17 @@ e - t_k.  Fixing monomial bases of those graded pieces turns every
 congruence  sum_i c_i g_i = target (mod ideal)  into one dense linear system
 over the coefficient field.  All solvers here pick the first-pivot solution
 with free variables set to zero, so results are reproducible bit for bit.
+
+A degree piece of a free module over a quotient S/I has one representation,
+QuotientPieces (coordinates on standard monomials, via normal forms against
+the RREF of I_d), shared by the verifier, extraction and ideal membership.
 """
 
 from __future__ import annotations
 
 from operator import add
+
+import numpy as np
 
 from . import _kernels
 from .ring import Poly, RingError
@@ -144,48 +150,79 @@ def graded_piece_solve(targets, gens, variant=0):
 
 
 # ---------------------------------------------------------------------------
-# Ideal membership with cached echelon forms per graded piece.
+# Degree pieces over the quotient S/(gens), in normal form.
 
 
-def _ideal_echelon(ring, gens, e):
-    """RREF of the degree-e piece of the ideal (gens) inside the ring."""
-    key = (gens, e)
-    got = ring._ideal_piece_cache.get(key)
-    if got is not None:
-        return got
-    fld = ring.field
-    # rows of A are the spanning vectors g_i * m, so membership is row
-    # reduction: A is the transpose of the row map [g_1 ... g_r] into S
-    A = piece_matrix(ring, [gens], [g.degree() for g in gens], (0,), 0, e).T
-    if fld.char:
-        R, piv = _kernels.rref(A, fld.char)
-    else:
-        R, piv = _kernels.rref_frac(A)
-    ring._ideal_piece_cache[key] = (R, piv)
-    return R, piv
+class QuotientPieces:
+    """Degree pieces of free modules over S/I, I = (gens), in normal form.
 
+    In degree d the RREF of I_d (rows g_i * m) has pivot monomials; the
+    others, the standard monomials, index a basis of (S/I)_d.  The
+    normal-form map N_d : S_d -> (S/I)_d clears the pivot coordinates of a
+    vector with the RREF rows and keeps its standard coordinates, so
+    N_d v = 0 iff v lies in I_d, and N_d is the identity on standard
+    monomials.  Each N_d is built once per instance and applied block by
+    block over the twists of a free module.
+    """
 
-def homogeneous_in_ideal(g, gens):
-    """Membership of a homogeneous g in the ideal generated by gens."""
-    if g.is_zero():
-        return True
-    if not gens:
-        return False
-    ring = g.ring
-    e = g.degree()
-    R, piv = _ideal_echelon(ring, tuple(gens), e)
-    fld = ring.field
-    b = piece_matrix(ring, [[g]], (e,), (0,), 0, e)[:, 0]
-    if fld.char:
-        res = _kernels.in_row_space_complement(R, piv, b, fld.char)
-        return not res.any()
-    # characteristic zero: reduce manually
-    v = list(b)
-    for r0, c in enumerate(piv):
-        f = v[c]
-        if f != 0:
-            v = [x - f * y for x, y in zip(v, R[r0])]
-    return all(x == 0 for x in v)
+    def __init__(self, ring, gens):
+        self.ring = ring
+        self.gens = tuple(gens)
+        self._pieces = {}
+
+    def _piece(self, d):
+        """(N_d, standard positions); N_d is None when I_d = 0."""
+        if d in self._pieces:
+            return self._pieces[d]
+        fld = self.ring.field
+        n = len(self.ring.monomials(d))
+        piv = []
+        if self.gens and n:
+            # rows of A span I_d: the transpose of the row map [g_1 ... g_r]
+            A = piece_matrix(self.ring, [self.gens],
+                             [g.degree() for g in self.gens], (0,), 0, d).T
+            R, piv = (_kernels.rref(A, fld.char) if fld.char
+                      else _kernels.rref_frac(A))
+        std = np.setdiff1d(np.arange(n), np.asarray(piv, dtype=np.int64))
+        N = None
+        if len(piv):
+            N = fld.zeros(len(std), n)
+            N[np.arange(len(std)), std] = fld.canon(1)
+            neg = -R[: len(piv)][:, std].T
+            N[:, piv] = neg % fld.char if fld.char else neg
+        self._pieces[d] = (N, std)
+        return N, std
+
+    def dim(self, twists, e):
+        """Dimension of the degree-e piece of the free module over S/I."""
+        return sum(len(self._piece(e - t)[1]) for t in twists)
+
+    def induced(self, mm, e):
+        """Matrix of the map that the MatrixMap mm induces over S/I, from
+        the degree-(e - shift) piece to the degree-e piece, in the bases of
+        standard monomials.  mm sends I * src into I * dst, so N_dst A
+        factors through N_src, and its standard columns are the induced map.
+        """
+        ring = self.ring
+        A = piece_matrix(ring, mm.entries, mm.src.twists, mm.dst.twists,
+                         mm.shift, e)
+        rows = [A[:0]]
+        dst_off, _ = piece_layout(ring, mm.dst.twists, e)
+        for t, part in zip(mm.dst.twists, np.split(A, dst_off[1:])):
+            N = self._piece(e - t)[0]
+            rows.append(part if N is None else ring.field.matmul(N, part))
+        cols = [np.zeros(0, dtype=np.int64)]
+        src_off, _ = piece_layout(ring, mm.src.twists, e - mm.shift)
+        for t, off in zip(mm.src.twists, src_off):
+            cols.append(self._piece(e - mm.shift - t)[1] + off)
+        return np.concatenate(rows)[:, np.concatenate(cols)]
+
+    def contains(self, g):
+        """Is the nonzero homogeneous polynomial g in I?"""
+        e = g.degree()
+        N, std = self._piece(e)
+        b = piece_matrix(self.ring, [[g]], (e,), (0,), 0, e)
+        return not (b[std] if N is None else self.ring.field.matmul(N, b)).any()
 
 
 def ideal_membership(g, level):
@@ -195,9 +232,10 @@ def ideal_membership(g, level):
     ring = g.ring
     if level < 0 or level > ring.codim:
         raise RingError(f"ideal level {level} out of range 0..{ring.codim}")
-    gens = ring.regseq[:level]
-    if g.is_zero():
-        return True
-    return all(
-        homogeneous_in_ideal(part, gens) for part in g.homogeneous_parts().values()
-    )
+    if g.is_zero() or level == 0:
+        return g.is_zero()
+    Q = ring._membership_pieces.get(level)
+    if Q is None:
+        Q = QuotientPieces(ring, ring.regseq[:level])
+        ring._membership_pieces[level] = Q
+    return all(Q.contains(part) for part in g.homogeneous_parts().values())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .complexes import Complex, FreeModule, MatrixMap
+from .complexes import Complex, FreeModule, MatrixMap, ShapeError
 from .factorization import HMF
 from .ring import Field, GradedRing, RingError
 
@@ -31,9 +31,12 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _key(obj, key, kind, where):
-    """obj[key], which must be present and of the JSON type kind."""
+def _key(obj, key, kind, where, default=None):
+    """obj[key], which must be of the JSON type kind; it must be present
+    unless a default is given, which then stands for a missing or null key."""
     _require(isinstance(obj, dict), where, "expected an object")
+    if default is not None and obj.get(key) is None:
+        return default
     _require(key in obj, where, f"missing key {key!r}")
     val = obj[key]
     ok = _is_int(val) if kind is int else isinstance(val, kind)
@@ -46,6 +49,26 @@ def _twists(obj, key, where):
     _require(all(_is_int(t) for t in tws), where,
              f"{key!r} must be a list of integers")
     return tuple(tws)
+
+
+def _ints(key, n, sep, where):
+    """The n integers of a key such as "1->2" or "1,2"."""
+    try:
+        vals = tuple(int(x) for x in key.split(sep))
+    except ValueError:
+        vals = ()
+    _require(len(vals) == n, where, f"bad key {key!r}")
+    return vals
+
+
+def _poly_rows(ring, rows, where):
+    """A matrix given as a list of rows of polynomial strings, parsed."""
+    _require(isinstance(rows, list) and all(isinstance(r, list) for r in rows),
+             where, "expected a list of rows")
+    try:
+        return [[ring.poly(x) for x in r] for r in rows]
+    except (RingError, TypeError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def dumps(obj):
@@ -68,7 +91,7 @@ def ring_from_json(obj, where="ring"):
         field = Field(obj["field"])
         ring = GradedRing(field, [(n, d) for n, d in obj["vars"]])
         ring.set_regseq([str(s) for s in obj["regseq"]])
-    except (KeyError, RingError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # RingError is a ValueError
         raise SchemaError(f"{where}: {exc}") from exc
     return ring
 
@@ -115,7 +138,7 @@ def complex_from_json(obj, where="complex"):
     for k, m in enumerate(_key(obj, "modules", list, where)):
         at = f"{where}.modules[{k}]"
         mods[lo + k] = FreeModule(_twists(m, "twists", at),
-                                  tuple(m.get("labels") or ()) or None)
+                                  tuple(_key(m, "labels", list, at, [])) or None)
     level = _key(obj, "level", int, where)
     _require(0 <= level <= ring.codim, where, "level out of range")
     rows_all = _key(obj, "diffs", list, where)
@@ -182,13 +205,14 @@ def hmf_from_json(obj, where="hmf"):
     _require(obj.get("kind") == "hmf", where, "kind must be 'hmf'")
     ring = ring_from_json(_key(obj, "ring", dict, where), where + ".ring")
     c = _key(obj, "c", int, where)
-    flags = obj.get("flags") or {}
-    generalized = bool(flags.get("generalized"))
+    _require(c >= 0, where, "'c' must be nonnegative")
+    generalized = bool(_key(obj, "flags", dict, where, {}).get("generalized"))
     b1 = {}
     b0 = {}
     for k, rec in enumerate(_key(obj, "B", list, where)):
         at = f"{where}.B[{k}]"
         p = _key(rec, "p", int, at)
+        _require(0 <= p <= c, at, "'p' out of range")
         b1[p] = FreeModule(_twists(rec, "B1", at))
         b0[p] = FreeModule(_twists(rec, "B0", at))
     rank1 = {p: b1.get(p, FreeModule(())).rank for p in range(0, c + 1)}
@@ -197,51 +221,47 @@ def hmf_from_json(obj, where="hmf"):
     off0 = {p: sum(rank0[q] for q in range(0, p)) for p in range(0, c + 2)}
     n1 = sum(rank1.values())
     n0 = sum(rank0.values())
-    z = "0"
-    rows = [[z] * n1 for _ in range(n0)]
-    for key, blk in (obj.get("d_blocks") or {}).items():
-        try:
-            qs, qps = key.split("->")
-            q, qp = int(qs), int(qps)
-        except ValueError as exc:
-            raise SchemaError(f"{where}.d_blocks[{key}]: bad key") from exc
-        _require(qp <= q, f"{where}.d_blocks[{key}]", "filtration violated")
+    d = [[ring.zero() for _ in range(n1)] for _ in range(n0)]
+    for key, blk in _key(obj, "d_blocks", dict, where, {}).items():
+        at = f"{where}.d_blocks[{key}]"
+        q, qp = _ints(key, 2, "->", at)
+        _require(0 <= qp <= q <= c, at, "filtration violated")
+        blk = _poly_rows(ring, blk, at)
         _require(
             len(blk) == rank0[qp] and all(len(r) == rank1[q] for r in blk),
-            f"{where}.d_blocks[{key}]",
+            at,
             "block shape mismatch",
         )
         for i, r in enumerate(blk):
-            for j, s in enumerate(r):
-                rows[off0[qp] + i][off1[q] + j] = s
-    d = [[ring.poly(s) for s in row] for row in rows]
+            for j, x in enumerate(r):
+                d[off0[qp] + i][off1[q] + j] = x
+    h_blocks = _key(obj, "h_blocks", dict, where, {})
     h = {}
     for p in range(1, c + 1):
-        rowsh = (obj.get("h_blocks") or {}).get(str(p))
-        _require(rowsh is not None, where, f"missing h block {p}")
-        h[p] = [[ring.poly(s) for s in row] for row in rowsh]
+        _require(str(p) in h_blocks, where, f"missing h block {p}")
+        h[p] = _poly_rows(ring, h_blocks[str(p)], f"{where}.h_blocks[{p}]")
     try:
         F = HMF(ring, b1, b0, d, h, generalized=generalized, c=c)
     except Exception as exc:
         raise SchemaError(f"{where}: {exc}") from exc
-    ext_obj = obj.get("strong_ext")
-    if ext_obj:
-        ext_all = {}
-        for ps, blocks in ext_obj.items():
-            p = int(ps)
-            ext = {}
-            for key, rowsb in blocks.items():
-                i, w = (int(x) for x in key.split(","))
-                ext[(i, w)] = MatrixMap(
-                    ring,
-                    F.A0(p),
-                    F.b0[w],
-                    [[ring.poly(s) for s in row] for row in rowsb],
-                    0,
-                    ring.fdeg(p) - ring.fdeg(i),
-                    check=False,
-                )
-            ext_all[p] = ext
+    ext_all = {}
+    for ps, blocks in _key(obj, "strong_ext", dict, where, {}).items():
+        at = f"{where}.strong_ext[{ps}]"
+        (p,) = _ints(ps, 1, ",", at)
+        _require(1 <= p <= c and isinstance(blocks, dict), at,
+                 "expected an object for a stage 1..c")
+        ext = {}
+        for key, rowsb in blocks.items():
+            i, w = _ints(key, 2, ",", f"{at}[{key}]")
+            _require(1 <= i < w <= p, f"{at}[{key}]", "slot out of range")
+            rows = _poly_rows(ring, rowsb, f"{at}[{key}]")
+            try:
+                ext[(i, w)] = MatrixMap(ring, F.A0(p), F.b0[w], rows, 0,
+                                        ring.fdeg(p) - ring.fdeg(i), check=False)
+            except ShapeError as exc:
+                raise SchemaError(f"{at}[{key}]: {exc}") from exc
+        ext_all[p] = ext
+    if ext_all:
         F.strong_ext = ext_all
     return F
 

@@ -1,10 +1,11 @@
 """Independent verification by plain graded linear algebra.
 
-Homology tables are computed from raw matrices: a graded piece of a free
-module over S/(f_1..f_p) in degree e is the S-piece with the image
-augmented by f-multiple columns, so dimensions reduce to ranks of scalar
-matrices.  Nothing here calls the lifting solvers; formula checks compare
-closed-form rank data against the built resolutions.
+Homology tables are computed from raw matrices: a degree-e piece of a free
+module over S/(f_1..f_p) is the span of its standard monomials, every
+S-piece is brought to normal form against the RREF of the ideal piece
+(graded.QuotientPieces), and dimensions reduce to ranks of the induced
+scalar matrices.  Nothing here calls the lifting solvers; formula checks
+compare closed-form rank data against the built resolutions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .complexes import koszul_complex
 from .factorization import signature
-from .graded import piece_layout, piece_matrix
+from .graded import QuotientPieces
 
 
 @dataclass
@@ -41,89 +42,46 @@ def default_degree_bound(C):
     return (max(tws) if tws else 0) + fdeg + 2
 
 
-def _ideal_piece(ring, twists, gens, e):
-    """Columns spanning (gens) * P in degree e, P free with the given twists:
-    the piece of the block map [g_1 I | ... | g_r I] onto P."""
-    n = len(twists)
-    entries = [[g if k == i else None for g in gens for k in range(n)]
-               for i in range(n)]
-    src = [t + g.degree() for g in gens for t in twists]
-    return piece_matrix(ring, entries, src, twists, 0, e)
-
-
-def _hstack(fld, mats):
-    import numpy as np
-
-    mats = [m for m in mats if m is not None and m.shape[1]]
-    if not mats:
-        return None
-    rows = mats[0].shape[0]
-    for m in mats:
-        assert m.shape[0] == rows
-    return np.concatenate(mats, axis=1)
-
-
-def piece_dim(ring, module, e):
-    return piece_layout(ring, module.twists, e)[1]
-
-
 def graded_homology(C, hom_range=None, D=None, extra_gens=()):
     """Exact dims of H_i(C)_e for i in hom_range and e <= D.
 
-    The quotient by (f_1..f_level) + extra_gens is realised by augmenting
-    images with generator-multiple columns; each cell costs a few ranks.
+    Over the quotient by (f_1..f_level) + extra_gens, with dbar_i the
+    differential induced on normal forms,
+        h(i, e) = dim P_i,e - rank dbar_i - rank dbar_{i+1}
+                  + rank(dbar_i dbar_{i+1}),
+    and each dbar_i is assembled and ranked once per degree.
     """
     ring = C.ring
     fld = ring.field
     D = default_degree_bound(C) if D is None else D
     lo, hi = (C.lo, C.hi) if hom_range is None else hom_range
-    gens = tuple(ring.regseq[: C.level]) + tuple(extra_gens)
-    table = {}
+    Q = QuotientPieces(ring, ring.regseq[: C.level] + tuple(extra_gens))
+    # dbar_{i+1} of cell (i, e) is dbar_i of cell (i + 1, e): kept until then
+    pending = {}
+
+    def reduced_diff(i, e):
+        M = Q.induced(C.diff(i), e)
+        return M, fld.rank(M)
 
     def cell(i, e):
-        P = C.module(i)
-        dimP = piece_dim(ring, P, e)
-        if dimP == 0:
+        h = Q.dim(C.module(i).twists, e)
+        if h == 0:
             return 0
-        A = Bm = Fi = Fi_1 = None
         if i > C.lo:
-            d = C.diff(i)
-            A = piece_matrix(ring, d.entries, d.src.twists, d.dst.twists,
-                             d.shift, e)
+            A, rank_A = pending.pop((i, e), None) or reduced_diff(i, e)
+            h -= rank_A
         if i < C.hi:
-            d = C.diff(i + 1)
-            Bm = piece_matrix(ring, d.entries, d.src.twists, d.dst.twists,
-                              d.shift, e)
-        if gens:
-            Fi = _ideal_piece(ring, P.twists, gens, e)
-            if i > C.lo:
-                Fi_1 = _ideal_piece(ring, C.module(i - 1).twists, gens, e)
-        rank_AF = 0
-        rank_F1 = 0
-        if A is not None or Fi_1 is not None:
-            st = _hstack(fld, [A, Fi_1])
-            rank_AF = fld.rank(st) if st is not None else 0
-            rank_F1 = fld.rank(Fi_1) if Fi_1 is not None and Fi_1.shape[1] else 0
-        st2 = _hstack(fld, [Bm, Fi])
-        rank_B = fld.rank(st2) if st2 is not None else 0
-        rank_F = fld.rank(Fi) if Fi is not None and Fi.shape[1] else 0
-        ker_dim = dimP - rank_AF + rank_F1 - rank_F
-        im_dim = rank_B - rank_F
-        # the image need not lie in the kernel when the input is broken;
-        # measure the composite so mutations are detected, not masked.
-        # A @ Fi is left out: A is a module map, so it lies in the span
-        # of Fi_1 already.
-        corr = 0
-        if A is not None and Bm is not None:
-            stM = _hstack(fld, [fld.matmul(A, Bm), Fi_1])
-            rank_M = fld.rank(stM) if stM is not None else 0
-            corr = rank_M - rank_F1
-        return ker_dim - im_dim + corr
+            B, rank_B = pending[(i + 1, e)] = reduced_diff(i + 1, e)
+            h -= rank_B
+        if C.lo < i < C.hi:
+            # the image need not lie in the kernel when the input is broken;
+            # measure the composite so mutations are detected, not masked.
+            # It has the rank of N_{i-1} A_i B_{i+1}: N_{i-1} A_i = dbar_i N_i
+            # because A_i maps I P_i into I P_{i-1}.
+            h += fld.rank(fld.matmul(A, B))
+        return h
 
-    for i in range(lo, hi + 1):
-        for e in range(0, D + 1):
-            table[(i, e)] = cell(i, e)
-    return table
+    return {(i, e): cell(i, e) for i in range(lo, hi + 1) for e in range(0, D + 1)}
 
 
 def homology_is_zero(table, hom_range, D):
@@ -150,19 +108,11 @@ def exactness_certificate(C, hom_range=None, D=None, extra_gens=()):
 def hilbert_function(pres, D, extra_gens=()):
     """Degreewise dims of coker(pres) over the quotient at pres.level."""
     ring = pres.ring
-    fld = ring.field
-    gens = tuple(ring.regseq[: pres.level]) + tuple(extra_gens)
+    Q = QuotientPieces(ring, ring.regseq[: pres.level] + tuple(extra_gens))
     out = {}
     for e in range(0, D + 1):
-        dimP = piece_dim(ring, pres.dst, e)
-        if dimP == 0:
-            out[e] = 0
-            continue
-        A = piece_matrix(ring, pres.entries, pres.src.twists, pres.dst.twists,
-                         pres.shift, e)
-        F = _ideal_piece(ring, pres.dst.twists, gens, e) if gens else None
-        st = _hstack(fld, [A, F])
-        out[e] = dimP - (fld.rank(st) if st is not None else 0)
+        dim = Q.dim(pres.dst.twists, e)
+        out[e] = dim - ring.field.rank(Q.induced(pres, e)) if dim else 0
     return out
 
 

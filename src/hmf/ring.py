@@ -1,10 +1,10 @@
 """Exact coefficient fields, sparse graded polynomials, and graded rings.
 
 The default field is F_32003 (a large prime standing in for an infinite
-residue field); characteristic zero over Fractions is available as a slower
-backend.  Polynomials are sparse maps from exponent vectors to nonzero field
-scalars, kept in canonical form, with a fixed graded-reverse-lexicographic
-term order used for printing and serialization.  No floating point anywhere.
+residue field); any prime up to MAX_PRIME, or characteristic zero over
+Fractions (slower), may be chosen.  Polynomials are sparse maps from
+exponent vectors to nonzero field scalars, kept in canonical form, with a
+fixed graded-reverse-lexicographic term order for printing and serialization.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ import numpy as np
 from . import _kernels
 
 DEFAULT_PRIME = 32003
+# the largest prime p with (p - 1)**2 + p <= 2**53: the float64 products of
+# _kernels.matmul and the int64 steps of _kernels.rref stay exact up to it
+MAX_PRIME = 94906249
 
 
 class RingError(ValueError):
@@ -43,8 +46,10 @@ class Field:
     __slots__ = ("char",)
 
     def __init__(self, char=DEFAULT_PRIME):
-        if char != 0 and not _is_prime(char):
-            raise RingError(f"field characteristic must be prime or 0, got {char}")
+        if not (type(char) is int
+                and (char == 0 or char <= MAX_PRIME and _is_prime(char))):
+            raise RingError("field characteristic must be 0 or a prime at most "
+                            f"{MAX_PRIME}, got {char}")
         self.char = char
 
     def __eq__(self, other):
@@ -203,7 +208,7 @@ class GradedRing:
         self._var_index = {n: i for i, n in enumerate(names)}
         self.regseq = ()
         self._mon_cache = {}
-        self._ideal_piece_cache = {}
+        self._membership_pieces = {}
 
     @classmethod
     def make(cls, field, variables, regseq):
@@ -221,7 +226,7 @@ class GradedRing:
                 raise RingError("regular sequence elements must be nonzero homogeneous")
             polys.append(g)
         self.regseq = tuple(polys)
-        self._ideal_piece_cache.clear()
+        self._membership_pieces.clear()
         return self
 
     @property
@@ -508,11 +513,11 @@ def parse_poly(ring, s):
             if t not in ring._var_index:
                 raise RingError(f"unknown variable {t!r} in {s!r}")
             e = 1
-            if i + 2 < len(tokens) and tokens[i + 1] == "^":
+            if i + 1 < len(tokens) and tokens[i + 1] == "^":
+                if i + 2 == len(tokens) or not tokens[i + 2].isdigit():
+                    raise RingError(f"'^' without an exponent in {s!r}")
                 e = int(tokens[i + 2])
                 i += 2
-            elif i + 1 < len(tokens) and tokens[i + 1] == "^":
-                raise RingError(f"dangling '^' in {s!r}")
             if cur_expo is None:
                 cur_expo = [0] * ring.nvars
             cur_expo[ring._var_index[t]] += e

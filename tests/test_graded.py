@@ -49,6 +49,13 @@ def test_membership_examples(ring):
     # inhomogeneous input decided componentwise
     assert ideal_membership(ring.poly("x*a + x*a*b"), 1)
     assert not ideal_membership(ring.poly("x*a + x"), 1)
+    # a non-monomial ideal, over F_p and over the rationals
+    for char in (Field().char, 0):
+        binom = GradedRing.make(Field(char), [("x", 1), ("y", 1), ("z", 1)],
+                                ["x^2 + y*z", "y^2 - 2*x*z"])
+        f1, f2 = binom.regseq
+        assert ideal_membership(f1 * binom.poly("x - z") + f2 * binom.poly("y"), 2)
+        assert not ideal_membership(f1 + binom.poly("x*z"), 2)
 
 
 small = st.lists(

@@ -194,13 +194,10 @@ def test_cli_entry_point_subprocess():
 DIGESTS = os.path.join(os.path.dirname(corpus_dir()), "perfbench", "digests.json")
 ALL_COMMANDS = ("validate", "suite", "resolve-s", "resolve-r", "extract",
                 "strengthen", "peel", "box")
-# codim3 suite, resolve-s and resolve-r take about 30 s together; the
-# benchmark's corpus workload checks their digests
 GOLDEN_RUNS = [(name, command)
-               for name in ("micro_codim1", "codim2_xa_yb", "codim2_xz_y2")
-               for command in ALL_COMMANDS] + [
-    ("codim3_shifted", command)
-    for command in ("validate", "extract", "strengthen", "peel", "box")]
+               for name in ("micro_codim1", "codim2_xa_yb", "codim2_xz_y2",
+                            "codim3_shifted")
+               for command in ALL_COMMANDS]
 
 
 @pytest.mark.parametrize("name,command", GOLDEN_RUNS)
@@ -229,6 +226,25 @@ MALFORMED = [
     )
     for path in paths
     for value in (None, "x", [["1"]])
+] + [
+    pytest.param(kind, path, value,
+                 id=f"{kind}-{'.'.join(map(str, path))}-{json.dumps(value)}")
+    for kind, path, value in (
+        ("hmf", ("d_blocks",), [["1"]]),
+        ("hmf", ("h_blocks",), [["1"]]),
+        ("hmf", ("flags",), [["1"]]),
+        ("hmf", ("h_blocks", "1", 0, 0), "x^^2"),
+        ("hmf", ("d_blocks", "2->1", 0, 0), 7),
+        ("hmf", ("c",), -1),
+        ("hmf", ("B", 0, "p"), 9),
+        ("hmf", ("strong_ext",), {"x": {}}),
+        ("hmf", ("strong_ext",), {"2": {"1,2": [["x"]]}}),
+        ("hmf", ("strong_ext",), {"2": {"2,1": []}}),
+        ("hmf", ("ring", "field"), 4294967311),
+        ("hmf", ("ring", "field"), 2.5),
+        ("hmf", ("ring", "vars"), [["x"]]),
+        ("complex", ("modules", 0, "labels"), 5),
+    )
 ]
 
 

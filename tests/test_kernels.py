@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmf import _kernels
+from hmf.ring import MAX_PRIME
 
 P = 32003
 
@@ -49,11 +50,12 @@ def test_inconsistent_column_flagged():
     assert (X[:, 0] == 0).all()
 
 
-@pytest.mark.parametrize("p", [2, P, 2**26 - 5])
+@pytest.mark.parametrize("p", [2, P, 2**26 - 5, MAX_PRIME])
 @pytest.mark.parametrize("m,k,n", [(3, 0, 4), (1, 1, 1), (5, 7, 3), (9, 300, 6)])
 def test_matmul_exact(p, m, k, n):
-    # 2**26 - 5 allows two terms per float64 chunk, so the chunked
-    # reduction runs; the all-(p - 1) inputs give the largest partial sums
+    # 2**26 - 5 allows two terms per float64 chunk and MAX_PRIME, the
+    # largest characteristic Field accepts, one; so the chunked reduction
+    # runs, and the all-(p - 1) inputs give the largest partial sums
     rng = np.random.default_rng(m * k + n)
     for A, B in [(rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n))),
                  (np.full((m, k), p - 1), np.full((k, n), p - 1))]:
@@ -105,6 +107,19 @@ def test_rref_matches_reference(data):
     R, piv = _kernels.rref(A, P)
     R_ref, piv_ref = reference_rref(A, P)
     assert R.shape == (m, n)
+    assert R.tolist() == R_ref
+    assert piv.tolist() == piv_ref
+
+
+@pytest.mark.parametrize("m,n", [(6, 6), (5, 9), (12, 7)])
+def test_rref_exact_at_largest_prime(m, n):
+    # dense random residues: every product in the elimination is near the
+    # int64-safe bound (p - 1)**2
+    rng = np.random.default_rng(m * n)
+    A = rng.integers(0, MAX_PRIME, (m, n))
+    A[-1] = (A[0] + A[1]) % MAX_PRIME  # rank deficient
+    R, piv = _kernels.rref(A, MAX_PRIME)
+    R_ref, piv_ref = reference_rref(A, MAX_PRIME)
     assert R.tolist() == R_ref
     assert piv.tolist() == piv_ref
 

@@ -124,3 +124,81 @@ def test_formula_suite_trivial():
     triv = HMF(ring, {}, {}, [], {1: [], 2: []})
     rows = formula_suite(triv)
     assert all(r.verdict == "PASS" for r in rows)
+
+
+def _flip_sign(L):
+    rows = [list(r) for r in L.diff(2).entries]
+    rows[0][1] = -rows[0][1]
+    diffs = dict(L.diffs)
+    diffs[2] = MatrixMap(L.ring, L.module(2), L.module(1), rows, 0, 0)
+    return Complex(L.ring, L.level, dict(L.modules), diffs, L.lo, L.hi)
+
+
+def _random_finite(seed, c):
+    from hmf.randgen import gen_random_hmf
+
+    return build_finite(gen_random_hmf(seed, c=c)).complex, ()
+
+
+def _random_tower(seed, c):
+    from hmf.randgen import gen_random_hmf
+    from hmf.resolutions import build_infinite
+
+    return build_infinite(gen_random_hmf(seed, c=c), 4).complex, ()
+
+
+def _with_extra_gen():
+    L = build_finite(codim2_xa_yb()).complex
+    return L, (L.ring.regseq[1],)
+
+
+def _binomial_koszul(char):
+    # over a non-monomial ideal the normal form of a vector is not just its
+    # standard coordinates
+    ring = GradedRing.make(Field(char), [("x", 1), ("y", 1), ("z", 1)],
+                           ["x^2 + y*z", "y^2 - 2*x*z"])
+    return koszul_complex(ring, (2,), level=1), (ring.poly("x*y + 3*z^2"),)
+
+
+HOMOLOGY_CASES = {
+    "random-finite-c1": lambda: _random_finite(11, 1),
+    "random-finite-c2": lambda: _random_finite(12, 2),
+    "random-finite-c3": lambda: _random_finite(13, 3),
+    "random-tower-c1": lambda: _random_tower(21, 1),
+    "random-tower-c2": lambda: _random_tower(22, 2),
+    "extra-gens": _with_extra_gen,
+    "sign-flipped": lambda: (_flip_sign(build_finite(codim2_xa_yb()).complex), ()),
+    "rationals": lambda: (build_finite(codim2_xz_y2(char=0)).complex, ()),
+    "binomial": lambda: _binomial_koszul(32003),
+    "binomial-rationals": lambda: _binomial_koszul(0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOMOLOGY_CASES))
+def test_homology_matches_augmented_reference(case):
+    from augmented import augmented_homology
+
+    C, extra = HOMOLOGY_CASES[case]()
+    table = graded_homology(C, None, 6, extra)
+    assert table == augmented_homology(C, (C.lo, C.hi), 6, extra)
+    if case == "sign-flipped":
+        # d_1 d_2 != 0 shows as homology in positive degrees
+        assert homology_is_zero(table, (1, C.hi), 6)
+
+
+def test_homology_ranks_each_matrix_once(monkeypatch):
+    import hashlib
+
+    from hmf import _kernels
+
+    L = build_finite(codim2_xa_yb()).complex
+    seen = []
+    rank = _kernels.rank
+
+    def recording_rank(A, p):
+        seen.append((A.shape, hashlib.sha256(A.tobytes()).hexdigest()))
+        return rank(A, p)
+
+    monkeypatch.setattr(_kernels, "rank", recording_rank)
+    graded_homology(L)
+    assert seen and len(seen) == len(set(seen))

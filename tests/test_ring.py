@@ -111,6 +111,18 @@ def test_field_validation():
         Field(15)
     assert Field(0).char == 0
     assert Field(2).char == 2
+    # the largest prime p with (p - 1)**2 + p <= 2**53, and the next prime
+    assert Field(94906249).char == 94906249
+    assert 94906248**2 + 94906249 <= 2**53 < 94906296**2 + 94906297
+    for p in (94906297, 4294967311, 2**61 - 1):
+        with pytest.raises(RingError):
+            Field(p)
+
+
+def test_caret_without_exponent(ring):
+    for s in ("x^^2", "x^", "x^y", "x^1/2"):
+        with pytest.raises(RingError):
+            ring.poly(s)
 
 
 def test_char_zero_poly():
