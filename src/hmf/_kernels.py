@@ -2,10 +2,11 @@
 
 Everything downstream (graded solves, rank counts, homology tables) funnels
 into row reduction of int64 matrices with entries reduced mod p.  ``rref``
-is Gauss-Jordan elimination in numpy: the first nonzero entry of each column
-is the pivot, the pivot row is scaled to 1 and the column is cleared above
-and below with one outer-product update, so the result is the unique reduced
-row echelon form.
+is Gauss-Jordan elimination in numpy on the nonzero rows only (most rows of
+the builders' degreewise systems are zero): the first nonzero entry of each
+column is the pivot, the pivot row is scaled to 1 and the column is cleared
+above and below with one outer-product update, so the result is the unique
+reduced row echelon form.
 
 A Fraction-based reducer backs the optional characteristic-zero field.
 """
@@ -25,31 +26,37 @@ def backend_name():
 def rref(A, p):
     """Reduced row echelon form of A mod p.
 
-    Returns (R, piv_cols); A is not modified.
+    Returns (R, piv_cols); A is not modified.  Only the nonzero rows of A
+    are eliminated, and a pivot row is applied from its pivot column on,
+    where it can be nonzero.  The reduced form is unique, so R holds the
+    reduced nonzero rows and zero rows below the rank.
     """
-    R = np.array(A, dtype=np.int64, order="C")
-    R %= p
-    m, n = R.shape
+    A = np.asarray(A, dtype=np.int64)
+    E = A[A.any(axis=1)]
+    E %= p
+    m, n = E.shape
     piv_cols = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = np.nonzero(E[r:, c])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = (R[r] * inv) % p
-        factor = R[:, c].copy()
+            E[[r, i]] = E[[i, r]]
+        inv = pow(int(E[r, c]), p - 2, p)
+        E[r, c:] = (E[r, c:] * inv) % p
+        factor = E[:, c].copy()
         factor[r] = 0
         nzrows = np.nonzero(factor)[0]
         if nzrows.size:
-            R[nzrows] = (R[nzrows] - np.outer(factor[nzrows], R[r])) % p
+            E[nzrows, c:] = (E[nzrows, c:] - np.outer(factor[nzrows], E[r, c:])) % p
         piv_cols.append(c)
         r += 1
+    R = np.zeros(A.shape, dtype=np.int64)
+    R[:m] = E
     return R, np.asarray(piv_cols, dtype=np.int64)
 
 
@@ -90,17 +97,14 @@ def solve_many(A, B, p):
     m, n = A.shape
     mb, k = B.shape
     assert m == mb
-    M = np.concatenate([A % p, B % p], axis=1) if m else np.zeros((0, n + k), dtype=np.int64)
-    R, piv = rref(M, p)
-    ok = np.ones(k, dtype=bool)
+    R, piv = rref(np.concatenate([A, B], axis=1), p)
+    # pivots increase, so the rows pivoting in A come first; a pivot in B
+    # makes every column it touches inconsistent
+    r = int(np.searchsorted(piv, n))
+    ok = ~R[r:piv.size, n:].any(axis=0)
     X = np.zeros((n, k), dtype=np.int64)
-    for r0, c in enumerate(piv):
-        if c >= n:
-            ok[(R[r0, n:] != 0)] = False
-        else:
-            X[c] = R[r0, n:]
-    # rows with pivot beyond A force inconsistency of any column they touch;
-    # handled above.  Zero out non-solutions for determinism.
+    X[piv[:r]] = R[:r, n:]
+    # zero out non-solutions for determinism
     X[:, ~ok] = 0
     return ok, X
 
@@ -136,6 +140,18 @@ def frac_zeros(m, n):
     Z = np.empty((m, n), dtype=object)
     Z[:] = Fraction(0)
     return Z
+
+
+def matmul_frac(A, B):
+    """A @ B over Q for object arrays of Fractions.
+
+    Row i of the product is the sum of A[i, k] * B[k] over the nonzero
+    A[i, k]; the dense object product would multiply every zero as well.
+    """
+    C = frac_zeros(A.shape[0], B.shape[1])
+    for i, k in zip(*np.nonzero(A)):
+        C[i] += A[i, k] * B[k]
+    return C
 
 
 def rref_frac(A):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graded import graded_solve, ideal_membership
-from .ring import RingError
+from .ring import Poly, RingError
 
 
 class ShapeError(ValueError):
@@ -158,25 +158,30 @@ class MatrixMap:
             raise ShapeError(f"level mismatch {self.level} != {other.level}")
 
     def compose(self, other):
-        """self o other (other applied first)."""
+        """self o other (other applied first).
+
+        Each output cell sums the products over the nonzero entries of a row
+        of self and the nonzero entries of the matching rows of other, in
+        one term dict reduced once.
+        """
         self._compat(other)
         if other.dst.twists != self.src.twists:
             raise ShapeError("composition twist mismatch")
         ring = self.ring
+        other_rows = [[(j, b.terms) for j, b in enumerate(row) if b.terms]
+                      for row in other.entries]
         z = ring.zero()
         rows = []
-        for i in range(self.dst.rank):
-            row = []
-            for j in range(other.src.rank):
-                acc = z
-                for k in range(self.src.rank):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
+        for row in self.entries:
+            acc = {}
+            for k, a in enumerate(row):
+                if a.terms:
+                    for j, bt in other_rows[k]:
+                        Poly.add_products(acc.setdefault(j, {}), a.terms, bt)
+            out = [z] * other.src.rank
+            for j, t in acc.items():
+                out[j] = Poly.reduced(ring, t)
+            rows.append(out)
         return MatrixMap(
             ring,
             other.src,
@@ -187,7 +192,8 @@ class MatrixMap:
             check=False,
         )
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
+        """op(a, b) on each pair of entries; a is kept where b is zero."""
         self._compat(other)
         if (
             other.src.twists != self.src.twists
@@ -196,21 +202,24 @@ class MatrixMap:
         ):
             raise ShapeError("sum shape mismatch")
         rows = [
-            [a + b for a, b in zip(ra, rb)]
+            [op(a, b) if b.terms else a for a, b in zip(ra, rb)]
             for ra, rb in zip(self.entries, other.entries)
         ]
         return MatrixMap(
             self.ring, self.src, self.dst, rows, self.level, self.shift, check=False
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, lambda a, b: a + b if a.terms else b)
+
+    def __sub__(self, other):
+        return self._entrywise(other, lambda a, b: a - b if a.terms else -b)
+
     def __neg__(self):
         rows = [[-a for a in row] for row in self.entries]
         return MatrixMap(
             self.ring, self.src, self.dst, rows, self.level, self.shift, check=False
         )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c):
         rows = [[a.scale(c) for a in row] for row in self.entries]

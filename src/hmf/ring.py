@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import add
 
 import numpy as np
 
@@ -109,7 +110,7 @@ class Field:
     def matmul(self, A, B):
         if self.char:
             return _kernels.matmul(A, B, self.char)
-        return A @ B
+        return _kernels.matmul_frac(A, B)
 
     def solve_many(self, A, B):
         if self.char:
@@ -224,6 +225,10 @@ class GradedRing:
                 raise RingError("regular sequence element from another ring")
             if g.is_zero() or not g.is_homogeneous():
                 raise RingError("regular sequence elements must be nonzero homogeneous")
+            if g.degree() == 0:
+                # a unit generates the whole ring, so it is never part of
+                # a regular sequence
+                raise RingError(f"regular sequence element {g} is a constant")
             polys.append(g)
         self.regseq = tuple(polys)
         self._membership_pieces.clear()
@@ -323,6 +328,24 @@ class Poly:
         self.terms = terms
         self._deg = None
 
+    @staticmethod
+    def add_products(t, terms1, terms2):
+        """Add the product of two term dicts into the term dict t, leaving
+        the coefficients unreduced; Poly.reduced makes the sum canonical."""
+        for e1, c1 in terms1.items():
+            for e2, c2 in terms2.items():
+                e = tuple(map(add, e1, e2))
+                t[e] = t.get(e, 0) + c1 * c2
+
+    @staticmethod
+    def reduced(ring, t):
+        """The Poly of a term dict with unreduced coefficients: reduced mod
+        p once, zero coefficients dropped."""
+        p = ring.field.char
+        if p:
+            return Poly(ring, {e: r for e, c in t.items() if (r := c % p)})
+        return Poly(ring, {e: c for e, c in t.items() if c})
+
     # -- predicates
 
     def is_zero(self):
@@ -355,40 +378,34 @@ class Poly:
         if self.ring is not other.ring:
             raise RingError("polynomials from different rings")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         self._check(other)
-        fld = self.ring.field
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = fld.add(t.get(e, fld.canon(0)), c)
+            s = op(t.get(e, 0), c)
             if s == 0:
                 t.pop(e, None)
             else:
                 t[e] = s
         return Poly(self.ring, t)
 
+    def __add__(self, other):
+        return self._combine(other, self.ring.field.add)
+
+    def __sub__(self, other):
+        return self._combine(other, self.ring.field.sub)
+
     def __neg__(self):
         fld = self.ring.field
         return Poly(self.ring, {e: fld.neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        fld = self.ring.field
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = fld.add(t.get(e, fld.canon(0)), fld.mul(c1, c2))
-                if s == 0:
-                    t.pop(e, None)
-                else:
-                    t[e] = s
-        return Poly(self.ring, t)
+        Poly.add_products(t, self.terms, other.terms)
+        return Poly.reduced(self.ring, t)
 
     __rmul__ = __mul__
 

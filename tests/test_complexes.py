@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmf.complexes import (
     Complex,
@@ -16,6 +19,7 @@ from hmf.complexes import (
 from hmf.corpus import codim2_xa_yb, micro_codim1
 from hmf.lifting import higher_homotopies
 from hmf.oracle import graded_homology, homology_is_zero
+from hmf.ring import Field, GradedRing
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +61,76 @@ def test_displayed_products(F):
         ],
         shift=2,
     ).entries
+
+
+def reference_compose(f, g):
+    """Entries of f o g from the dense triple loop over every (i, k, j)."""
+    rows = []
+    for i in range(f.dst.rank):
+        row = []
+        for j in range(g.src.rank):
+            acc = f.ring.zero()
+            for k in range(f.src.rank):
+                a = f.entries[i][k]
+                b = g.entries[k][j]
+                if a.is_zero() or b.is_zero():
+                    continue
+                acc = acc + a * b
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def random_map(data, ring, src, dst, shift):
+    """A homogeneous map with about half of its entries zero; few monomials
+    and small coefficients, so sums cancel often."""
+    char = ring.field.char
+    coeff = (st.integers(-2, 2) if char else
+             st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    rows = []
+    for ti in dst.twists:
+        row = []
+        for tj in src.twists:
+            q = ring.zero()
+            mons = ring.monomials(tj + shift - ti)
+            if mons and data.draw(st.booleans()):
+                for _ in range(data.draw(st.integers(1, 3))):
+                    q = q + ring.monomial(data.draw(st.sampled_from(mons)),
+                                          data.draw(coeff))
+            row.append(q)
+        rows.append(row)
+    return MatrixMap(ring, src, dst, rows, shift=shift)
+
+
+def assert_canonical(mm):
+    char = mm.ring.field.char
+    for row in mm.entries:
+        for q in row:
+            for c in q.terms.values():
+                assert c != 0
+                assert (type(c) is int and 0 < c < char) if char else type(c) is Fraction
+
+
+@pytest.mark.parametrize("char", [32003, 3, 0])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_map_algebra_matches_dense_reference(char, data):
+    ring = GradedRing.make(Field(char), [("x", 1), ("y", 1)], ["x^2", "y^2"])
+    U, V, W = (FreeModule(data.draw(st.lists(st.integers(0, 2), max_size=4)))
+               for _ in range(3))
+    f = random_map(data, ring, V, W, 1)
+    g, g2 = (random_map(data, ring, U, V, 1) for _ in range(2))
+    fg = f.compose(g)
+    assert (fg.src, fg.dst, fg.shift) == (U, W, 2)
+    assert fg.entries == reference_compose(f, g)
+    total = g + g2
+    assert total.entries == tuple(tuple(a + b for a, b in zip(ra, rb))
+                                  for ra, rb in zip(g.entries, g2.entries))
+    diff = g - g2
+    assert diff.entries == tuple(tuple(a + (-b) for a, b in zip(ra, rb))
+                                 for ra, rb in zip(g.entries, g2.entries))
+    for mm in (fg, total, diff):
+        assert_canonical(mm)
 
 
 def test_homogeneity_enforced(F):

@@ -243,6 +243,7 @@ MALFORMED = [
         ("hmf", ("ring", "field"), 4294967311),
         ("hmf", ("ring", "field"), 2.5),
         ("hmf", ("ring", "vars"), [["x"]]),
+        ("hmf", ("ring", "regseq", 0), 5),
         ("complex", ("modules", 0, "labels"), 5),
     )
 ]

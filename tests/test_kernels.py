@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +113,62 @@ def test_rref_matches_reference(data):
     assert piv.tolist() == piv_ref
 
 
+def reference_solve_many(A, B, p):
+    """First-pivot solutions of A X = B read off the scalar reference RREF
+    of [A | B]: a column is consistent when no pivot lies in B."""
+    n, k = A.shape[1], B.shape[1]
+    R, piv = reference_rref(np.concatenate([A, B], axis=1), p)
+    ok = [all(R[r][n + j] == 0 for r, c in enumerate(piv) if c >= n)
+          for j in range(k)]
+    X = [[0] * k for _ in range(n)]
+    for r, c in enumerate(piv):
+        if c < n:
+            X[c] = [R[r][n + j] if ok[j] else 0 for j in range(k)]
+    return ok, X
+
+
+def reference_nullspace(A, p):
+    """One basis vector per free column of the reference RREF."""
+    n = A.shape[1]
+    R, piv = reference_rref(A, p)
+    free = [c for c in range(n) if c not in piv]
+    N = [[0] * len(free) for _ in range(n)]
+    for j, f in enumerate(free):
+        N[f][j] = 1
+        for r, c in enumerate(piv):
+            N[c][j] = -R[r][f] % p
+    return N
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_rref_tall_mostly_zero(data):
+    # the shape of the builders' degreewise systems: at least 3/4 of the
+    # rows are zero and the last row is not, so zero rows sit above
+    # nonzero ones
+    m = data.draw(st.integers(4, 40))
+    n = data.draw(st.integers(1, 8))
+    rows = data.draw(st.lists(st.integers(0, m - 2), unique=True,
+                              max_size=m // 4 - 1)) + [m - 1]
+    A = np.zeros((m, n), dtype=np.int64)
+    A[rows] = random_matrix(data, len(rows), n)
+    if len(rows) > 1 and data.draw(st.booleans()):
+        A[rows[0]] = A[rows[-1]]
+    R, piv = _kernels.rref(A, P)
+    R_ref, piv_ref = reference_rref(A, P)
+    assert R.tolist() == R_ref
+    assert piv.tolist() == piv_ref
+    # consistent columns (images of A) and, where A has zero rows,
+    # inconsistent ones
+    X0 = random_matrix(data, n, 2)
+    B = np.concatenate([(A @ X0) % P, random_matrix(data, m, 2)], axis=1)
+    ok, X = _kernels.solve_many(A, B, P)
+    ok_ref, X_ref = reference_solve_many(A, B, P)
+    assert ok.tolist() == ok_ref
+    assert X.tolist() == X_ref
+    assert _kernels.nullspace(A, P).tolist() == reference_nullspace(A, P)
+
+
 @pytest.mark.parametrize("m,n", [(6, 6), (5, 9), (12, 7)])
 def test_rref_exact_at_largest_prime(m, n):
     # dense random residues: every product in the elimination is near the
@@ -124,9 +182,27 @@ def test_rref_exact_at_largest_prime(m, n):
     assert piv.tolist() == piv_ref
 
 
-def test_fraction_backend():
-    from fractions import Fraction
+def random_fractions(rng, m, n, density):
+    A = _kernels.frac_zeros(m, n)
+    for i, j in zip(*np.nonzero(rng.random((m, n)) < density)):
+        A[i, j] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+    return A
 
+
+@pytest.mark.parametrize("m,k,n", [(0, 0, 0), (3, 0, 4), (0, 5, 2), (4, 6, 0),
+                                   (1, 1, 1), (7, 5, 9), (30, 40, 25)])
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+def test_matmul_frac_matches_dense(m, k, n, density):
+    rng = np.random.default_rng(m * k * n + int(10 * density))
+    A = random_fractions(rng, m, k, density)
+    B = random_fractions(rng, k, n, density)
+    C = _kernels.matmul_frac(A, B)
+    assert C.shape == (m, n)
+    assert all(type(x) is Fraction for x in C.flat)
+    assert C.tolist() == (A @ B).tolist()
+
+
+def test_fraction_backend():
     A = np.array(
         [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], dtype=object
     )

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hmf.complexes import Complex, ContractViolation, FreeModule, MatrixMap
@@ -13,6 +15,7 @@ from hmf.oracle import (
     infinite_betti_formula,
     intermediate_betti_formula,
 )
+from hmf.randgen import gen_random_hmf
 from hmf.resolutions import (
     PeelError,
     box,
@@ -327,3 +330,45 @@ def test_cosyz_tower(F, tower):
     h_v = hilbert_function(V1.complex.diff(1), 8)
     h_w = hilbert_function(W2.complex.diff(1), 8)
     assert h_v == h_w
+
+
+def maps_digest(items):
+    h = hashlib.sha256()
+    for key, mm in items:
+        h.update(repr((key, mm.str_rows())).encode())
+    return h.hexdigest()
+
+
+# sha256 of the str_rows of the tower differentials, the tower's CI
+# operators and the higher homotopies on the finite resolution, recorded
+# with the dense-loop compose and full-matrix rref; one coupled-pair
+# instance per codimension, beyond the c <= 3 the corpus digests reach
+BUILDER_DIGESTS = {
+    (2, 3): ("28d0e0c2e11f23ba05e007de9cb2e6b35c4b1cbf2e5161d6b8efebe69ea9da0f",
+             "241b0b5557a204676a310040e328844a74df9437c322e5abaea42ec551061336",
+             "567b2a53520f434e8dc46d9c4f85baae40520019101e0fb5790e8eb1247ae80b"),
+    (3, 1): ("1fce22ce283cc2157250bfd878b3f886538cea01d858a7e826b6fca297b40ea3",
+             "5f4b13671233f1fc12238f27f78672ac88a97d8544a3580f880a5b126789cfa6",
+             "1b6dfbf9d877622eec153c24332319669fdbe44496e913f13ecff18d6b035453"),
+    (4, 2): ("08007a05cedfeecaa0e14b68268217dcdc2aa66461d5c6ecf60d16fa8c234bce",
+             "5c4eb121985a7da73fd5f284b73cd1f04c951d056a8e0a625a215b5eeb611d45",
+             "9e182d85f1b41bd9cf995ff2ec0f29f8045463a83ce8aee948730d59be50d341"),
+    (5, 2): ("664abe7a8d19b8a51d59eccf351e7d52fb839e801092252bf8da07b0c1b55991",
+             "ec1eb5df67ec725a2aac1afcbcdf17ee817cd39eacb6f307d921e3984bd98489",
+             "00f6afe7918f54b54b188b24fdfeeef41f63720f5b5a2c942c22555a70691fd0"),
+}
+
+
+@pytest.mark.parametrize("c,seed", sorted(BUILDER_DIGESTS))
+def test_builder_output_lock(c, seed):
+    F = gen_random_hmf(seed, c=c, max_rank=3)
+    tower = build_infinite(F, 8)
+    ci = tower.ci
+    sigma = higher_homotopies(build_finite(F).complex, tuple(range(1, c + 1)), 3)
+    got = (
+        maps_digest(sorted(tower.complex.diffs.items())),
+        maps_digest([((j, i), ci[j][i]) for j in sorted(ci) for i in sorted(ci[j])]),
+        maps_digest([((a, m), sigma.maps[a][m])
+                     for a in sorted(sigma.maps) for m in sorted(sigma.maps[a])]),
+    )
+    assert got == BUILDER_DIGESTS[c, seed]

@@ -84,6 +84,7 @@ def test_ring_axioms(s1, s2, s3):
     )
     p, q, r = mk(ring, s1), mk(ring, s2), mk(ring, s3)
     assert p + q == q + p
+    assert p - q == p + (-q)
     assert (p + q) + r == p + (q + r)
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
@@ -117,6 +118,13 @@ def test_field_validation():
     for p in (94906297, 4294967311, 2**61 - 1):
         with pytest.raises(RingError):
             Field(p)
+
+
+def test_regseq_rejects_constants():
+    # a unit is never part of a regular sequence
+    for regseq in (["5", "y^2"], ["x*a", "1"]):
+        with pytest.raises(RingError, match="constant"):
+            GradedRing.make(Field(), [("a", 1), ("b", 1), ("x", 1), ("y", 1)], regseq)
 
 
 def test_caret_without_exponent(ring):
