@@ -542,23 +542,21 @@ def koszul_tensor(idxs, B, level=None):
     modules = {}
     diffs = {}
     comp_lists = {}
+    summands = {}
     for n in range(0, m + 2):
         comps = koszul_components(idxs, n)
         comp_lists[n] = comps
-        mods = []
-        for J, s in comps:
-            extra = sum(ring.fdeg(j) for j in J)
-            base = B.module(s)
-            tag = "".join(f"e{j}" for j in J)
-            tag = f"{tag}*" if tag else ""
-            mods.append(base.shifted(extra, tag=tag))
-        modules[n] = FreeModule.concat(mods) if mods else ZERO_MODULE
+        # the summand e_J tensor B_s, twisted by deg e_J
+        summands[n] = [
+            B.module(s).shifted(sum(ring.fdeg(j) for j in J),
+                                tag="".join(f"e{j}" for j in J) + "*" if J else "")
+            for J, s in comps
+        ]
+        modules[n] = FreeModule.concat(summands[n]) if comps else ZERO_MODULE
     for n in range(1, m + 2):
         src_comps = comp_lists[n]
         dst_comps = comp_lists[n - 1]
         dst_pos = {c: k for k, c in enumerate(dst_comps)}
-        src_mods = _component_modules(ring, B, idxs, src_comps)
-        dst_mods = _component_modules(ring, B, idxs, dst_comps)
         blocks = [[None] * len(src_comps) for _ in dst_comps]
         for jsrc, (J, s) in enumerate(src_comps):
             # Koszul part: (-1)^s sum_r (-1)^{r+1} f_{J_r} to (J minus J_r, s)
@@ -580,21 +578,12 @@ def koszul_tensor(idxs, B, level=None):
                 if tgt is not None:
                     blocks[tgt][jsrc] = b.entries
         diffs[n] = MatrixMap.from_blocks(
-            ring, blocks, src_mods, dst_mods, level
+            ring, blocks, summands[n], summands[n - 1], level
         )
     C = Complex(ring, level, modules, diffs, 0, m + 1)
     C.koszul_components = comp_lists
+    C.koszul_summands = summands
     return C
-
-
-def _component_modules(ring, B, idxs, comps):
-    mods = []
-    for J, s in comps:
-        extra = sum(ring.fdeg(j) for j in J)
-        tag = "".join(f"e{j}" for j in J)
-        tag = f"{tag}*" if tag else ""
-        mods.append(B.module(s).shifted(extra, tag=tag))
-    return mods
 
 
 def koszul_complex(ring, idxs, level=0):
@@ -703,15 +692,6 @@ def lift_through(A, C, level=None, variant=0):
     if got is None:
         return None
     return got[0]
-
-
-def divide_by_ideal(C, level=None):
-    """W_1..W_level with sum f_m W_m = C exactly, or None."""
-    level = C.level if level is None else level
-    got = solve_factorization(None, C, level)
-    if got is None:
-        return None
-    return got[1]
 
 
 # ---------------------------------------------------------------------------

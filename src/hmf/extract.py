@@ -24,8 +24,8 @@ import numpy as np
 from .complexes import Complex, FreeModule, MatrixMap, ShapeError
 from .factorization import HMF, Report, validate_hmf
 from .graded import QuotientPieces
-from .lifting import ci_from_lifting, higher_homotopies, Obstruction
-from .resolutions import PeelError, _scalar_part, peel
+from .lifting import Obstruction, ci_from_lifting, higher_homotopies, lift_step
+from .resolutions import PeelError, peel
 
 
 class PreStabilityError(ValueError):
@@ -71,17 +71,20 @@ class ExtractionTrace:
         return {"levels": self.levels}
 
 
-def _surjectivity_check(F, t, codim):
-    ring = F.ring
-    fld = ring.field
-    for i in range(2, F.hi + 1):
-        if F.module(i - 2).rank == 0:
-            continue
-        bar = _scalar_part(ring, t[i])
-        if fld.rank(bar) < F.module(i - 2).rank:
-            raise PreStabilityError(
-                codim, f"CI operator not surjective at degree {i}"
-            )
+def _descent_step(C, cc, variant=0):
+    """One descent level: the CI operators of C, peeled with the top one.
+
+    Returns (peel result, degree->=2 tail of the kernel, reindexed from 0).
+    peel ranks the scalar part of the top operator, so an operator that is
+    not surjective fails pre-stability at codimension cc.
+    """
+    tilde, _ = ci_from_lifting(C, variant=variant)
+    try:
+        pr = peel(C, t=tilde[cc], variant=variant)
+    except PeelError as exc:
+        raise PreStabilityError(cc, str(exc)) from exc
+    G = pr.kernel
+    return pr, G.truncate(2, G.hi).shift(2)
 
 
 def check_prestable(inp, variant=0):
@@ -106,19 +109,15 @@ def check_prestable(inp, variant=0):
             return
         if C.hi < 4 and cc > 1:
             raise PreStabilityError(cc, "truncation too short for the recursion")
-        tilde, _ = ci_from_lifting(C, variant=variant)
-        t = tilde[cc]
-        _surjectivity_check(C, t, cc)
+        pr, tail = _descent_step(C, cc, variant)
         items.append(f"codimension {cc}: top CI operator surjective through degree {C.hi}")
-        pr = peel(C, t=t, variant=variant)
         if pr.report:
             raise PreStabilityError(cc, f"peel failed: {pr.report[:1]}")
-        G = pr.kernel
-        rec(G.truncate(2, G.hi).shift(2), cc - 1)
+        rec(tail, cc - 1)
 
     try:
         rec(F, F.level)
-    except (PreStabilityError, PeelError, Obstruction) as exc:
+    except (PreStabilityError, Obstruction) as exc:
         failures.append(str(exc))
     return Report(failures, [], items)
 
@@ -146,10 +145,7 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
             if bad:
                 raise PreStabilityError(0, f"nonzero base at degrees {bad}")
             return {"b1": {}, "b0": {}, "d": [], "h": {}}
-        tilde, _ = ci_from_lifting(C, variant=variant)
-        t = tilde[cc]
-        _surjectivity_check(C, t, cc)
-        pr = peel(C, t=t, variant=variant)
+        pr, tail = _descent_step(C, cc, variant)
         if pr.report:
             raise ExtractionError(f"peel inconsistent: {pr.report[:1]}")
         G = pr.kernel
@@ -169,7 +165,6 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
             tau0=tau0.str_rows() if tau0 is not None else None,
         )
         # the next level re-adds its own head twist, so normalize down
-        tail = G.truncate(2, G.hi).shift(2)
         if cc > 1:
             tail = tail.twisted(-ring.fdeg(cc - 1))
         sub = rec(tail, cc - 1)
@@ -234,27 +229,18 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
     return out, trace
 
 
-def _needs_deep_towers(F, cc):
+def _needs_deep_towers(C, cc):
     """Extraction depth is bounded by where the descent tails stay periodic;
-    a tail that peels to zero immediately poses no problem."""
-    # conservative: allow cc > 2 only when the complex collapses early
+    a tail that peels to zero within one descent level (two when cc = 3)
+    poses no problem.  A descent that fails here needs the deep towers too;
+    any other error propagates."""
     try:
-        tilde, _ = ci_from_lifting(F)
-        pr = peel(F, t=tilde[cc])
-        G = pr.kernel
-        sub = G.truncate(2, G.hi).shift(2)
-        if all(sub.module(i).rank == 0 for i in range(2, sub.hi + 1)):
-            return False
-        if cc - 1 <= 2:
-            tilde2, _ = ci_from_lifting(sub)
-            pr2 = peel(sub, t=tilde2[cc - 1])
-            G2 = pr2.kernel
-            sub2 = G2.truncate(2, G2.hi).shift(2)
-            return not all(
-                sub2.module(i).rank == 0 for i in range(2, sub2.hi + 1)
-            )
-    except Exception:
-        return True
+        for k in range(cc, cc - (2 if cc == 3 else 1), -1):
+            _, C = _descent_step(C, k)
+            if all(C.module(i).rank == 0 for i in range(2, C.hi + 1)):
+                return False
+    except (PreStabilityError, Obstruction, ShapeError):
+        pass
     return True
 
 
@@ -344,7 +330,6 @@ def strengthen(F, variant=0):
     for every p, has the same d and filtration, and is minimal whenever
     the input is.
     """
-    from .complexes import lift_through
     from .resolutions import build_finite
 
     ring = F.ring
@@ -360,9 +345,8 @@ def strengthen(F, variant=0):
         fid = MatrixMap.poly_times_identity(
             ring, ring.regseq[p - 1], L.module(0), 0
         )
-        X = lift_through(L.diff(1), fid, 0, variant=variant)
-        if X is None:
-            raise Obstruction("strengthen", 0, f"no homotopy at stage {p}")
+        X = lift_step(L.diff(1), fid, 0, "strengthen", 0, f"stage {p}",
+                      variant=variant)
         labels = L.module(1).all_labels()
         a1_rows = {}
         ext_rows = {}
@@ -436,9 +420,8 @@ def syzygy_shift_check(F, steps=None, D=None):
     for p in range(max(1, c), c + 1):
         V, W = vw[p]
         try:
-            tilde, _ = ci_from_lifting(W.complex)
-            pr = peel(W.complex, t=tilde[p])
-        except (PeelError, Obstruction) as exc:
+            pr, _ = _descent_step(W.complex, p)
+        except (PreStabilityError, Obstruction) as exc:
             items.append(CheckItem(f"peel of W({p})", None, str(exc), "FAIL"))
             continue
         G = pr.kernel

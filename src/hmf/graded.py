@@ -102,26 +102,28 @@ def graded_solve(ring, dst_twists, e, slots, targets, variant=0):
         for m in ring.monomials(e - sdeg):
             col_slot.append(si)
             col_mono.append(m)
-    ncols = len(col_slot)
     ok, X = fld.solve_many(A, B)
-    null_first = None
-    if variant and ncols:
+    if variant and col_slot:
         N = fld.nullspace(A)
         if N.shape[1]:
-            null_first = N[:, 0]
+            X = X + N[:, :1]
+            if fld.char:
+                X %= fld.char
+    # visit only the nonzero rows of each solution column; each (slot,
+    # monomial) pair is one row, so every coefficient is one term dict
+    z = ring.zero()
     results = []
     for j in range(len(targets)):
-        if not bool(ok[j]):
+        if not ok[j]:
             results.append(None)
             continue
-        coeffs = [ring.zero() for _ in slots]
-        for col in range(ncols):
-            c = X[col, j]
-            if null_first is not None:
-                c = fld.add(c, null_first[col])
-            if c != 0:
-                si = col_slot[col]
-                coeffs[si] = coeffs[si] + ring.monomial(col_mono[col], c)
+        nz = np.flatnonzero(X[:, j])
+        terms = {}
+        for col, c in zip(nz.tolist(), X[nz, j].tolist()):
+            terms.setdefault(col_slot[col], {})[col_mono[col]] = fld.canon(c)
+        coeffs = [z] * len(slots)
+        for si, t in terms.items():
+            coeffs[si] = Poly(ring, t)
         results.append(coeffs)
     return results
 

@@ -39,11 +39,51 @@ class SolverBug(AssertionError):
     pass
 
 
-def _recheck(kind, lhs, rhs=None, level=None):
-    diff = lhs if rhs is None else lhs - rhs
-    bad = diff.first_nonmember(level)
+def _recheck(kind, degree, detail, residual, level):
+    bad = residual.first_nonmember(level)
     if bad is not None:
-        raise SolverBug(f"{kind}: defining equation fails at entry {bad}")
+        where = f" ({detail})" if detail else ""
+        raise SolverBug(f"{kind}: re-substitution fails at homological degree "
+                        f"{degree}{where}, entry {bad}")
+
+
+def lift_step(d, C, level, kind, degree, detail="", X=None, variant=0):
+    """The degreewise step of every builder: X with d X = C modulo
+    (f_1..f_level).
+
+    When d has no source there is nothing to lift to: C must lie in the
+    ideal, and None is returned.  Otherwise X is solved for, or verified
+    when prescribed, and re-substituted.  Raises Obstruction(kind, degree)
+    when there is no solution and SolverBug when d X - C leaves the ideal.
+    """
+    if d.src.rank == 0:
+        if not C.in_ideal(level):
+            raise Obstruction(kind, degree,
+                              f"{detail}: nothing above" if detail else "nothing above")
+        return None
+    if X is None:
+        X = lift_through(d, C, level, variant=variant)
+        if X is None:
+            raise Obstruction(kind, degree, detail)
+    _recheck(kind, degree, detail, d.compose(X) - C, level)
+    return X
+
+
+def ideal_decomposition(M, level, kind, degree, what, variant=0):
+    """[W_1..W_level] with sum_j f_j W_j = M exactly over S, re-substituted.
+
+    Raises Obstruction(kind, degree) when M is not in (f_1..f_level) and
+    SolverBug when the re-substituted sum differs from M.
+    """
+    got = solve_factorization(None, M, level, variant=variant)
+    if got is None:
+        raise Obstruction(kind, degree, f"{what} not in the ideal")
+    Ws = got[1]
+    rest = M.relevel(level)
+    for f, W in zip(M.ring.regseq, Ws):
+        rest = rest - W.scale_poly(f)
+    _recheck(kind, degree, what, rest, 0)
+    return Ws
 
 
 def nullhomotopy(W, Y, a, gamma, variant=0):
@@ -75,54 +115,10 @@ def nullhomotopy(W, Y, a, gamma, variant=0):
         if g is None:
             g = MatrixMap.zero(Y.ring, W.module(i - a), Y.module(i), Y.level, shift)
         C = g + alpha_at(i).compose(W.diff(i - a)).scale(sign)
-        if Y.module(i + 1).rank == 0:
-            if not C.in_ideal():
-                raise Obstruction("nullhomotopy", i, "residual above the top")
-            continue
-        X = lift_through(Y.diff(i + 1), C, Y.level, variant=variant)
-        if X is None:
-            raise Obstruction("nullhomotopy", i)
-        _recheck("nullhomotopy", Y.diff(i + 1).compose(X), C, Y.level)
-        alpha[i + 1] = X
+        X = lift_step(Y.diff(i + 1), C, Y.level, "nullhomotopy", i, variant=variant)
+        if X is not None:
+            alpha[i + 1] = X
     return alpha
-
-
-def homotopy_for(C, f_index, hom_hi=None, start0=None, variant=0):
-    """sigma with d sigma + sigma d = f_{f_index} on the resolution C.
-
-    Returns {m: MatrixMap C_m -> C_{m+1}} by source degree; start0, when
-    given, prescribes sigma at source degree 0 and is verified rather than
-    solved.  The consistency residual at the top of a truncation is not
-    checked (nothing above to map to).
-    """
-    ring = C.ring
-    f = ring.regseq[f_index - 1]
-    hom_hi = C.hi if hom_hi is None else hom_hi
-    sigma = {}
-    for m in range(C.lo, hom_hi + 1):
-        src = C.module(m)
-        if src.rank == 0:
-            continue
-        target = MatrixMap.poly_times_identity(ring, f, src, C.level)
-        if m - 1 >= C.lo and C.module(m - 1).rank:
-            prev = sigma.get(m - 1)
-            if prev is None:
-                raise Obstruction("homotopy", m - 1, "missing lower step")
-            target = target - prev.compose(C.diff(m))
-        if m == 0 and start0 is not None:
-            X = start0
-            _recheck("homotopy start", C.diff(m + 1).compose(X), target, C.level)
-        elif C.module(m + 1).rank == 0:
-            if m < hom_hi and not target.in_ideal():
-                raise Obstruction("homotopy", m, f"f_{f_index} residual above top")
-            continue
-        else:
-            X = lift_through(C.diff(m + 1), target, C.level, variant=variant)
-            if X is None:
-                raise Obstruction("homotopy", m, f"f_{f_index}")
-            _recheck("homotopy", C.diff(m + 1).compose(X), target, C.level)
-        sigma[m] = X
-    return sigma
 
 
 def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0):
@@ -132,7 +128,8 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0
         d sigma_a = (f_i Id when |a| = 1) - sum_{b+s=a, b != 0} sigma_b sigma_s
     ordered by |a| and then by source degree; the sum's b = a term feeds in
     sigma_a one source degree lower.  start, a {(a, m): MatrixMap} dict, may
-    prescribe maps which are then verified rather than solved.
+    prescribe maps which are then verified rather than solved.  Targets
+    above the top of G are skipped (nothing above to check against).
     """
     ring = G.ring
     findices = tuple(findices)
@@ -144,9 +141,9 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0
         for a in multi_indices(c, total):
             for m in range(G.lo, hom_hi + 1):
                 src = G.module(m)
-                if src.rank == 0:
-                    continue
                 tgt_deg = m + 2 * total - 1
+                if src.rank == 0 or tgt_deg > G.hi:
+                    continue
                 acc = None
                 if total == 1:
                     j = findices[a.index(1)]
@@ -171,31 +168,10 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0
                     acc = term.scale(-1) if acc is None else acc - term
                 if not solvable or acc is None:
                     continue
-                prescribed = start.get((a, m))
-                if G.module(tgt_deg).rank == 0:
-                    if tgt_deg <= G.hi and not acc.in_ideal():
-                        raise Obstruction(
-                            "higher homotopy", m, f"index {a}: nothing above"
-                        )
-                    continue
-                if tgt_deg > G.hi:
-                    continue
-                if prescribed is not None:
-                    X = prescribed
-                    _recheck(
-                        f"higher homotopy start {a}",
-                        G.diff(tgt_deg).compose(X),
-                        acc,
-                        G.level,
-                    )
-                else:
-                    X = lift_through(G.diff(tgt_deg), acc, G.level, variant=variant)
-                    if X is None:
-                        raise Obstruction("higher homotopy", m, f"index {a}")
-                    _recheck(
-                        f"higher homotopy {a}", G.diff(tgt_deg).compose(X), acc, G.level
-                    )
-                sigma.set(a, m, X)
+                X = lift_step(G.diff(tgt_deg), acc, G.level, "higher homotopy",
+                              m, f"index {a}", X=start.get((a, m)), variant=variant)
+                if X is not None:
+                    sigma.set(a, m, X)
     return sigma
 
 
@@ -210,37 +186,20 @@ def koszul_extension(psi0, B, L, idxs, variant=0):
     """
     ring = L.ring
     KB = koszul_tensor(idxs, B, level=L.level)
-    comp = KB.koszul_components
-    b1 = B.module(1)
-
-    def comp_modules(n):
-        mods = []
-        for J, s in comp[n]:
-            extra = sum(ring.fdeg(j) for j in J)
-            tag = "".join(f"e{j}" for j in J)
-            tag = f"{tag}*" if tag else ""
-            mods.append(B.module(s).shifted(extra, tag=tag))
-        return mods
-
-    blocks = {0: {(): psi0}}
+    X = {(): psi0}  # X_J, by exterior monomial J
     phi = {}
     for j in range(0, len(idxs) + 1):
-        if j + 1 > KB.hi:
-            break
-        mods = comp_modules(j + 1)
-        grid = [[None] * len(comp[j + 1])]
-        if j > 0:
-            blocks[j] = {}
-        for k, (J, s) in enumerate(comp[j + 1]):
-            if s != 1 or len(J) != j:
+        mods = KB.koszul_summands[j + 1]
+        row = [None] * len(mods)
+        for k, (J, s) in enumerate(KB.koszul_components[j + 1]):
+            if s != 1:
                 continue
-            if j == 0:
-                grid[0][k] = blocks[0][()]
+            if not J:
+                row[k] = psi0
                 continue
             acc = None
             for r, fj in enumerate(J):
-                J2 = tuple(x for x in J if x != fj)
-                prev = blocks[j - 1].get(J2)
+                prev = X.get(tuple(x for x in J if x != fj))
                 if prev is None:
                     continue
                 sign = 1 if r % 2 == 0 else -1
@@ -248,20 +207,11 @@ def koszul_extension(psi0, B, L, idxs, variant=0):
                 acc = term if acc is None else acc + term
             if acc is None:
                 continue
-            extra = sum(ring.fdeg(x) for x in J)
-            src = b1.shifted(extra, tag="".join(f"e{x}" for x in J) + "*")
-            C = MatrixMap(ring, src, L.module(j - 1), acc.entries, L.level, 0, check=False)
-            if L.module(j).rank == 0:
-                if not C.in_ideal():
-                    raise Obstruction("koszul extension", j, f"slot e_{J}")
-                continue
-            X = lift_through(L.diff(j), C, L.level, variant=variant)
-            if X is None:
-                raise Obstruction("koszul extension", j, f"slot e_{J}")
-            _recheck(f"koszul extension {J}", L.diff(j).compose(X), C, L.level)
-            blocks[j][J] = X
-            grid[0][k] = X
-        phi[j] = MatrixMap.from_blocks(ring, grid, mods, [L.module(j)], L.level)
+            C = MatrixMap(ring, mods[k], L.module(j - 1), acc.entries, L.level, 0,
+                          check=False)
+            row[k] = X[J] = lift_step(L.diff(j), C, L.level, "koszul extension",
+                                      j, f"slot e_{J}", variant=variant)
+        phi[j] = MatrixMap.from_blocks(ring, [row], mods, [L.module(j)], L.level)
     return KB, phi
 
 
@@ -273,7 +223,6 @@ def ci_from_lifting(C, upto=None, variant=0):
     [t_j, d] = 0 modulo the level ideal (guaranteed empty for a regular
     sequence; verified anyway).
     """
-    ring = C.ring
     level = C.level
     upto = C.hi if upto is None else upto
     if level == 0:
@@ -281,17 +230,10 @@ def ci_from_lifting(C, upto=None, variant=0):
     tilde = {j: {} for j in range(1, level + 1)}
     for i in range(C.lo + 2, upto + 1):
         sq = C.diff(i - 1).compose(C.diff(i))
-        got = solve_factorization(None, sq, level, variant=variant)
-        if got is None:
-            raise Obstruction("ci decomposition", i, "d^2 not in the ideal")
-        _, Ws = got
-        acc = None
-        for j in range(1, level + 1):
-            term = Ws[j - 1].scale_poly(ring.regseq[j - 1])
-            acc = term if acc is None else acc + term
-        _recheck("ci decomposition", acc, sq, 0)
-        for j in range(1, level + 1):
-            tilde[j][i] = Ws[j - 1]
+        Ws = ideal_decomposition(sq, level, "ci decomposition", i, "d^2",
+                                 variant=variant)
+        for j, W in enumerate(Ws, 1):
+            tilde[j][i] = W
     failures = []
     for j in range(1, level + 1):
         for i in sorted(tilde[j]):
@@ -311,11 +253,11 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
     modules; sigma, sigmap: HomotopySystem objects with a single f index on
     G and G'.  Returns {j: {v: MatrixMap G_v -> G'_{v+2j}}} such that
     sum_{i+j=m} (sigma'_i phi_j - phi_j sigma_i) = 0 for all m <= max_m,
-    solved by the inductive recursion of that identity.
+    solved by the inductive recursion of that identity.  Targets above the
+    top of G' are skipped.
     """
     G = sigma.complex
     Gp = sigmap.complex
-    ring = G.ring
 
     def sig(table, i, v):
         return table.get((i,), v)
@@ -324,10 +266,8 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
     for m in range(1, max_m + 1):
         phis[m] = {}
         for v in range(G.lo, G.hi + 1):
-            if G.module(v).rank == 0:
-                continue
             tgt = v + 2 * m
-            if tgt - 1 > Gp.hi:
+            if G.module(v).rank == 0 or tgt > Gp.hi:
                 continue
             acc = None
             ok = True
@@ -336,8 +276,6 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
                 j = m - i
                 pj = phis[j].get(v)
                 if pj is None:
-                    if G.module(v).rank == 0:
-                        continue
                     ok = False
                     break
                 sp = sig(sigmap, i, v + 2 * j)
@@ -356,33 +294,20 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
                     ok = False
                     break
                 mid = v + 2 * i - 1
-                if j == m:
-                    pj2 = phis[m].get(mid)
-                    if pj2 is None:
-                        if G.module(mid).rank == 0 or mid < G.lo:
-                            continue
-                        ok = False
-                        break
-                else:
-                    pj2 = phis[j].get(mid)
-                    if pj2 is None:
-                        if G.module(mid).rank == 0:
-                            continue
-                        ok = False
-                        break
+                pj2 = phis[j].get(mid)
+                if pj2 is None:
+                    if G.module(mid).rank == 0 or (j == m and mid < G.lo):
+                        continue
+                    ok = False
+                    break
                 term = pj2.compose(si)
                 acc = term if acc is None else acc + term
             if not ok or acc is None:
                 continue
-            if Gp.module(tgt).rank == 0:
-                if tgt <= Gp.hi and not acc.in_ideal():
-                    raise Obstruction("homotopy comparison", v, f"m={m}")
-                continue
-            X = lift_through(Gp.diff(tgt), acc, Gp.level, variant=variant)
-            if X is None:
-                raise Obstruction("homotopy comparison", v, f"m={m}")
-            _recheck("homotopy comparison", Gp.diff(tgt).compose(X), acc, Gp.level)
-            phis[m][v] = X
+            X = lift_step(Gp.diff(tgt), acc, Gp.level, "homotopy comparison", v,
+                          f"m={m}", variant=variant)
+            if X is not None:
+                phis[m][v] = X
     return phis
 
 

@@ -33,10 +33,10 @@ from .complexes import (
 )
 from .graded import piece_matrix
 from .lifting import (
-    Obstruction,
     SolverBug,
     ci_from_lifting,
     higher_homotopies,
+    ideal_decomposition,
     koszul_extension,
 )
 
@@ -274,23 +274,18 @@ def special_lifting_and_ci(bundle, upto=None, variant=0):
     upto = T.hi if upto is None else upto
     t_top = bundle.ci[p]
     tilde = {j: {} for j in range(1, p + 1)}
-    from .complexes import solve_factorization
-
     for i in range(2, upto + 1):
         sq = T.diff(i - 1).compose(T.diff(i))
         rem = sq - t_top[i].scale_poly(ring.regseq[p - 1])
+        tilde[p][i] = t_top[i]
         if p == 1:
             if not rem.is_zero():
                 raise SolverBug("codimension-1 lifted operator fails exact division")
-            tilde[1][i] = t_top[i]
             continue
-        got = solve_factorization(None, rem, p - 1, variant=variant)
-        if got is None:
-            raise Obstruction("ci decomposition", i, "remainder not in lower ideal")
-        _, Ws = got
-        for j in range(1, p):
-            tilde[j][i] = Ws[j - 1].with_level(p)
-        tilde[p][i] = t_top[i]
+        Ws = ideal_decomposition(rem, p - 1, "ci decomposition", i,
+                                 f"d^2 - f_{p} t_{p}", variant=variant)
+        for j, W in enumerate(Ws, 1):
+            tilde[j][i] = W.with_level(p)
     report = []
     for ja in range(1, p + 1):
         for jb in range(ja + 1, p + 1):

@@ -75,6 +75,7 @@ def test_check_prestable_rejects_dead_sum():
     rep = check_prestable(C)
     assert not rep.ok
     assert "not surjective" in rep.failures[0]
+    assert "codimension 2" in rep.failures[0]
 
 
 def test_extract_round_trip_signature(F, W2):
@@ -152,17 +153,35 @@ def test_extract_codim1_part_of_primary(F):
     assert (out.d_p(1).compose(out.h[1]) - fid).is_zero()
 
 
-def test_extract_depth_three_shifted():
+@pytest.fixture(scope="module")
+def W3():
     from hmf.corpus import codim3_shifted
 
     F3 = codim3_shifted()
     tower = build_infinite(F3, 10)
-    W = cosyz_tower(F3, 10, tower=tower)[3][1].complex
-    rep = check_prestable(SyzygyInput(W, 2))
+    return cosyz_tower(F3, 10, tower=tower)[3][1].complex
+
+
+def test_extract_depth_three_shifted(W3):
+    rep = check_prestable(SyzygyInput(W3, 2))
     assert rep.ok, rep.failures
-    out, _ = extract_hmf(SyzygyInput(W, 2))
+    out, _ = extract_hmf(SyzygyInput(W3, 2))
     assert validate_hmf(out).ok
     assert signature(out).ranks == ((0, 0), (2, 2), (2, 1))
+
+
+def test_depth_probe_propagates_solver_bugs(W3, monkeypatch):
+    # the codimension-3 probe for deep towers treats only the documented
+    # descent failures as "needs deep towers"; a solver bug surfaces
+    import hmf.extract as extract
+    from hmf.lifting import SolverBug
+
+    def broken_peel(*args, **kwargs):
+        raise SolverBug("injected")
+
+    monkeypatch.setattr(extract, "peel", broken_peel)
+    with pytest.raises(SolverBug, match="injected"):
+        extract_hmf(SyzygyInput(W3, 2))
 
 
 def test_strengthen_examples(F):

@@ -4,6 +4,7 @@ from hmf.complexes import MatrixMap, two_term_complex, validate_homotopy_system
 from hmf.corpus import codim2_xa_yb, micro_codim1
 from hmf.lifting import (
     Obstruction,
+    SolverBug,
     ci_from_lifting,
     higher_homotopies,
     homotopy_comparison,
@@ -155,17 +156,14 @@ def test_homotopy_comparison_identity_case(F, L):
     assert not lifted_comparison_check(phis, sig, sig, 7)
 
 
-def test_homotopy_comparison_richer_complex():
-    # Koszul resolution of the quotient by all variables: homotopies for the
-    # first element are genuinely non-unique, so the two deterministic
-    # representatives differ and the comparison maps are nonzero
+@pytest.fixture(scope="module")
+def residue_field_systems():
+    """Two homotopy systems for x*a on the Koszul resolution of the residue
+    field: homotopies for that element are genuinely non-unique, so the two
+    deterministic representatives differ."""
     from hmf.complexes import koszul_complex
     from hmf.ring import Field, GradedRing
 
-    ring = GradedRing.make(
-        Field(), [("a", 1), ("b", 1), ("x", 1), ("y", 1)], ["x*a", "y*b"]
-    )
-    # resolution of the residue field: Koszul complex on the variables
     vars_ring = GradedRing.make(
         Field(),
         [("a", 1), ("b", 1), ("x", 1), ("y", 1)],
@@ -174,14 +172,20 @@ def test_homotopy_comparison_richer_complex():
     K = koszul_complex(vars_ring, (1, 2, 3, 4), level=0)
     sig1 = higher_homotopies(K, (5,), 2)
     sig2 = higher_homotopies(K, (5,), 2, variant=1)
+    phi0 = {v: MatrixMap.identity(vars_ring, K.module(v), 0)
+            for v in range(0, 5)}
+    return K, sig1, sig2, phi0
+
+
+def test_homotopy_comparison_richer_complex(residue_field_systems):
+    # the comparison maps between the two representatives are nonzero
+    K, sig1, sig2, phi0 = residue_field_systems
     differ = any(
         (sig1.get((1,), m) is not None and sig2.get((1,), m) is not None
          and sig1.get((1,), m).entries != sig2.get((1,), m).entries)
         for m in range(0, 4)
     )
     assert differ
-    phi0 = {v: MatrixMap.identity(vars_ring, K.module(v), 0)
-            for v in range(0, 5)}
     phis = homotopy_comparison(phi0, sig1, sig2, 2)
     nonzero = any(
         not mm.is_zero() for j, d in phis.items() if j >= 1 for mm in d.values()
@@ -190,3 +194,54 @@ def test_homotopy_comparison_richer_complex():
     fails, checked = verify_comparison(phis, sig1, sig2, 2)
     assert not fails and checked
     assert not lifted_comparison_check(phis, sig1, sig2, 5)
+
+
+@pytest.fixture(scope="module")
+def solve_calls(F, L, residue_field_systems):
+    """One call per builder, on inputs built with the real solvers."""
+    from hmf.extract import strengthen
+    from hmf.resolutions import build_infinite, special_lifting_and_ci
+
+    ring = F.ring
+    B1 = two_term_complex(ring, F.d_p(1))
+    f1_id = {i: MatrixMap.poly_times_identity(ring, ring.regseq[0], B1.module(i), 0)
+             for i in (0, 1)}
+    B2 = two_term_complex(ring, F.b_block(2))
+    tower = build_infinite(F, 6)
+    _, sig1, sig2, phi0 = residue_field_systems
+    Fm = micro_codim1()  # c = 1: its finite resolution needs no solve
+    return {
+        "nullhomotopy": lambda: nullhomotopy(B1, B1, 0, f1_id),
+        "higher_homotopies": lambda: higher_homotopies(L, (1,), 1),
+        "koszul_extension": lambda: koszul_extension(F.psi_block(2), B2, B1, (1,)),
+        "homotopy_comparison": lambda: homotopy_comparison(phi0, sig1, sig2, 2),
+        "strengthen": lambda: strengthen(Fm),
+        "ci_from_lifting": lambda: ci_from_lifting(tower.complex),
+        "special_lifting_and_ci": lambda: special_lifting_and_ci(tower),
+    }
+
+
+@pytest.mark.parametrize("builder", [
+    "nullhomotopy", "higher_homotopies", "koszul_extension",
+    "homotopy_comparison", "strengthen", "ci_from_lifting",
+    "special_lifting_and_ci",
+])
+def test_every_solve_resubstitutes(solve_calls, builder, monkeypatch):
+    # solvers that return twice the true solution: each builder must catch
+    # the wrong answer on re-substitution instead of returning it
+    import hmf.lifting as lifting
+
+    lift, factor = lifting.lift_through, lifting.solve_factorization
+
+    def doubled_lift(*args, **kwargs):
+        X = lift(*args, **kwargs)
+        return None if X is None else X.scale(2)
+
+    def doubled_factor(*args, **kwargs):
+        got = factor(*args, **kwargs)
+        return None if got is None else (got[0], [W.scale(2) for W in got[1]])
+
+    monkeypatch.setattr(lifting, "lift_through", doubled_lift)
+    monkeypatch.setattr(lifting, "solve_factorization", doubled_factor)
+    with pytest.raises(SolverBug, match="re-substitution fails"):
+        solve_calls[builder]()

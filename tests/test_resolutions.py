@@ -359,12 +359,57 @@ BUILDER_DIGESTS = {
 }
 
 
+# sha256 of the paths that share the lifting step and the ideal
+# decomposition, recorded before they were routed through one place:
+# build_finite differentials (Koszul extensions), build_intermediate for
+# each j < c, special_lifting_and_ci, the peel kernel and its homotopies,
+# strengthen's h and strong extension, and the variant-1 homotopy system of
+# the top tower stage
+LIFTING_DIGESTS = {
+    (2, 3): (
+        "c70ea664fe628af963829bcce008495e0c41c5bc768e93c07ea34fbf320b6ee7",
+        "1cd0d661e3b4ad14a0d3cba222e1e298b8cf3ad36ed3a3d6255eedaecd52ba38",
+        "af04dda56e4ae25eac52ba968ed5aa3d396d13ce11e870ffc180670c29e80bb4",
+        "632fca341b614cbd421b606344723b501b5cc3148bd3b2da2cf0e746a8f6e23f",
+        "31d2664f9b5c3273ea967f70137c58c6b6d04488b386595e25a1b8f2383a29d3",
+        "6920833e4d4fdde7f0d80c0e7ae20a22b1799794c6f6f7ec74633bdf1f1c5b76",
+    ),
+    (3, 1): (
+        "7f8b939e33381f37e6f9714e6f689bd382d25b430eb1fde5d2961c45a2de4cc0",
+        "8e473cbc48911d46baff7cf098d06d6cbfd86aa2db61b1df169ef5cc604406d1",
+        "8ed1893535b64baf8a306267a7e0585e9a9169cb400affc09f7465e6ecfe9281",
+        "0bdd108225470518b22bdd716e2dd345935963f82fc593454ed5489c7af86c9c",
+        "22adfb4b52caf74cab758a949abeaf07d026ecfa7f37f6505798ea2704ec27d5",
+        "d3ee4ec40db03afe5a18ccd6a6190deaa01de24a18fff2559cf1708ed724e408",
+    ),
+    (4, 2): (
+        "b19cf0300d18541831a2df2bc8d695763bf625ab4fb5ec0fccb34b1d5639200d",
+        "0d1a379e339e2b74b5bc3c3a4472169cc6a2a5641b482ca53e5c08cdcba70279",
+        "d4765dee258c037a331478c7270f96d2f82ae77288f3a471c0b84106a57273d1",
+        "a09940b6d86f48b2854f1a6c4672c697986ca2fcb59fb48a018c999c3da06a0b",
+        "99e89ba1edcefc562be9ad196898199963f319293a78d895bc44a91baaf2c6ea",
+        "8d762f2a4173ecac8c2f6e893ed4010069cf38662dc76993e2fd313479ef62aa",
+    ),
+    (5, 2): (
+        "7d8bedd57c7082d48b252e92754592b9c3853fd7b16afdfb60ef81c2f0912693",
+        "32490f5d23b56e1ce3272115660a690b265ee08bf3a75ba8690b3d027fac4042",
+        "7e90b54606b0902b50f549c66a4f619b92901109ae1ef29a879afa97882c815f",
+        "d40aa13614eab3c753c7ea1bf638e28508a9ab4c0753189bcc738984f8689b39",
+        "d99785107454e17481229f869e08096d0eaecde036fa5c032bf8c265811eb43a",
+        "53e2891dfe0766569800f4af9f4629f3c9602a6b839d5f55e84983bd09fe1b18",
+    ),
+}
+
+
 @pytest.mark.parametrize("c,seed", sorted(BUILDER_DIGESTS))
 def test_builder_output_lock(c, seed):
+    from hmf.extract import strengthen
+
     F = gen_random_hmf(seed, c=c, max_rank=3)
+    fin = build_finite(F)
     tower = build_infinite(F, 8)
     ci = tower.ci
-    sigma = higher_homotopies(build_finite(F).complex, tuple(range(1, c + 1)), 3)
+    sigma = higher_homotopies(fin.complex, tuple(range(1, c + 1)), 3)
     got = (
         maps_digest(sorted(tower.complex.diffs.items())),
         maps_digest([((j, i), ci[j][i]) for j in sorted(ci) for i in sorted(ci[j])]),
@@ -372,3 +417,25 @@ def test_builder_output_lock(c, seed):
                      for a in sorted(sigma.maps) for m in sorted(sigma.maps[a])]),
     )
     assert got == BUILDER_DIGESTS[c, seed]
+    inter = [((j, p, i), d) for j in range(1, c)
+             for p, C in sorted(build_intermediate(F, j, 8, tower=tower).stages.items())
+             for i, d in sorted(C.diffs.items())]
+    tilde, _ = special_lifting_and_ci(tower)
+    pr = peel(tower.complex, t=ci[c])
+    S = strengthen(F)
+    sig1 = build_infinite(F, 8, variant=1).sigma
+    got = (
+        maps_digest([((p, i), d) for p, C in sorted(fin.stages.items())
+                     for i, d in sorted(C.diffs.items())]),
+        maps_digest(inter),
+        maps_digest([((j, i), tilde[j][i]) for j in sorted(tilde) for i in sorted(tilde[j])]),
+        maps_digest(sorted(pr.kernel.diffs.items())
+                    + [((a, m), pr.sigma.maps[a][m])
+                       for a in sorted(pr.sigma.maps) for m in sorted(pr.sigma.maps[a])]),
+        maps_digest([(p, S.h[p]) for p in sorted(S.h)]
+                    + [((p, k), S.strong_ext[p][k])
+                       for p in sorted(S.strong_ext) for k in sorted(S.strong_ext[p])]),
+        maps_digest([((a, m), sig1.maps[a][m])
+                     for a in sorted(sig1.maps) for m in sorted(sig1.maps[a])]),
+    )
+    assert got == LIFTING_DIGESTS[c, seed]
