@@ -180,7 +180,7 @@ def cmd_peel(args):
 
 
 def cmd_extract(args):
-    from .extract import SyzygyInput, check_prestable, extract_hmf
+    from .extract import Descent, SyzygyInput, check_prestable, extract_hmf
     from .resolutions import build_infinite, cosyz_tower
 
     obj = io_json.load(args.file)
@@ -194,13 +194,14 @@ def cmd_extract(args):
         inp = SyzygyInput(W.complex, args.syzygy)
     else:
         inp = SyzygyInput(obj, args.syzygy)
-    rep = check_prestable(inp)
+    descent = Descent(inp)
+    rep = check_prestable(descent)
     if not rep.ok:
         payload = {"schema": 1, "kind": "report", "verdict": "FAIL",
                    "failures": rep.failures, "items": rep.items}
         _emit(args, payload)
         return 1
-    out, trace = extract_hmf(inp)
+    out, trace = extract_hmf(descent)
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(io_json.dumps(trace.as_json()))

@@ -251,15 +251,6 @@ class MatrixMap:
             self.ring, self.src, self.dst, self.entries, level, self.shift, check=False
         )
 
-    def with_modules(self, src=None, dst=None):
-        src = src if src is not None else self.src
-        dst = dst if dst is not None else self.dst
-        if src.twists != self.src.twists or dst.twists != self.dst.twists:
-            raise ShapeError("relabel must preserve twists")
-        return MatrixMap(
-            self.ring, src, dst, self.entries, self.level, self.shift, check=False
-        )
-
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.dst.rank))
 
@@ -316,9 +307,6 @@ class MatrixMap:
 
     def in_ideal(self, level=None):
         return self.first_nonmember(level) is None
-
-    def eq_mod(self, other, level=None):
-        return (self - other).in_ideal(level)
 
     def is_minimal(self):
         """No unit entries: every degree-0 (scalar) entry vanishes."""
@@ -617,18 +605,23 @@ def koszul_complex(ring, idxs, level=0):
 # Matrix-level graded solves
 
 
-def solve_factorization(A, C, level, variant=0):
-    """Solve A X + sum_m f_m W_m = C exactly over S (m <= level).
+def solve_factorization(A, Cs, level, variant=0):
+    """Solve A X + sum_m f_m W_m = C exactly over S (m <= level), for each C
+    in Cs.
 
-    A may be None (pure ideal division).  Returns (X, [W_1..W_level]) or None
-    when some column is unsolvable.  X and the W_m are chosen first-pivot
-    with free variables zero, column by column, so the output is
-    deterministic.
+    A may be None (pure ideal division).  The right-hand sides share one
+    target; their columns are grouped by degree across the whole list, so
+    each degree piece of A is assembled and eliminated once.  Returns, per C,
+    (X, [W_1..W_level]) or None when some column of C is unsolvable.  X and
+    the W_m are chosen first-pivot with free variables zero, column by
+    column, so each result does not depend on the others in the list.
     """
-    ring = C.ring
-    if A is not None and A.dst.twists != C.dst.twists:
+    if not Cs:
+        return []
+    ring = Cs[0].ring
+    dst = A.dst if A is not None else Cs[0].dst
+    if any(C.dst.twists != dst.twists for C in Cs):
         raise ShapeError("target rows mismatch")
-    dst = C.dst
     slots = []
     if A is not None:
         for i in range(A.src.rank):
@@ -639,59 +632,50 @@ def solve_factorization(A, C, level, variant=0):
         for k in range(dst.rank):
             vec = [None] * dst.rank
             vec[k] = fm
-            ideal_slots.append(((m, k), tuple(vec)))
+            ideal_slots.append((m, k))
             slots.append((tuple(vec), dst.twists[k] + fm.degree()))
     ncols_A = A.src.rank if A is not None else 0
-    # group target columns by their homogeneous degree
+    # group target columns of every right-hand side by homogeneous degree
     groups = {}
-    for j in range(C.src.rank):
-        e = C.src.twists[j] + C.shift
-        groups.setdefault(e, []).append(j)
+    for n, C in enumerate(Cs):
+        for j in range(C.src.rank):
+            groups.setdefault(C.src.twists[j] + C.shift, []).append((n, j))
     z = ring.zero()
-    Xrows = (
-        [[z] * C.src.rank for _ in range(ncols_A)] if A is not None else None
-    )
-    Wrows = [
-        [[z] * C.src.rank for _ in range(dst.rank)] for _ in range(level)
-    ]
+    Xrows = [[[z] * C.src.rank for _ in range(ncols_A)] for C in Cs]
+    Wrows = [[[[z] * C.src.rank for _ in range(dst.rank)] for _ in range(level)]
+             for C in Cs]
+    solved = [True] * len(Cs)
     for e, cols in sorted(groups.items()):
-        targets = [C.column(j) for j in cols]
+        targets = [Cs[n].column(j) for n, j in cols]
         res = graded_solve(ring, dst.twists, e, slots, targets, variant=variant)
-        for j, coeffs in zip(cols, res):
+        for (n, j), coeffs in zip(cols, res):
             if coeffs is None:
-                return None
-            if A is not None:
-                for i in range(ncols_A):
-                    Xrows[i][j] = coeffs[i]
-            for si, ((m, k), _) in enumerate(ideal_slots):
-                Wrows[m - 1][k][j] = coeffs[ncols_A + si]
-    X = None
-    if A is not None:
-        X = MatrixMap(
-            ring, C.src, A.src, Xrows, level, C.shift - A.shift, check=False
-        )
-    Ws = [
-        MatrixMap(
-            ring,
-            C.src,
-            dst,
-            Wrows[m - 1],
-            level,
-            C.shift - ring.fdeg(m),
-            check=False,
-        )
-        for m in range(1, level + 1)
-    ]
-    return X, Ws
+                solved[n] = False
+                continue
+            for i in range(ncols_A):
+                Xrows[n][i][j] = coeffs[i]
+            for si, (m, k) in enumerate(ideal_slots):
+                Wrows[n][m - 1][k][j] = coeffs[ncols_A + si]
+    out = []
+    for n, C in enumerate(Cs):
+        if not solved[n]:
+            out.append(None)
+            continue
+        X = None
+        if A is not None:
+            X = MatrixMap(ring, C.src, A.src, Xrows[n], level, C.shift - A.shift,
+                          check=False)
+        Ws = [MatrixMap(ring, C.src, dst, Wrows[n][m - 1], level,
+                        C.shift - ring.fdeg(m), check=False)
+              for m in range(1, level + 1)]
+        out.append((X, Ws))
+    return out
 
 
-def lift_through(A, C, level=None, variant=0):
-    """X with A X = C modulo (f_1..f_level), or None."""
-    level = C.level if level is None else level
-    got = solve_factorization(A, C, level, variant=variant)
-    if got is None:
-        return None
-    return got[0]
+def lift_through(A, Cs, level, variant=0):
+    """Per C in Cs, X with A X = C modulo (f_1..f_level), or None."""
+    return [None if got is None else got[0]
+            for got in solve_factorization(A, Cs, level, variant=variant)]
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +718,6 @@ class HomotopySystem:
     @property
     def ring(self):
         return self.complex.ring
-
-    def zero_index(self):
-        return (0,) * len(self.findices)
 
     def get(self, a, m):
         """sigma_a at source homological degree m (zero map when absent but

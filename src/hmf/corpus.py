@@ -110,26 +110,6 @@ def corpus_dir():
     return os.path.join(here, "corpus")
 
 
-def write_goldens(directory=None):
-    """Regenerate the shipped JSON corpus (self-checking on load)."""
-    import os
-
-    from .factorization import validate_hmf
-    from .io_json import dumps, hmf_to_json
-
-    directory = directory or corpus_dir()
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for name, builder in sorted(GOLDEN_BUILDERS.items()):
-        F = builder()
-        assert validate_hmf(F).ok, name
-        path = os.path.join(directory, f"{name}.json")
-        with open(path, "w") as fh:
-            fh.write(dumps(hmf_to_json(F)))
-        paths.append(path)
-    return paths
-
-
 def load_golden(name):
     import os
 

@@ -78,7 +78,7 @@ def _descent_step(C, cc, variant=0):
     peel ranks the scalar part of the top operator, so an operator that is
     not surjective fails pre-stability at codimension cc.
     """
-    tilde, _ = ci_from_lifting(C, variant=variant)
+    tilde = ci_from_lifting(C, variant=variant)
     try:
         pr = peel(C, t=tilde[cc], variant=variant)
     except PeelError as exc:
@@ -87,36 +87,66 @@ def _descent_step(C, cc, variant=0):
     return pr, G.truncate(2, G.hi).shift(2)
 
 
+class Descent:
+    """The descent levels of one input, each computed once, on first use.
+
+    complex(cc) is the complex at codimension cc, from the input's level
+    down to 0.  level(cc), for cc >= 1, is (complex(cc), peel result, tail):
+    the tail is the degree->=2 tail of the kernel, twisted down by
+    deg f_{cc-1} because the next level re-adds its own head twist, and it
+    is complex(cc - 1).  check_prestable and extract_hmf accept a Descent
+    in place of their input and then use its variant, so checking and
+    extracting one syzygy peels each level once.
+    """
+
+    def __init__(self, inp, variant=0):
+        self.top = inp.normalize() if isinstance(inp, SyzygyInput) else inp
+        self.variant = variant
+        self._levels = {}
+
+    def complex(self, cc):
+        return self.top if cc == self.top.level else self.level(cc + 1)[2]
+
+    def level(self, cc):
+        if cc not in self._levels:
+            C = self.complex(cc)
+            pr, tail = _descent_step(C, cc, self.variant)
+            if cc > 1:
+                tail = tail.twisted(-C.ring.fdeg(cc - 1))
+            self._levels[cc] = (C, pr, tail)
+        return self._levels[cc]
+
+
+def _as_descent(inp, variant):
+    return inp if isinstance(inp, Descent) else Descent(inp, variant)
+
+
 def check_prestable(inp, variant=0):
     """Recursive recognition: surjective top CI operator, peel, descend.
 
     Returns a Report; failures carry the codimension and condition that
     broke.  The truncation must allow c descent steps (two degrees each).
     """
-    F = inp.normalize() if isinstance(inp, SyzygyInput) else inp
+    descent = _as_descent(inp, variant)
     failures = []
     items = []
-
-    def rec(C, cc):
-        if cc == 0:
-            safe_hi = C.hi
-            bad = [i for i in range(2, safe_hi + 1) if C.module(i).rank]
-            if bad:
-                raise PreStabilityError(
-                    0, f"syzygy nonzero: base complex has rank at degrees {bad}"
-                )
-            items.append("codimension 0: zero syzygy")
-            return
-        if C.hi < 4 and cc > 1:
-            raise PreStabilityError(cc, "truncation too short for the recursion")
-        pr, tail = _descent_step(C, cc, variant)
-        items.append(f"codimension {cc}: top CI operator surjective through degree {C.hi}")
-        if pr.report:
-            raise PreStabilityError(cc, f"peel failed: {pr.report[:1]}")
-        rec(tail, cc - 1)
-
     try:
-        rec(F, F.level)
+        for cc in range(descent.top.level, 0, -1):
+            C = descent.complex(cc)
+            if C.hi < 4 and cc > 1:
+                raise PreStabilityError(cc, "truncation too short for the recursion")
+            _, pr, _ = descent.level(cc)
+            items.append(f"codimension {cc}: top CI operator surjective "
+                         f"through degree {C.hi}")
+            if pr.report:
+                raise PreStabilityError(cc, f"peel failed: {pr.report[:1]}")
+        C = descent.complex(0)
+        bad = [i for i in range(2, C.hi + 1) if C.module(i).rank]
+        if bad:
+            raise PreStabilityError(
+                0, f"syzygy nonzero: base complex has rank at degrees {bad}"
+            )
+        items.append("codimension 0: zero syzygy")
     except (PreStabilityError, Obstruction) as exc:
         failures.append(str(exc))
     return Report(failures, [], items)
@@ -129,23 +159,25 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
     the chosen syzygy up to an overall twist by deg f_c per descent level.
     Raises PreStabilityError / ExtractionError with the failing condition.
     """
-    F = inp.normalize() if isinstance(inp, SyzygyInput) else inp
+    descent = _as_descent(inp, variant)
+    variant = descent.variant
     trace = ExtractionTrace()
-    ring = F.ring
-    cc0 = F.level
-    if cc0 > 2 and _needs_deep_towers(F, cc0):
+    ring = descent.top.ring
+    cc0 = descent.top.level
+    if cc0 > 2 and _needs_deep_towers(descent, cc0):
         raise ExtractionError(
             "extraction beyond codimension 2 needs cosyzygy towers at every "
             "level, which require duality machinery outside this artifact"
         )
 
-    def rec(C, cc):
+    def rec(cc):
         if cc == 0:
+            C = descent.complex(0)
             bad = [i for i in range(2, C.hi + 1) if C.module(i).rank]
             if bad:
                 raise PreStabilityError(0, f"nonzero base at degrees {bad}")
             return {"b1": {}, "b0": {}, "d": [], "h": {}}
-        pr, tail = _descent_step(C, cc, variant)
+        C, pr, _ = descent.level(cc)
         if pr.report:
             raise ExtractionError(f"peel inconsistent: {pr.report[:1]}")
         G = pr.kernel
@@ -164,10 +196,7 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
             theta2=th2.str_rows() if th2 is not None else None,
             tau0=tau0.str_rows() if tau0 is not None else None,
         )
-        # the next level re-adds its own head twist, so normalize down
-        if cc > 1:
-            tail = tail.twisted(-ring.fdeg(cc - 1))
-        sub = rec(tail, cc - 1)
+        sub = rec(cc - 1)
         b1 = dict(sub["b1"])
         b0 = dict(sub["b0"])
         b1[cc] = FreeModule(tuple(tw + head_twist for tw in C.module(1).twists))
@@ -218,7 +247,7 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
         h[cc] = h_rows
         return {"b1": b1, "b0": b0, "d": d_rows, "h": h}
 
-    data = rec(F, cc0)
+    data = rec(cc0)
     out = HMF(ring, data["b1"], data["b0"], data["d"], data["h"], c=cc0)
     rep = validate_hmf(out)
     if not rep.ok:
@@ -229,15 +258,15 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
     return out, trace
 
 
-def _needs_deep_towers(C, cc):
+def _needs_deep_towers(descent, cc):
     """Extraction depth is bounded by where the descent tails stay periodic;
     a tail that peels to zero within one descent level (two when cc = 3)
     poses no problem.  A descent that fails here needs the deep towers too;
     any other error propagates."""
     try:
         for k in range(cc, cc - (2 if cc == 3 else 1), -1):
-            _, C = _descent_step(C, k)
-            if all(C.module(i).rank == 0 for i in range(2, C.hi + 1)):
+            tail = descent.level(k)[2]
+            if all(tail.module(i).rank == 0 for i in range(2, tail.hi + 1)):
                 return False
     except (PreStabilityError, Obstruction, ShapeError):
         pass
@@ -345,8 +374,8 @@ def strengthen(F, variant=0):
         fid = MatrixMap.poly_times_identity(
             ring, ring.regseq[p - 1], L.module(0), 0
         )
-        X = lift_step(L.diff(1), fid, 0, "strengthen", 0, f"stage {p}",
-                      variant=variant)
+        X, = lift_step(L.diff(1), [fid], 0, "strengthen", 0, [f"stage {p}"],
+                       variant=variant)
         labels = L.module(1).all_labels()
         a1_rows = {}
         ext_rows = {}

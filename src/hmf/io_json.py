@@ -282,11 +282,6 @@ def load(path):
     raise SchemaError(f"{path}: unknown kind {kind!r}")
 
 
-def save(path, obj):
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))
-
-
 # ---------------------------------------------------------------------------
 # TeX arrow diagrams
 

@@ -7,7 +7,10 @@ comparison maps) reduces to solving  d X = C  modulo a prefix ideal, one
 homological degree at a time.  Gradedness forces the degrees of all
 unknowns, so each step is a finite linear system; solutions are chosen
 deterministically (first pivot, free variables zero) and re-substituted
-into their defining equations before being returned.
+into their defining equations before being returned.  Right-hand sides of
+one map that do not depend on each other (the multi-indices of one order
+in a homotopy system, the Koszul slots of one size) are solved together,
+so each degree piece of the map is eliminated once for all of them.
 """
 
 from __future__ import annotations
@@ -39,34 +42,58 @@ class SolverBug(AssertionError):
     pass
 
 
-def _recheck(kind, degree, detail, residual, level):
+def _residual_bug(kind, degree, detail, residual, level):
+    """The SolverBug for a residual outside (f_1..f_level), or None."""
     bad = residual.first_nonmember(level)
-    if bad is not None:
-        where = f" ({detail})" if detail else ""
-        raise SolverBug(f"{kind}: re-substitution fails at homological degree "
-                        f"{degree}{where}, entry {bad}")
-
-
-def lift_step(d, C, level, kind, degree, detail="", X=None, variant=0):
-    """The degreewise step of every builder: X with d X = C modulo
-    (f_1..f_level).
-
-    When d has no source there is nothing to lift to: C must lie in the
-    ideal, and None is returned.  Otherwise X is solved for, or verified
-    when prescribed, and re-substituted.  Raises Obstruction(kind, degree)
-    when there is no solution and SolverBug when d X - C leaves the ideal.
-    """
-    if d.src.rank == 0:
-        if not C.in_ideal(level):
-            raise Obstruction(kind, degree,
-                              f"{detail}: nothing above" if detail else "nothing above")
+    if bad is None:
         return None
-    if X is None:
-        X = lift_through(d, C, level, variant=variant)
+    where = f" ({detail})" if detail else ""
+    return SolverBug(f"{kind}: re-substitution fails at homological degree "
+                     f"{degree}{where}, entry {bad}")
+
+
+def _lift_outcomes(d, Cs, level, kind, degree, details, Xs, variant):
+    """Per right-hand side of lift_step: X, None when d has no source, or
+    the Obstruction or SolverBug that right-hand side fails with.  Xs, when
+    given, may prescribe some X, which are then verified, not solved."""
+    details = details or [""] * len(Cs)
+    Xs = list(Xs or [None] * len(Cs))
+    out = [None] * len(Cs)
+    if d.src.rank == 0:
+        for n, (C, detail) in enumerate(zip(Cs, details)):
+            if not C.in_ideal(level):
+                out[n] = Obstruction(kind, degree, f"{detail}: nothing above"
+                                     if detail else "nothing above")
+        return out
+    need = [n for n, X in enumerate(Xs) if X is None]
+    solved = lift_through(d, [Cs[n] for n in need], level, variant=variant)
+    for n, X in zip(need, solved):
+        Xs[n] = X
+    for n, (C, detail, X) in enumerate(zip(Cs, details, Xs)):
         if X is None:
-            raise Obstruction(kind, degree, detail)
-    _recheck(kind, degree, detail, d.compose(X) - C, level)
-    return X
+            out[n] = Obstruction(kind, degree, detail)
+            continue
+        bug = _residual_bug(kind, degree, detail, d.compose(X) - C, level)
+        out[n] = X if bug is None else bug
+    return out
+
+
+def lift_step(d, Cs, level, kind, degree, details=None, variant=0):
+    """The degreewise step of every builder: per C in Cs, X with d X = C
+    modulo (f_1..f_level).
+
+    The right-hand sides share d and are solved together; details, when
+    given, runs parallel to Cs.  When d has no source there is nothing to
+    lift to: each C must lie in the ideal, and its X is None.  Otherwise
+    each X is solved for and re-substituted.  The first failing right-hand
+    side raises Obstruction(kind, degree) when it has no solution and
+    SolverBug when d X - C leaves the ideal.
+    """
+    out = _lift_outcomes(d, Cs, level, kind, degree, details, None, variant)
+    for got in out:
+        if isinstance(got, Exception):
+            raise got
+    return out
 
 
 def ideal_decomposition(M, level, kind, degree, what, variant=0):
@@ -75,14 +102,16 @@ def ideal_decomposition(M, level, kind, degree, what, variant=0):
     Raises Obstruction(kind, degree) when M is not in (f_1..f_level) and
     SolverBug when the re-substituted sum differs from M.
     """
-    got = solve_factorization(None, M, level, variant=variant)
+    got, = solve_factorization(None, [M], level, variant=variant)
     if got is None:
         raise Obstruction(kind, degree, f"{what} not in the ideal")
     Ws = got[1]
     rest = M.relevel(level)
     for f, W in zip(M.ring.regseq, Ws):
         rest = rest - W.scale_poly(f)
-    _recheck(kind, degree, what, rest, 0)
+    bug = _residual_bug(kind, degree, what, rest, 0)
+    if bug is not None:
+        raise bug
     return Ws
 
 
@@ -115,7 +144,8 @@ def nullhomotopy(W, Y, a, gamma, variant=0):
         if g is None:
             g = MatrixMap.zero(Y.ring, W.module(i - a), Y.module(i), Y.level, shift)
         C = g + alpha_at(i).compose(W.diff(i - a)).scale(sign)
-        X = lift_step(Y.diff(i + 1), C, Y.level, "nullhomotopy", i, variant=variant)
+        X, = lift_step(Y.diff(i + 1), [C], Y.level, "nullhomotopy", i,
+                       variant=variant)
         if X is not None:
             alpha[i + 1] = X
     return alpha
@@ -127,9 +157,13 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0
     Built by the inductive recursion
         d sigma_a = (f_i Id when |a| = 1) - sum_{b+s=a, b != 0} sigma_b sigma_s
     ordered by |a| and then by source degree; the sum's b = a term feeds in
-    sigma_a one source degree lower.  start, a {(a, m): MatrixMap} dict, may
-    prescribe maps which are then verified rather than solved.  Targets
-    above the top of G are skipped (nothing above to check against).
+    sigma_a one source degree lower, and the other terms only lower orders.
+    So the indices of one order at one source degree m are independent and
+    lifted together through d at m + 2|a| - 1.  start, a {(a, m): MatrixMap}
+    dict, may prescribe maps which are then verified rather than solved.
+    Targets above the top of G are skipped (nothing above to check against).
+    A failure raises for the first index a of the lowest failing order, at
+    that index's lowest failing degree.
     """
     ring = G.ring
     findices = tuple(findices)
@@ -138,11 +172,16 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0
     sigma = HomotopySystem(G, findices)
     start = dict(start or {})
     for total in range(1, max_total + 1):
-        for a in multi_indices(c, total):
-            for m in range(G.lo, hom_hi + 1):
-                src = G.module(m)
-                tgt_deg = m + 2 * total - 1
-                if src.rank == 0 or tgt_deg > G.hi:
+        indices = multi_indices(c, total)
+        failed = {}  # a -> its first failure, at the lowest degree
+        for m in range(G.lo, hom_hi + 1):
+            src = G.module(m)
+            tgt_deg = m + 2 * total - 1
+            if src.rank == 0 or tgt_deg > G.hi:
+                continue
+            batch = []
+            for a in indices:
+                if a in failed:
                     continue
                 acc = None
                 if total == 1:
@@ -166,12 +205,22 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0
                         break
                     term = second.compose(first)
                     acc = term.scale(-1) if acc is None else acc - term
-                if not solvable or acc is None:
-                    continue
-                X = lift_step(G.diff(tgt_deg), acc, G.level, "higher homotopy",
-                              m, f"index {a}", X=start.get((a, m)), variant=variant)
-                if X is not None:
+                if solvable and acc is not None:
+                    batch.append((a, acc))
+            if not batch:
+                continue
+            out = _lift_outcomes(
+                G.diff(tgt_deg), [acc for _, acc in batch], G.level,
+                "higher homotopy", m, [f"index {a}" for a, _ in batch],
+                [start.get((a, m)) for a, _ in batch], variant)
+            for (a, _), X in zip(batch, out):
+                if isinstance(X, Exception):
+                    failed[a] = X
+                elif X is not None:
                     sigma.set(a, m, X)
+        for a in indices:
+            if a in failed:
+                raise failed[a]
     return sigma
 
 
@@ -182,7 +231,9 @@ def koszul_extension(psi0, B, L, idxs, variant=0):
     component).  Returns (KB, phi): KB = koszul_tensor(idxs, B) and phi the
     cone-ready components phi[j]: KB_{j+1} -> L_j, zero on K tensor B_0.
     The recursion solves d_L X_J = sum_r (-1)^r f_{J_r} X_{J minus J_r} per
-    exterior monomial slot J; an unsolvable slot raises Obstruction naming J.
+    exterior monomial slot J.  The slots of one size j need only slots of
+    size j - 1, so they are lifted through d_L at j together; the first
+    unsolvable slot raises Obstruction naming J.
     """
     ring = L.ring
     KB = koszul_tensor(idxs, B, level=L.level)
@@ -191,6 +242,7 @@ def koszul_extension(psi0, B, L, idxs, variant=0):
     for j in range(0, len(idxs) + 1):
         mods = KB.koszul_summands[j + 1]
         row = [None] * len(mods)
+        batch = []
         for k, (J, s) in enumerate(KB.koszul_components[j + 1]):
             if s != 1:
                 continue
@@ -205,12 +257,16 @@ def koszul_extension(psi0, B, L, idxs, variant=0):
                 sign = 1 if r % 2 == 0 else -1
                 term = prev.scale_poly(ring.regseq[fj - 1].scale(sign))
                 acc = term if acc is None else acc + term
-            if acc is None:
-                continue
-            C = MatrixMap(ring, mods[k], L.module(j - 1), acc.entries, L.level, 0,
-                          check=False)
-            row[k] = X[J] = lift_step(L.diff(j), C, L.level, "koszul extension",
-                                      j, f"slot e_{J}", variant=variant)
+            if acc is not None:
+                batch.append((k, J, MatrixMap(ring, mods[k], L.module(j - 1),
+                                              acc.entries, L.level, 0,
+                                              check=False)))
+        if batch:
+            got = lift_step(L.diff(j), [C for _, _, C in batch], L.level,
+                            "koszul extension", j,
+                            [f"slot e_{J}" for _, J, _ in batch], variant=variant)
+            for (k, J, _), XJ in zip(batch, got):
+                row[k] = X[J] = XJ
         phi[j] = MatrixMap.from_blocks(ring, [row], mods, [L.module(j)], L.level)
     return KB, phi
 
@@ -218,10 +274,8 @@ def koszul_extension(psi0, B, L, idxs, variant=0):
 def ci_from_lifting(C, upto=None, variant=0):
     """CI operators from the stored lifting: solve d~^2 = sum f_j t~_j.
 
-    Returns (tilde, failures): tilde[j][i]: C_i -> C_{i-2} with internal
-    shift -deg f_j for 1 <= j <= C.level, and the list of failures of
-    [t_j, d] = 0 modulo the level ideal (guaranteed empty for a regular
-    sequence; verified anyway).
+    Returns tilde: tilde[j][i]: C_i -> C_{i-2} with internal shift -deg f_j
+    for 1 <= j <= C.level.
     """
     level = C.level
     upto = C.hi if upto is None else upto
@@ -234,8 +288,14 @@ def ci_from_lifting(C, upto=None, variant=0):
                                  variant=variant)
         for j, W in enumerate(Ws, 1):
             tilde[j][i] = W
+    return tilde
+
+
+def ci_commutation_failures(C, tilde):
+    """Failures of [t_j, d] = 0 modulo the level ideal for CI operators
+    tilde on C (none for a regular sequence)."""
     failures = []
-    for j in range(1, level + 1):
+    for j in sorted(tilde):
         for i in sorted(tilde[j]):
             if i - 1 in tilde[j] and C.module(i - 3).rank and C.module(i).rank:
                 comm = C.diff(i - 2).compose(tilde[j][i]) - tilde[j][i - 1].compose(
@@ -243,7 +303,7 @@ def ci_from_lifting(C, upto=None, variant=0):
                 )
                 if not comm.in_ideal():
                     failures.append(f"[t_{j}, d] != 0 at degree {i}")
-    return tilde, failures
+    return failures
 
 
 def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
@@ -304,8 +364,8 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
                 acc = term if acc is None else acc + term
             if not ok or acc is None:
                 continue
-            X = lift_step(Gp.diff(tgt), acc, Gp.level, "homotopy comparison", v,
-                          f"m={m}", variant=variant)
+            X, = lift_step(Gp.diff(tgt), [acc], Gp.level, "homotopy comparison",
+                           v, [f"m={m}"], variant=variant)
             if X is not None:
                 phis[m][v] = X
     return phis

@@ -242,7 +242,7 @@ def random_filtered_conjugation(F, rng):
     g1 = MatrixMap(ring, F.A1(F.c), F.A1(F.c), random_change(mods1, offs1), 0, 0)
     g0 = MatrixMap(ring, F.A0(F.c), F.A0(F.c), random_change(mods0, offs0), 0, 0)
     ident0 = MatrixMap.identity(ring, F.A0(F.c), 0)
-    g0_inv = lift_through(g0, ident0, 0)
+    g0_inv, = lift_through(g0, [ident0], 0)
     if g0_inv is None:
         raise GenerationFailed("basis change not invertible")
     d_new = g0_inv.compose(F.d).compose(g1)
@@ -253,7 +253,7 @@ def random_filtered_conjugation(F, rng):
         g1p = g1.submatrix(list(range(n1)), list(range(n1)))
         g0p = g0.submatrix(list(range(n0)), list(range(n0)))
         identp = MatrixMap.identity(ring, F.A1(p), 0)
-        g1p_inv = lift_through(g1p, identp, 0)
+        g1p_inv, = lift_through(g1p, [identp], 0)
         if g1p_inv is None:
             raise GenerationFailed("basis change not invertible at a stage")
         h_new[p] = g1p_inv.compose(F.h[p]).compose(g0p).entries

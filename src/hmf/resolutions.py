@@ -27,17 +27,18 @@ from .complexes import (
     MatrixMap,
     ShapeError,
     ZERO_MODULE,
-    lift_through,
     mapping_cone,
     two_term_complex,
 )
 from .graded import piece_matrix
 from .lifting import (
+    Obstruction,
     SolverBug,
     ci_from_lifting,
     higher_homotopies,
     ideal_decomposition,
     koszul_extension,
+    lift_step,
 )
 
 
@@ -329,8 +330,7 @@ def peel(C, t=None, variant=0):
         raise ShapeError("peel expects complexes starting at degree 0")
     q = ring.fdeg(p)
     if t is None:
-        tilde, _ = ci_from_lifting(C, variant=variant)
-        t = tilde[p]
+        t = ci_from_lifting(C, variant=variant)[p]
     fld = ring.field
     # surjectivity via scalar parts, then sections and kernels
     sections = {}
@@ -350,10 +350,11 @@ def peel(C, t=None, variant=0):
                 f"lifted CI operator not surjective at degree {i}"
             )
         ident = MatrixMap.identity(ring, C.module(i - 2), p - 1)
-        s = lift_through(ti.relevel(p - 1), ident, p - 1, variant=variant)
-        if s is None:
-            raise PeelError(f"no section for the CI operator at degree {i}")
-        sections[i] = s
+        try:
+            sections[i], = lift_step(ti.relevel(p - 1), [ident], p - 1,
+                                     "peel section", i, variant=variant)
+        except Obstruction as exc:
+            raise PeelError(f"no section for the CI operator at degree {i}") from exc
         N = fld.nullspace(bar)
         ncols = N.shape[1]
         twists = []
@@ -390,8 +391,10 @@ def peel(C, t=None, variant=0):
     kdiffs = {}
     Gmods = {i: kernel_mods.get(i, ZERO_MODULE) for i in range(0, C.hi + 1)}
     # full basis change and its inverse, degree by degree
-    phi_cols = {}
     for i in range(0, C.hi + 1):
+        if C.module(i).rank == 0:
+            projections[i] = MatrixMap.zero(ring, C.module(i), Gmods[i], p - 1)
+            continue
         cols = []
         mods = []
         j = 0
@@ -399,13 +402,13 @@ def peel(C, t=None, variant=0):
             mods.append(Gmods[i - 2 * j].shifted(j * q))
             cols.append(inc[i][j])
             j += 1
-        blocks = [[mm for mm in cols]]
-        phi = MatrixMap.from_blocks(ring, blocks, mods, [C.module(i)], p - 1)
-        phi_cols[i] = (phi, mods)
+        phi = MatrixMap.from_blocks(ring, [cols], mods, [C.module(i)], p - 1)
         ident = MatrixMap.identity(ring, C.module(i), p - 1)
-        inv = lift_through(phi, ident, p - 1, variant=variant)
-        if inv is None:
-            raise SolverBug("basis change not invertible")
+        try:
+            inv, = lift_step(phi, [ident], p - 1, "peel basis change", i,
+                             variant=variant)
+        except Obstruction as exc:
+            raise SolverBug("basis change not invertible") from exc
         # kernel-block rows of the inverse
         kr = Gmods[i].rank
         projections[i] = inv.submatrix(list(range(kr)), list(range(C.module(i).rank)))

@@ -416,13 +416,6 @@ class Poly:
             return self.ring.zero()
         return Poly(self.ring, {e: fld.mul(cc, c) for e, cc in self.terms.items()})
 
-    def mono_shift(self, expo):
-        """Multiply by the monomial with exponent vector expo."""
-        return Poly(
-            self.ring,
-            {tuple(a + b for a, b in zip(e, expo)): c for e, c in self.terms.items()},
-        )
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.ring is other.ring and self.terms == other.terms
 

@@ -13,13 +13,14 @@ from hmf.complexes import (
     koszul_complex,
     koszul_tensor,
     mapping_cone,
+    solve_factorization,
     two_term_complex,
     validate_homotopy_system,
 )
 from hmf.corpus import codim2_xa_yb, micro_codim1
 from hmf.lifting import higher_homotopies
 from hmf.oracle import graded_homology, homology_is_zero
-from hmf.ring import Field, GradedRing
+from hmf.ring import DEFAULT_PRIME, Field, GradedRing
 
 
 @pytest.fixture(scope="module")
@@ -300,3 +301,50 @@ def test_validate_homotopy_system_examples():
     sigma.set((1,), 0, sigma.get((1,), 0) + bump)
     failures = validate_homotopy_system(G, sigma)
     assert failures and "index (1,)" in failures[0]
+
+
+def _batch_inputs(char):
+    """d of codim2_xa_yb and three right-hand sides on its target: d itself
+    (degree 1), the identity (unsolvable: d has no unit entries) and a map
+    whose two columns have degrees 1 and 2."""
+    F = codim2_xa_yb(char)
+    ring = F.ring
+    d = F.d
+    ident = MatrixMap.identity(ring, d.dst, 0)
+    x = ring.poly("x")
+    mixed = MatrixMap(ring, FreeModule((1, 2)), d.dst,
+                      [[row[0], row[1] * x] for row in d.entries], 0, 0)
+    return d, [d, ident, mixed]
+
+
+@pytest.mark.parametrize("char", [DEFAULT_PRIME, 0])
+@pytest.mark.parametrize("variant", [0, 1])
+def test_batched_solve_equals_single_solves(char, variant, monkeypatch):
+    import hmf.complexes as complexes
+
+    d, Cs = _batch_inputs(char)
+    level = 2
+    single = [solve_factorization(d, [C], level, variant=variant)[0] for C in Cs]
+    calls = []
+    solve = complexes.graded_solve
+
+    def counted(ring, dst_twists, e, *args, **kwargs):
+        calls.append(e)
+        return solve(ring, dst_twists, e, *args, **kwargs)
+
+    monkeypatch.setattr(complexes, "graded_solve", counted)
+    batched = solve_factorization(d, Cs, level, variant=variant)
+    # one elimination per degree across the whole list, not per right-hand side
+    assert sorted(calls) == [0, 1, 2]
+    assert batched[1] is None and single[1] is None
+    ring = d.ring
+    for C, got, want in zip(Cs, batched, single):
+        if want is None:
+            continue
+        X, Ws = got
+        assert X.entries == want[0].entries
+        assert [W.entries for W in Ws] == [W.entries for W in want[1]]
+        acc = d.with_level(level).compose(X)
+        for f, W in zip(ring.regseq, Ws):
+            acc = acc + W.scale_poly(f)
+        assert (acc - C.with_level(level)).is_zero()

@@ -233,3 +233,22 @@ def test_syzygy_shift(F):
     assert all(it.verdict == "PASS" for it in items)
     na = syzygy_shift_check(codim2_xz_y2(), steps=6)
     assert na[0].verdict == "N-A"
+
+
+def test_cli_extract_descends_each_level_once(tmp_path, monkeypatch):
+    # check_prestable, the depth probe and the extraction share one descent
+    import hmf.extract as extract
+    from hmf.cli import main
+    from hmf.corpus import corpus_dir
+
+    levels = []
+    step = extract._descent_step
+
+    def counted(C, cc, variant=0):
+        levels.append(cc)
+        return step(C, cc, variant)
+
+    monkeypatch.setattr(extract, "_descent_step", counted)
+    path = f"{corpus_dir()}/codim3_shifted.json"
+    assert main(["extract", path, "-o", str(tmp_path / "out.json")]) == 0
+    assert levels == [3, 2, 1]

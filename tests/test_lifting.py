@@ -1,10 +1,18 @@
 import pytest
 
-from hmf.complexes import MatrixMap, two_term_complex, validate_homotopy_system
+from hmf.complexes import (
+    ZERO_MODULE,
+    Complex,
+    FreeModule,
+    MatrixMap,
+    two_term_complex,
+    validate_homotopy_system,
+)
 from hmf.corpus import codim2_xa_yb, micro_codim1
 from hmf.lifting import (
     Obstruction,
     SolverBug,
+    ci_commutation_failures,
     ci_from_lifting,
     higher_homotopies,
     homotopy_comparison,
@@ -14,6 +22,7 @@ from hmf.lifting import (
     verify_comparison,
 )
 from hmf.oracle import exactness_certificate
+from hmf.ring import Field, GradedRing
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +100,50 @@ def test_higher_homotopies_prescribed_start_checked(F):
         higher_homotopies(G, (1,), 1, start={((1,), 0): wrong})
 
 
+@pytest.fixture(scope="module")
+def two_failures():
+    """k[x, y] with f = (x^2, y^2, x*y, y^3) and G: S(-2)^2 -[x^2, y^2]-> S,
+    nothing above degree 1.  The homotopy for x*y fails at degree 0 and the
+    one for x^2 only at degree 1; Koszul slots for y^2 and y^3 both fail to
+    lift x * psi through x^2."""
+    ring = GradedRing.make(Field(), [("x", 1), ("y", 1)],
+                           ["x^2", "y^2", "x*y", "y^3"])
+    G0, G1 = FreeModule((0,)), FreeModule((2, 2))
+    d1 = MatrixMap.from_strings(ring, G1, G0, [["x^2", "y^2"]])
+    G = Complex(ring, 0, {0: G0, 1: G1, 2: ZERO_MODULE}, {1: d1}, 0, 2)
+    L = two_term_complex(ring, MatrixMap.from_strings(
+        ring, FreeModule((2,)), G0, [["x^2"]]))
+    B = two_term_complex(ring, MatrixMap.from_strings(
+        ring, FreeModule((1,)), G0, [["x"]]))
+    psi0 = MatrixMap.from_strings(ring, B.module(1), L.module(0), [["x"]])
+    return G, L, B, psi0
+
+
+def test_higher_homotopies_names_first_failing_index(two_failures):
+    G = two_failures[0]
+    # each element alone fails: x*y at degree 0, x^2 at degree 1
+    for fidx, degree in ((3, 0), (1, 1)):
+        with pytest.raises(Obstruction) as err:
+            higher_homotopies(G, (fidx,), 1)
+        assert err.value.degree == degree
+    # together, the first index in order is (0, 1), for x^2: its failure
+    # at degree 1 is reported, not that of (1, 0) at degree 0
+    with pytest.raises(Obstruction) as err:
+        higher_homotopies(G, (3, 1), 1)
+    assert err.value.degree == 1
+    assert "index (0, 1)" in str(err.value)
+
+
+def test_koszul_extension_names_first_failing_slot(two_failures):
+    _, L, B, psi0 = two_failures
+    for idx in (2, 4):
+        with pytest.raises(Obstruction, match=rf"slot e_\({idx},\)"):
+            koszul_extension(psi0, B, L, (idx,))
+    with pytest.raises(Obstruction, match=r"slot e_\(2,\)") as err:
+        koszul_extension(psi0, B, L, (2, 4))
+    assert err.value.degree == 1
+
+
 def test_koszul_extension_matches_display(F):
     B = two_term_complex(F.ring, F.b_block(2))
     L1 = two_term_complex(F.ring, F.d_p(1))
@@ -116,8 +169,8 @@ def test_ci_from_lifting_periodic(F):
 
     Fm = micro_codim1()
     T = build_infinite(Fm, 6).complex
-    tilde, failures = ci_from_lifting(T)
-    assert not failures
+    tilde = ci_from_lifting(T)
+    assert not ci_commutation_failures(T, tilde)
     for i in sorted(tilde[1]):
         assert tilde[1][i].entries[0][0] == Fm.ring.one()
 
@@ -126,8 +179,8 @@ def test_ci_from_lifting_resubstitutes(F):
     from hmf.resolutions import build_infinite
 
     T = build_infinite(F, 6).complex
-    tilde, failures = ci_from_lifting(T)
-    assert not failures
+    tilde = ci_from_lifting(T)
+    assert not ci_commutation_failures(T, tilde)
     ring = F.ring
     for i in range(2, 6):
         sq = T.diff(i - 1).compose(T.diff(i))
@@ -200,7 +253,7 @@ def test_homotopy_comparison_richer_complex(residue_field_systems):
 def solve_calls(F, L, residue_field_systems):
     """One call per builder, on inputs built with the real solvers."""
     from hmf.extract import strengthen
-    from hmf.resolutions import build_infinite, special_lifting_and_ci
+    from hmf.resolutions import build_infinite, peel, special_lifting_and_ci
 
     ring = F.ring
     B1 = two_term_complex(ring, F.d_p(1))
@@ -218,13 +271,14 @@ def solve_calls(F, L, residue_field_systems):
         "strengthen": lambda: strengthen(Fm),
         "ci_from_lifting": lambda: ci_from_lifting(tower.complex),
         "special_lifting_and_ci": lambda: special_lifting_and_ci(tower),
+        "peel": lambda: peel(tower.complex, t=tower.ci.get(2)),
     }
 
 
 @pytest.mark.parametrize("builder", [
     "nullhomotopy", "higher_homotopies", "koszul_extension",
     "homotopy_comparison", "strengthen", "ci_from_lifting",
-    "special_lifting_and_ci",
+    "special_lifting_and_ci", "peel",
 ])
 def test_every_solve_resubstitutes(solve_calls, builder, monkeypatch):
     # solvers that return twice the true solution: each builder must catch
@@ -234,12 +288,11 @@ def test_every_solve_resubstitutes(solve_calls, builder, monkeypatch):
     lift, factor = lifting.lift_through, lifting.solve_factorization
 
     def doubled_lift(*args, **kwargs):
-        X = lift(*args, **kwargs)
-        return None if X is None else X.scale(2)
+        return [None if X is None else X.scale(2) for X in lift(*args, **kwargs)]
 
     def doubled_factor(*args, **kwargs):
-        got = factor(*args, **kwargs)
-        return None if got is None else (got[0], [W.scale(2) for W in got[1]])
+        return [None if got is None else (got[0], [W.scale(2) for W in got[1]])
+                for got in factor(*args, **kwargs)]
 
     monkeypatch.setattr(lifting, "lift_through", doubled_lift)
     monkeypatch.setattr(lifting, "solve_factorization", doubled_factor)
