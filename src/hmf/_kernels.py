@@ -1,14 +1,21 @@
-"""Dense exact linear algebra kernels over prime fields.
+"""Exact linear algebra kernels over prime fields and over Q.
 
 Everything downstream (graded solves, rank counts, homology tables) funnels
-into row reduction of int64 matrices with entries reduced mod p.  ``rref``
-is Gauss-Jordan elimination in numpy on the nonzero rows only (most rows of
-the builders' degreewise systems are zero): the first nonzero entry of each
-column is the pivot, the pivot row is scaled to 1 and the column is cleared
-above and below with one outer-product update, so the result is the unique
-reduced row echelon form.
+into one elimination on sparse rows.  The nonzero entries of a matrix are
+read once into rows held as ``{column: value}`` dicts of Python ints mod p,
+or of Fractions when the characteristic is 0.  The forward pass visits the
+rows sparsest first and reduces each by the pivot row at its leading column
+until it vanishes or becomes a new pivot row, scaled to 1.  Back-substitution
+then clears each pivot row at the other pivot columns it contains, pivot
+columns taken from the right.  The reduced row echelon form is unique, so
+the order in which rows become pivots changes neither the result nor the
+pivot columns, and a rank needs the forward pass only.  The builders' and
+the verifier's matrices are almost all zeros, and the elimination never
+touches a zero that does not fill in.
 
-A Fraction-based reducer backs the optional characteristic-zero field.
+Matrices go in and come out as numpy arrays: int64 residues for p > 0,
+object arrays of Fractions for characteristic 0.  ``matmul`` is the one
+dense kernel, an exact float64 BLAS product mod p.
 """
 
 from __future__ import annotations
@@ -19,50 +26,103 @@ import numpy as np
 
 
 def backend_name():
-    """Name of the row-reduction implementation, for run environment records."""
+    """Name of the kernel implementation, for run environment records.
+
+    The elimination runs on sparse rows and only ``matmul`` uses numpy, but
+    the name is "numpy": perfbench/test_smoke.py pins that value.
+    """
     return "numpy"
 
 
-def rref(A, p):
-    """Reduced row echelon form of A mod p.
+def _zeros(m, n, p):
+    return np.zeros((m, n), dtype=np.int64) if p else frac_zeros(m, n)
 
-    Returns (R, piv_cols); A is not modified.  Only the nonzero rows of A
-    are eliminated, and a pivot row is applied from its pivot column on,
-    where it can be nonzero.  The reduced form is unique, so R holds the
-    reduced nonzero rows and zero rows below the rank.
+
+def _rows(A, p, offset=0):
+    """The nonzero rows of A as {row index: {column + offset: value}}, with
+    the values reduced mod p (Fractions when p is 0)."""
+    A = np.asarray(A, dtype=np.int64 if p else object)
+    # a flat scan of a boolean mask is several times faster than np.nonzero(A)
+    r, c = np.divmod(np.flatnonzero(A != 0), max(A.shape[1], 1))
+    rows = {}
+    for i, j, x in zip(r.tolist(), c.tolist(), A[r, c].tolist()):
+        x = x % p if p else Fraction(x)
+        if x:
+            rows.setdefault(i, {})[j + offset] = x
+    return rows
+
+
+def _subtract(row, f, prow, p):
+    """row -= f * prow in place, dropping the entries that cancel."""
+    for j, w in prow.items():
+        x = row.get(j, 0) - f * w
+        if p:
+            x %= p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _scaled(row, c, p):
+    """row divided by its entry at column c."""
+    x = row[c]
+    if x == 1:
+        return row
+    if p:
+        inv = pow(x, -1, p)
+        return {j: y * inv % p for j, y in row.items()}
+    return {j: y / x for j, y in row.items()}
+
+
+def _eliminate(rows, p, reduce=True):
+    """Echelon form of the given sparse rows (consumed) as {pivot column:
+    pivot row}, each pivot row scaled to 1 at its pivot column.  With
+    reduce, every pivot row is also cleared at the other pivot columns, so
+    the pivot rows are the nonzero rows of the reduced row echelon form."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = _scaled(row, c, p)
+                break
+            _subtract(row, row[c], prow, p)
+    if reduce:
+        # pivot rows to the right of c are already reduced, so clearing row
+        # c with them brings in no other pivot column
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
+            for j in [j for j in row if j != c and j in pivots]:
+                _subtract(row, row[j], pivots[j], p)
+    return pivots
+
+
+def rref(A, p):
+    """Reduced row echelon form of A mod p, or over Q when p is 0.
+
+    Returns (R, piv_cols); A is not modified.  R holds the reduced nonzero
+    rows in pivot order and zero rows below the rank.
     """
-    A = np.asarray(A, dtype=np.int64)
-    E = A[A.any(axis=1)]
-    E %= p
-    m, n = E.shape
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(E[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            E[[r, i]] = E[[i, r]]
-        inv = pow(int(E[r, c]), p - 2, p)
-        E[r, c:] = (E[r, c:] * inv) % p
-        factor = E[:, c].copy()
-        factor[r] = 0
-        nzrows = np.nonzero(factor)[0]
-        if nzrows.size:
-            E[nzrows, c:] = (E[nzrows, c:] - np.outer(factor[nzrows], E[r, c:])) % p
-        piv_cols.append(c)
-        r += 1
-    R = np.zeros(A.shape, dtype=np.int64)
-    R[:m] = E
-    return R, np.asarray(piv_cols, dtype=np.int64)
+    A = np.asarray(A)
+    pivots = _eliminate(_rows(A, p).values(), p)
+    piv = sorted(pivots)
+    ri, ci, vals = [], [], []
+    for i, c in enumerate(piv):
+        row = pivots[c]
+        ri += [i] * len(row)
+        ci += row
+        vals += row.values()
+    R = _zeros(*A.shape, p)
+    R[ri, ci] = vals
+    return R, np.asarray(piv, dtype=np.int64)
 
 
 def rank(A, p):
-    _, piv = rref(A, p)
-    return int(piv.size)
+    """Rank of A mod p (over Q when p is 0): the number of pivots of a
+    forward elimination, with no back-substitution."""
+    return len(_eliminate(_rows(A, p).values(), p, reduce=False))
 
 
 def matmul(A, B, p):
@@ -87,53 +147,65 @@ def matmul(A, B, p):
 
 
 def solve_many(A, B, p):
-    """Solve A X = B columnwise mod p.
+    """Solve A X = B columnwise mod p (over Q when p is 0).
 
     Returns (ok, X) where ok[j] says column j is consistent and X holds the
     first-pivot solution with free variables set to zero (zeros where not ok).
+    The rows eliminated are those of [A | B], read from the nonzeros of A
+    and of B (shifted by n columns).
     """
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
+    A = np.asarray(A)
+    B = np.asarray(B)
     m, n = A.shape
     mb, k = B.shape
     assert m == mb
-    R, piv = rref(np.concatenate([A, B], axis=1), p)
-    # pivots increase, so the rows pivoting in A come first; a pivot in B
-    # makes every column it touches inconsistent
-    r = int(np.searchsorted(piv, n))
-    ok = ~R[r:piv.size, n:].any(axis=0)
-    X = np.zeros((n, k), dtype=np.int64)
-    X[piv[:r]] = R[:r, n:]
-    # zero out non-solutions for determinism
-    X[:, ~ok] = 0
+    rows = _rows(A, p)
+    for i, row in _rows(B, p, offset=n).items():
+        rows.setdefault(i, {}).update(row)
+    pivots = _eliminate(rows.values(), p)
+    # a pivot in B makes every column its row touches inconsistent
+    bad = set()
+    for c, row in pivots.items():
+        if c >= n:
+            bad.update(row)
+    ri, ci, vals = [], [], []
+    for c, row in pivots.items():
+        if c < n:
+            for j, x in row.items():
+                if j >= n and j not in bad:
+                    ri.append(c)
+                    ci.append(j - n)
+                    vals.append(x)
+    ok = np.ones(k, dtype=bool)
+    ok[[j - n for j in bad]] = False
+    X = _zeros(n, k, p)
+    X[ri, ci] = vals
     return ok, X
 
 
 def nullspace(A, p):
-    """Basis of the right nullspace mod p, columns ordered by free variable.
+    """Basis of the right nullspace mod p (over Q when p is 0), columns
+    ordered by free variable.
 
     Free coordinates are set one-hot, pivots back-substituted, so the basis
     is deterministic.
     """
-    A = np.asarray(A, dtype=np.int64)
-    m, n = A.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if m == 0:
-        return np.eye(n, dtype=np.int64)
-    R, piv = rref(A, p)
-    pivset = set(int(c) for c in piv)
-    free = [c for c in range(n) if c not in pivset]
-    N = np.zeros((n, len(free)), dtype=np.int64)
-    for j, fcol in enumerate(free):
-        N[fcol, j] = 1
-        for r0, c in enumerate(piv):
-            N[int(c), j] = (-R[r0, fcol]) % p
+    A = np.asarray(A)
+    n = A.shape[1]
+    pivots = _eliminate(_rows(A, p).values(), p)
+    free = [c for c in range(n) if c not in pivots]
+    fidx = {c: j for j, c in enumerate(free)}
+    one = 1 if p else Fraction(1)
+    ri, ci, vals = list(free), list(range(len(free))), [one] * len(free)
+    for c, row in pivots.items():
+        for j, x in row.items():
+            if j != c:
+                ri.append(c)
+                ci.append(fidx[j])
+                vals.append((-x) % p if p else -x)
+    N = _zeros(n, len(free), p)
+    N[ri, ci] = vals
     return N
-
-
-# ---------------------------------------------------------------------------
-# Characteristic-zero fallback (Fractions in object arrays; slow, optional)
 
 
 def frac_zeros(m, n):
@@ -152,77 +224,3 @@ def matmul_frac(A, B):
     for i, k in zip(*np.nonzero(A)):
         C[i] += A[i, k] * B[k]
     return C
-
-
-def rref_frac(A):
-    """RREF over Q.  A: object ndarray of Fractions.  Returns (R, pivots)."""
-    R = np.array(A, dtype=object, copy=True)
-    m, n = R.shape
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if R[i, c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            R[[r, piv]] = R[[piv, r]]
-        inv = Fraction(1) / R[r, c]
-        R[r] = R[r] * inv
-        for i in range(m):
-            if i != r and R[i, c] != 0:
-                R[i] = R[i] - R[i, c] * R[r]
-        piv_cols.append(c)
-        r += 1
-    return R, piv_cols
-
-
-def solve_many_frac(A, B):
-    m, n = A.shape
-    k = B.shape[1]
-    ok = [True] * k
-    X = frac_zeros(n, k)
-    if m == 0:
-        return ok, X
-    M = np.concatenate([A, B], axis=1)
-    R, piv = rref_frac(M)
-    for r0, c in enumerate(piv):
-        if c >= n:
-            for j in range(k):
-                if R[r0, n + j] != 0:
-                    ok[j] = False
-        else:
-            X[c] = R[r0, n:]
-    for j in range(k):
-        if not ok[j]:
-            for i in range(n):
-                X[i, j] = Fraction(0)
-    return ok, X
-
-
-def nullspace_frac(A):
-    m, n = A.shape
-    if n == 0:
-        return frac_zeros(0, 0)
-    if m == 0:
-        N = frac_zeros(n, n)
-        for j in range(n):
-            N[j, j] = Fraction(1)
-        return N
-    R, piv = rref_frac(A)
-    pivset = set(piv)
-    free = [c for c in range(n) if c not in pivset]
-    N = frac_zeros(n, len(free))
-    for j, fcol in enumerate(free):
-        N[fcol, j] = Fraction(1)
-        for r0, c in enumerate(piv):
-            N[c, j] = -R[r0, fcol]
-    return N
-
-
-def rank_frac(A):
-    if A.shape[0] == 0 or A.shape[1] == 0:
-        return 0
-    _, piv = rref_frac(A)
-    return len(piv)

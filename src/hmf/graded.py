@@ -183,8 +183,7 @@ class QuotientPieces:
             # rows of A span I_d: the transpose of the row map [g_1 ... g_r]
             A = piece_matrix(self.ring, [self.gens],
                              [g.degree() for g in self.gens], (0,), 0, d).T
-            R, piv = (_kernels.rref(A, fld.char) if fld.char
-                      else _kernels.rref_frac(A))
+            R, piv = _kernels.rref(A, fld.char)
         std = np.setdiff1d(np.arange(n), np.asarray(piv, dtype=np.int64))
         N = None
         if len(piv):

@@ -345,7 +345,9 @@ def peel(C, t=None, variant=0):
             kernel_mods[i] = C.module(i)
             continue
         bar = _scalar_part(ring, ti)
-        if fld.rank(bar) < C.module(i - 2).rank:
+        # one elimination gives the kernel and, by rank-nullity, the rank
+        N = fld.nullspace(bar)
+        if bar.shape[1] - N.shape[1] < C.module(i - 2).rank:
             raise PeelError(
                 f"lifted CI operator not surjective at degree {i}"
             )
@@ -355,7 +357,6 @@ def peel(C, t=None, variant=0):
                                      "peel section", i, variant=variant)
         except Obstruction as exc:
             raise PeelError(f"no section for the CI operator at degree {i}") from exc
-        N = fld.nullspace(bar)
         ncols = N.shape[1]
         twists = []
         for jcol in range(ncols):

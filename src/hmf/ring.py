@@ -20,7 +20,7 @@ from . import _kernels
 
 DEFAULT_PRIME = 32003
 # the largest prime p with (p - 1)**2 + p <= 2**53: the float64 products of
-# _kernels.matmul and the int64 steps of _kernels.rref stay exact up to it
+# _kernels.matmul stay exact up to it (the elimination works on Python ints)
 MAX_PRIME = 94906249
 
 
@@ -103,9 +103,7 @@ class Field:
         return A
 
     def rank(self, A):
-        if self.char:
-            return _kernels.rank(A, self.char)
-        return _kernels.rank_frac(A)
+        return _kernels.rank(A, self.char)
 
     def matmul(self, A, B):
         if self.char:
@@ -113,14 +111,10 @@ class Field:
         return _kernels.matmul_frac(A, B)
 
     def solve_many(self, A, B):
-        if self.char:
-            return _kernels.solve_many(A, B, self.char)
-        return _kernels.solve_many_frac(A, B)
+        return _kernels.solve_many(A, B, self.char)
 
     def nullspace(self, A):
-        if self.char:
-            return _kernels.nullspace(A, self.char)
-        return _kernels.nullspace_frac(A)
+        return _kernels.nullspace(A, self.char)
 
 
 class ScalarMatrix:

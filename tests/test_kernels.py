@@ -68,9 +68,11 @@ def test_matmul_exact(p, m, k, n):
 
 
 def reference_rref(A, p):
-    """Scalar Gauss-Jordan elimination mod p, one entry at a time: the
-    reference the numpy kernel is compared against."""
-    R = [[int(x) % p for x in row] for row in A]
+    """Scalar Gauss-Jordan elimination mod p, or over Q with Fractions when
+    p is 0, one entry at a time: the reference the kernel is compared
+    against."""
+    red = (lambda x: x % p) if p else (lambda x: x)
+    R = [[red(int(x)) if p else Fraction(x) for x in row] for row in A]
     m = len(R)
     n = len(R[0]) if m else 0
     piv_cols = []
@@ -82,12 +84,12 @@ def reference_rref(A, p):
         if piv is None:
             continue
         R[r], R[piv] = R[piv], R[r]
-        inv = pow(R[r][c], p - 2, p)
-        R[r] = [(x * inv) % p for x in R[r]]
+        inv = pow(R[r][c], p - 2, p) if p else 1 / R[r][c]
+        R[r] = [red(x * inv) for x in R[r]]
         for i in range(m):
             if i != r and R[i][c]:
                 f = R[i][c]
-                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+                R[i] = [red(x - f * y) for x, y in zip(R[i], R[r])]
         piv_cols.append(c)
         r += 1
     return R, piv_cols
@@ -106,11 +108,7 @@ def test_rref_matches_reference(data):
             A[i] = 0
         elif kind == "copy":
             A[i] = A[data.draw(st.integers(0, m - 1))]
-    R, piv = _kernels.rref(A, P)
-    R_ref, piv_ref = reference_rref(A, P)
-    assert R.shape == (m, n)
-    assert R.tolist() == R_ref
-    assert piv.tolist() == piv_ref
+    check_kernels(A, P)
 
 
 def reference_solve_many(A, B, p):
@@ -136,8 +134,27 @@ def reference_nullspace(A, p):
     for j, f in enumerate(free):
         N[f][j] = 1
         for r, c in enumerate(piv):
-            N[c][j] = -R[r][f] % p
+            N[c][j] = -R[r][f] % p if p else -R[r][f]
     return N
+
+
+def check_kernels(A, p, B=None):
+    """rref, rank, nullspace and (given B) solve_many of A against the
+    scalar reference; none of them may modify A."""
+    A0 = A.copy()
+    R, piv = _kernels.rref(A, p)
+    R_ref, piv_ref = reference_rref(A, p)
+    assert R.shape == A.shape
+    assert R.tolist() == R_ref
+    assert piv.tolist() == piv_ref
+    assert _kernels.rank(A, p) == len(piv_ref)
+    assert _kernels.nullspace(A, p).tolist() == reference_nullspace(A, p)
+    if B is not None:
+        ok, X = _kernels.solve_many(A, B, p)
+        ok_ref, X_ref = reference_solve_many(A, B, p)
+        assert ok.tolist() == ok_ref
+        assert X.tolist() == X_ref
+    assert A.dtype == A0.dtype and (A == A0).all()
 
 
 @given(st.data())
@@ -154,32 +171,114 @@ def test_rref_tall_mostly_zero(data):
     A[rows] = random_matrix(data, len(rows), n)
     if len(rows) > 1 and data.draw(st.booleans()):
         A[rows[0]] = A[rows[-1]]
-    R, piv = _kernels.rref(A, P)
-    R_ref, piv_ref = reference_rref(A, P)
-    assert R.tolist() == R_ref
-    assert piv.tolist() == piv_ref
     # consistent columns (images of A) and, where A has zero rows,
     # inconsistent ones
     X0 = random_matrix(data, n, 2)
     B = np.concatenate([(A @ X0) % P, random_matrix(data, m, 2)], axis=1)
-    ok, X = _kernels.solve_many(A, B, P)
-    ok_ref, X_ref = reference_solve_many(A, B, P)
-    assert ok.tolist() == ok_ref
-    assert X.tolist() == X_ref
-    assert _kernels.nullspace(A, P).tolist() == reference_nullspace(A, P)
+    check_kernels(A, P, B)
 
 
 @pytest.mark.parametrize("m,n", [(6, 6), (5, 9), (12, 7)])
 def test_rref_exact_at_largest_prime(m, n):
-    # dense random residues: every product in the elimination is near the
-    # int64-safe bound (p - 1)**2
+    # dense random residues of the largest prime Field admits: every
+    # product in the elimination is near (p - 1)**2
     rng = np.random.default_rng(m * n)
     A = rng.integers(0, MAX_PRIME, (m, n))
     A[-1] = (A[0] + A[1]) % MAX_PRIME  # rank deficient
-    R, piv = _kernels.rref(A, MAX_PRIME)
-    R_ref, piv_ref = reference_rref(A, MAX_PRIME)
-    assert R.tolist() == R_ref
-    assert piv.tolist() == piv_ref
+    check_kernels(A, MAX_PRIME)
+
+
+def residue_matrix(rng, m, n, density, p):
+    """Random entries in [-3p, 3p), some of them nonzero multiples of p,
+    so the kernel must reduce negative entries and entries >= p itself."""
+    A = rng.integers(-3 * p, 3 * p, (m, n)) * (rng.random((m, n)) < density)
+    A[rng.random((m, n)) < 0.05] = p * int(rng.integers(1, 3))
+    return A
+
+
+def image_and_noise(rng, A, p):
+    """Right-hand sides for solve_many: two images of A, a random column and
+    its sum with a third image.  When the random column is inconsistent the
+    sum is too, without being a pivot column of [A | B], so the rows that
+    pivot in A can be nonzero in it and its solution must still be zeroed."""
+    m, n = A.shape
+    X = rng.integers(0, p, (n, 3))
+    noise = rng.integers(0, p, (m, 1))
+    B = np.concatenate([A @ X[:, :2], noise, noise + A @ X[:, 2:]], axis=1)
+    return B % p
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernels_wide(data):
+    # few rows, many columns: most columns are free, and solve_many's
+    # right-hand sides sit far to the right of the pivots
+    p = data.draw(st.sampled_from((2, 3, P, MAX_PRIME)))
+    m = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(9, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = residue_matrix(rng, m, n, data.draw(st.sampled_from((0.1, 0.3, 1.0))), p)
+    if m > 2:
+        A[-1] = A[0] - 2 * A[1]  # rank deficient
+    check_kernels(A, p, image_and_noise(rng, A, p))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernels_fill_heavy(data):
+    # every row is nonzero at one shared leading column and dense after it,
+    # so each reduction fills the whole tail in
+    m = data.draw(st.integers(2, 12))
+    n = data.draw(st.integers(2, 12))
+    lead = data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = np.zeros((m, n), dtype=np.int64)
+    A[:, lead] = rng.integers(1, P, m)
+    A[:, lead + 1:] = rng.integers(0, P, (m, n - lead - 1))
+    if m > 2 and data.draw(st.booleans()):
+        A[-1] = (3 * A[0] + A[1]) % P  # rank deficient
+    check_kernels(A, P, image_and_noise(rng, A, P))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernels_sparsest_row_is_not_the_first_pivot(data):
+    # the reference takes row 0 as its first pivot row (it is the first row
+    # nonzero in column 0); every other row is sparser, so the kernel, which
+    # visits rows sparsest first, pivots on different rows
+    m = data.draw(st.integers(2, 10))
+    n = data.draw(st.integers(3, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = np.zeros((m, n), dtype=np.int64)
+    A[0] = rng.integers(1, P, n)
+    for i in range(1, m):
+        cols = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+        A[i, cols] = rng.integers(1, P, cols.size)
+    nnz = (A != 0).sum(axis=1)
+    assert int(np.argmin(nnz)) != 0 and nnz[0] > nnz[1:].max()
+    check_kernels(A, P, image_and_noise(rng, A, P))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernels_over_q(data):
+    m = data.draw(st.integers(0, 6))
+    n = data.draw(st.integers(0, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = random_fractions(rng, m, n, data.draw(st.sampled_from((0.2, 0.5, 1.0))))
+    if m > 2:
+        A[-1] = A[0] - Fraction(1, 2) * A[1]  # rank deficient
+    X = random_fractions(rng, n, 3, 0.7)
+    noise = random_fractions(rng, m, 1, 0.7)
+    B = np.concatenate([A @ X[:, :2], noise, noise + A @ X[:, 2:]], axis=1)
+    if not n:
+        B[:, [0, 1]] = Fraction(0)
+        B[:, 3] = B[:, 2]
+    check_kernels(A, 0, B)
+    R, _ = _kernels.rref(A, 0)
+    _, X = _kernels.solve_many(A, B, 0)
+    N = _kernels.nullspace(A, 0)
+    assert all(type(x) is Fraction for M in (R, X, N) for x in M.flat)
 
 
 def random_fractions(rng, m, n, density):
@@ -206,7 +305,7 @@ def test_fraction_backend():
     A = np.array(
         [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], dtype=object
     )
-    assert _kernels.rank_frac(A) == 1
-    N = _kernels.nullspace_frac(A)
+    assert _kernels.rank(A, 0) == 1
+    N = _kernels.nullspace(A, 0)
     assert N.shape == (2, 1)
     assert A[0, 0] * N[0, 0] + A[0, 1] * N[1, 0] == 0
