@@ -19,8 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .complexes import Complex, FreeModule, MatrixMap, ShapeError
 from .factorization import HMF, Report, validate_hmf
 from .graded import QuotientPieces
@@ -301,7 +299,7 @@ def multiplication_injective_on_coker(comp, f, D):
             continue
         im_eq, rk_eq = image(e + q)
         M = Q.induced(mult, e + q)
-        img_dim = fld.rank(np.concatenate([M, im_eq], axis=1)) - rk_eq
+        img_dim = fld.rank(M.hstack(im_eq)) - rk_eq
         if img_dim < cdim:
             return False, e
     return True, None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._kernels import SparseMatrix
 from .complexes import FreeModule, MatrixMap, ShapeError, ZERO_MODULE
 from .ring import GradedRing, RingError
 
@@ -451,9 +452,9 @@ def change_of_generators_complex(C, tilde, alpha):
     degs = {ring.fdeg(j) for j in range(1, c + 1)}
     if len(degs) != 1:
         raise RingError("change of generators needs equal degrees")
-    A = fld.matrix([[alpha[i][j] for j in range(c)] for i in range(c)])
-    AT = A.T.copy()
-    eye = fld.matrix([[1 if i == j else 0 for j in range(c)] for i in range(c)])
+    AT = SparseMatrix((c, c), {i: {j: alpha[j][i] for j in range(c)}
+                               for i in range(c)})
+    eye = SparseMatrix((c, c), {i: {i: 1} for i in range(c)})
     ok, nu = fld.solve_many(AT, eye)
     if not all(bool(x) for x in ok):
         raise RingError("alpha is not invertible")
@@ -475,7 +476,7 @@ def change_of_generators_complex(C, tilde, alpha):
         for deg in tilde[1]:
             acc = None
             for j in range(1, c + 1):
-                coef = nu[i - 1, j - 1]
+                coef = nu.rows.get(i - 1, {}).get(j - 1, 0)
                 if fld.canon(coef) == 0:
                     continue
                 term = migrate_map(ring2, tilde[j][deg]).scale(coef)

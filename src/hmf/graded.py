@@ -3,22 +3,23 @@
 A homogeneous element of degree e in a free module with generator degrees
 (twists) t_1..t_r is a vector whose k-th component is homogeneous of degree
 e - t_k.  Fixing monomial bases of those graded pieces turns every
-congruence  sum_i c_i g_i = target (mod ideal)  into one dense linear system
-over the coefficient field.  All solvers here pick the first-pivot solution
+congruence  sum_i c_i g_i = target (mod ideal)  into one sparse linear
+system over the coefficient field, held as the nonzero rows of a
+_kernels.SparseMatrix.  All solvers here pick the first-pivot solution
 with free variables set to zero, so results are reproducible bit for bit.
 
 A degree piece of a free module over a quotient S/I has one representation,
 QuotientPieces (coordinates on standard monomials, via normal forms against
-the RREF of I_d), shared by the verifier, extraction and ideal membership.
+the pivot rows of the RREF of I_d), shared by the verifier, extraction and
+ideal membership.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-import numpy as np
-
 from . import _kernels
+from ._kernels import SparseMatrix, _subtract
 from .ring import Poly, RingError
 
 
@@ -48,7 +49,7 @@ def piece_matrix(ring, entries, src_twists, dst_twists, shift, e):
     """
     src_off, ncols = piece_layout(ring, src_twists, e - shift)
     dst_off, nrows = piece_layout(ring, dst_twists, e)
-    A = ring.field.zeros(nrows, ncols)
+    rows = {}
     for j, tj in enumerate(src_twists):
         mons = ring.monomials(e - shift - tj)
         if not mons:
@@ -70,8 +71,8 @@ def piece_matrix(ring, entries, src_twists, dst_twists, shift, e):
                             f"{shift + tj - dst_twists[i]}"
                         )
                     # each (term, monomial) pair hits its own cell
-                    A[row0 + r, col] = c
-    return A
+                    rows.setdefault(row0 + r, {})[col] = c
+    return SparseMatrix((nrows, ncols), rows)
 
 
 def graded_solve(ring, dst_twists, e, slots, targets, variant=0):
@@ -103,24 +104,29 @@ def graded_solve(ring, dst_twists, e, slots, targets, variant=0):
             col_slot.append(si)
             col_mono.append(m)
     ok, X = fld.solve_many(A, B)
+    # per target, its solution column: {unknown: value}, unknowns ascending
+    sols = [{} for _ in targets]
+    for i, row in X.rows.items():
+        for j, x in row.items():
+            sols[j][i] = x
     if variant and col_slot:
         N = fld.nullspace(A)
-        if N.shape[1]:
-            X = X + N[:, :1]
-            if fld.char:
-                X %= fld.char
-    # visit only the nonzero rows of each solution column; each (slot,
-    # monomial) pair is one row, so every coefficient is one term dict
+        first = {i: row[0] for i, row in N.rows.items() if 0 in row}
+        for j, sol in enumerate(sols):
+            for i, x in first.items():
+                sol[i] = fld.add(sol.get(i, 0), x)
+            sols[j] = {i: sol[i] for i in sorted(sol) if sol[i]}
+    # each (slot, monomial) pair is one unknown, so every coefficient is one
+    # term dict
     z = ring.zero()
     results = []
-    for j in range(len(targets)):
+    for j, sol in enumerate(sols):
         if not ok[j]:
             results.append(None)
             continue
-        nz = np.flatnonzero(X[:, j])
         terms = {}
-        for col, c in zip(nz.tolist(), X[nz, j].tolist()):
-            terms.setdefault(col_slot[col], {})[col_mono[col]] = fld.canon(c)
+        for col, c in sol.items():
+            terms.setdefault(col_slot[col], {})[col_mono[col]] = c
         coeffs = [z] * len(slots)
         for si, t in terms.items():
             coeffs[si] = Poly(ring, t)
@@ -160,70 +166,101 @@ class QuotientPieces:
 
     In degree d the RREF of I_d (rows g_i * m) has pivot monomials; the
     others, the standard monomials, index a basis of (S/I)_d.  The
-    normal-form map N_d : S_d -> (S/I)_d clears the pivot coordinates of a
-    vector with the RREF rows and keeps its standard coordinates, so
-    N_d v = 0 iff v lies in I_d, and N_d is the identity on standard
-    monomials.  Each N_d is built once per instance and applied block by
-    block over the twists of a free module.
+    normal form of a vector clears its pivot coordinates with the RREF rows
+    and keeps its standard coordinates, so it is 0 iff the vector lies in
+    I_d, and it is the identity on standard monomials.  Over a monomial
+    ideal each RREF row is its pivot monomial alone, and the normal form
+    drops the pivot coordinates.  The RREF is taken once per degree, and a
+    free module's piece is laid out from those of its twists.
     """
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(gens)
         self._pieces = {}
+        self._layouts = {}
 
     def _piece(self, d):
-        """(N_d, standard positions); N_d is None when I_d = 0."""
+        """({pivot monomial: rest of its RREF row}, {standard monomial:
+        position}) of I_d, monomials by their index in ring.monomials(d)."""
         if d in self._pieces:
             return self._pieces[d]
-        fld = self.ring.field
         n = len(self.ring.monomials(d))
-        piv = []
+        pivots = {}
         if self.gens and n:
             # rows of A span I_d: the transpose of the row map [g_1 ... g_r]
             A = piece_matrix(self.ring, [self.gens],
                              [g.degree() for g in self.gens], (0,), 0, d).T
-            R, piv = _kernels.rref(A, fld.char)
-        std = np.setdiff1d(np.arange(n), np.asarray(piv, dtype=np.int64))
-        N = None
-        if len(piv):
-            N = fld.zeros(len(std), n)
-            N[np.arange(len(std)), std] = fld.canon(1)
-            neg = -R[: len(piv)][:, std].T
-            N[:, piv] = neg % fld.char if fld.char else neg
-        self._pieces[d] = (N, std)
-        return N, std
+            R, piv = _kernels.rref(A, self.ring.field.char)
+            for i, c in enumerate(piv):
+                pivots[c] = {k: x for k, x in R.rows[i].items() if k != c}
+        std = [k for k in range(n) if k not in pivots]
+        self._pieces[d] = pivots, {k: s for s, k in enumerate(std)}
+        return self._pieces[d]
+
+    def _layout(self, twists, e):
+        """The degree-e piece of the free module with these twists, rows
+        laid out by piece_layout: ({pivot row: {standard index: its RREF
+        coefficient}}, {standard row: standard index})."""
+        key = (tuple(twists), e)
+        if key in self._layouts:
+            return self._layouts[key]
+        piv = {}
+        std = {}
+        off = 0
+        for t in twists:
+            pivots, pos = self._piece(e - t)
+            base = len(std)
+            for c, row in pivots.items():
+                piv[off + c] = {base + pos[k]: x for k, x in row.items()}
+            for k, s in pos.items():
+                std[off + k] = base + s
+            off += len(pivots) + len(pos)
+        self._layouts[key] = piv, std
+        return piv, std
+
+    def _normal_form(self, A, twists, e, cols):
+        """The rows of A, a matrix on the degree-e piece of the free module
+        with these twists, in normal form, keeping the columns in cols (a
+        map to new column indices)."""
+        piv, std = self._layout(twists, e)
+        out = {}
+        rest = []
+        for r, row in A.rows.items():
+            row = {cols[j]: x for j, x in row.items() if j in cols}
+            if row:
+                if r in std:
+                    out[std[r]] = row
+                else:
+                    rest.append((piv[r], row))
+        p = self.ring.field.char
+        for coeffs, row in rest:
+            for s, x in coeffs.items():
+                _subtract(out.setdefault(s, {}), x, row, p)
+        return SparseMatrix((len(std), len(cols)),
+                            {s: row for s, row in out.items() if row})
 
     def dim(self, twists, e):
         """Dimension of the degree-e piece of the free module over S/I."""
-        return sum(len(self._piece(e - t)[1]) for t in twists)
+        return len(self._layout(twists, e)[1])
 
     def induced(self, mm, e):
         """Matrix of the map that the MatrixMap mm induces over S/I, from
         the degree-(e - shift) piece to the degree-e piece, in the bases of
-        standard monomials.  mm sends I * src into I * dst, so N_dst A
-        factors through N_src, and its standard columns are the induced map.
+        standard monomials.  mm sends I * src into I * dst, so the normal
+        form of its piece matrix factors through that of the source, and
+        its standard columns are the induced map.
         """
-        ring = self.ring
-        A = piece_matrix(ring, mm.entries, mm.src.twists, mm.dst.twists,
+        A = piece_matrix(self.ring, mm.entries, mm.src.twists, mm.dst.twists,
                          mm.shift, e)
-        rows = [A[:0]]
-        dst_off, _ = piece_layout(ring, mm.dst.twists, e)
-        for t, part in zip(mm.dst.twists, np.split(A, dst_off[1:])):
-            N = self._piece(e - t)[0]
-            rows.append(part if N is None else ring.field.matmul(N, part))
-        cols = [np.zeros(0, dtype=np.int64)]
-        src_off, _ = piece_layout(ring, mm.src.twists, e - mm.shift)
-        for t, off in zip(mm.src.twists, src_off):
-            cols.append(self._piece(e - mm.shift - t)[1] + off)
-        return np.concatenate(rows)[:, np.concatenate(cols)]
+        cols = self._layout(mm.src.twists, e - mm.shift)[1]
+        return self._normal_form(A, mm.dst.twists, e, cols)
 
     def contains(self, g):
         """Is the nonzero homogeneous polynomial g in I?"""
         e = g.degree()
-        N, std = self._piece(e)
         b = piece_matrix(self.ring, [[g]], (e,), (0,), 0, e)
-        return not (b[std] if N is None else self.ring.field.matmul(N, b)).any()
+        return not self._normal_form(b, (0,), e, {0: 0}).rows
 
 
 def ideal_membership(g, level):

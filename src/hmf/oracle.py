@@ -4,7 +4,9 @@ Homology tables are computed from raw matrices: a degree-e piece of a free
 module over S/(f_1..f_p) is the span of its standard monomials, every
 S-piece is brought to normal form against the RREF of the ideal piece
 (graded.QuotientPieces), and dimensions reduce to ranks of the induced
-scalar matrices.  Nothing here calls the lifting solvers; formula checks
+scalar matrices, sparse rows assembled from the polynomial maps.  A
+composite d_i d_{i+1} is composed as a polynomial map and induced like any
+other, never multiplied out as scalar matrices.  Nothing here calls the lifting solvers; formula checks
 compare closed-form rank data against the built resolutions.
 """
 
@@ -56,29 +58,32 @@ def graded_homology(C, hom_range=None, D=None, extra_gens=()):
     D = default_degree_bound(C) if D is None else D
     lo, hi = (C.lo, C.hi) if hom_range is None else hom_range
     Q = QuotientPieces(ring, ring.regseq[: C.level] + tuple(extra_gens))
-    # dbar_{i+1} of cell (i, e) is dbar_i of cell (i + 1, e): kept until then
+    # rank dbar_{i+1} of cell (i, e) is rank dbar_i of cell (i + 1, e): kept
+    # until then
     pending = {}
+    composites = {}
 
-    def reduced_diff(i, e):
-        M = Q.induced(C.diff(i), e)
-        return M, fld.rank(M)
+    def reduced_rank(i, e):
+        return fld.rank(Q.induced(C.diff(i), e))
 
     def cell(i, e):
         h = Q.dim(C.module(i).twists, e)
         if h == 0:
             return 0
         if i > C.lo:
-            A, rank_A = pending.pop((i, e), None) or reduced_diff(i, e)
-            h -= rank_A
+            rank_A = pending.pop((i, e), None)
+            h -= reduced_rank(i, e) if rank_A is None else rank_A
         if i < C.hi:
-            B, rank_B = pending[(i + 1, e)] = reduced_diff(i + 1, e)
+            rank_B = pending[(i + 1, e)] = reduced_rank(i + 1, e)
             h -= rank_B
         if C.lo < i < C.hi:
             # the image need not lie in the kernel when the input is broken;
             # measure the composite so mutations are detected, not masked.
-            # It has the rank of N_{i-1} A_i B_{i+1}: N_{i-1} A_i = dbar_i N_i
-            # because A_i maps I P_i into I P_{i-1}.
-            h += fld.rank(fld.matmul(A, B))
+            # The map induced by d_i d_{i+1} is dbar_i dbar_{i+1}:
+            # N_{i-1} A_i = dbar_i N_i because A_i maps I P_i into I P_{i-1}.
+            if i not in composites:
+                composites[i] = C.diff(i).compose(C.diff(i + 1))
+            h += fld.rank(Q.induced(composites[i], e))
         return h
 
     return {(i, e): cell(i, e) for i in range(lo, hi + 1) for e in range(0, D + 1)}

@@ -358,16 +358,16 @@ def peel(C, t=None, variant=0):
         except Obstruction as exc:
             raise PeelError(f"no section for the CI operator at degree {i}") from exc
         ncols = N.shape[1]
+        vecs = N.T.rows
         twists = []
         for jcol in range(ncols):
-            support = [r for r in range(C.module(i).rank) if N[r, jcol] != 0]
-            tws = {C.module(i).twists[r] for r in support}
+            tws = {C.module(i).twists[r] for r in vecs[jcol]}
             if len(tws) != 1:
                 raise SolverBug("kernel vector mixes twists")
             twists.append(tws.pop())
         kmod = FreeModule(tuple(twists), tuple(f"k{i}.{j}" for j in range(ncols)))
         rows = [
-            [ring.const(N[r, jcol]) for jcol in range(ncols)]
+            [ring.const(vecs[jcol].get(r, 0)) for jcol in range(ncols)]
             for r in range(C.module(i).rank)
         ]
         u0 = MatrixMap(ring, kmod, C.module(i), rows, p - 1, 0, check=False)

@@ -14,13 +14,11 @@ from fractions import Fraction
 from functools import cmp_to_key
 from operator import add
 
-import numpy as np
-
 from . import _kernels
 
 DEFAULT_PRIME = 32003
-# the largest prime p with (p - 1)**2 + p <= 2**53: the float64 products of
-# _kernels.matmul stay exact up to it (the elimination works on Python ints)
+# the largest prime p with (p - 1)**2 + p <= 2**53, accepted as the input
+# contract; the kernels work on Python ints and need no bound of their own
 MAX_PRIME = 94906249
 
 
@@ -86,79 +84,16 @@ class Field:
             return pow(a, self.char - 2, self.char)
         return Fraction(1) / a
 
-    # dense matrices: int64 ndarrays for p > 0, object ndarrays of Fractions
-    # for characteristic 0
-
-    def zeros(self, m, n):
-        if self.char:
-            return np.zeros((m, n), dtype=np.int64)
-        return _kernels.frac_zeros(m, n)
-
-    def matrix(self, rows, shape=None):
-        if shape is not None and not rows:
-            return self.zeros(*shape)
-        if self.char:
-            return np.array(rows, dtype=np.int64) % self.char
-        A = np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
-        return A
+    # scalar matrices are _kernels.SparseMatrix rows
 
     def rank(self, A):
         return _kernels.rank(A, self.char)
-
-    def matmul(self, A, B):
-        if self.char:
-            return _kernels.matmul(A, B, self.char)
-        return _kernels.matmul_frac(A, B)
 
     def solve_many(self, A, B):
         return _kernels.solve_many(A, B, self.char)
 
     def nullspace(self, A):
         return _kernels.nullspace(A, self.char)
-
-
-class ScalarMatrix:
-    """Exact dense matrix over a Field with deterministic solve/rank/kernel."""
-
-    __slots__ = ("field", "array")
-
-    def __init__(self, field, rows, shape=None):
-        self.field = field
-        if isinstance(rows, np.ndarray):
-            self.array = rows
-        else:
-            self.array = field.matrix(rows, shape=shape)
-
-    @property
-    def rows(self):
-        return self.array.shape[0]
-
-    @property
-    def cols(self):
-        return self.array.shape[1]
-
-    def rank(self):
-        return self.field.rank(self.array)
-
-    def nullspace(self):
-        return ScalarMatrix(self.field, self.field.nullspace(self.array))
-
-    def solve(self, b):
-        """Particular solution of A x = b, or None.  Free variables zero."""
-        B = self.field.matrix([[x] for x in b], shape=(self.rows, 1))
-        ok, X = self.field.solve_many(self.array, B)
-        if not bool(ok[0]):
-            return None
-        return [X[i, 0] for i in range(self.cols)]
-
-    def mul_vec(self, v):
-        out = []
-        for i in range(self.rows):
-            acc = self.field.canon(0)
-            for j in range(self.cols):
-                acc = self.field.add(acc, self.field.mul(self.array[i, j], v[j]))
-            out.append(acc)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 The degree-e piece of a free module P over S/I, I = (gens), is P_e modulo
 the columns g * m * basis.  So the image of a matrix A over the quotient
 has dimension rank [A | F] - rank F, F the ideal columns.  The verifier
-uses normal forms instead; these tests compare it against this formula.
+uses normal forms instead, and composes d_i d_{i+1} as polynomial maps;
+these tests compare it against this formula and a dense product of pieces.
 """
 
-import numpy as np
-
+from dense import dense, sparse
 from hmf.graded import piece_layout, piece_matrix
 
 
@@ -25,7 +25,7 @@ def image_dim(ring, A, twists, gens, e):
     """Dimension of the span of the columns of A in (P / I P)_e."""
     F = ideal_piece(ring, twists, gens, e)
     fld = ring.field
-    return fld.rank(np.concatenate([A, F], axis=1)) - fld.rank(F)
+    return fld.rank(A.hstack(F)) - fld.rank(F)
 
 
 def quotient_dim(ring, twists, gens, e):
@@ -55,7 +55,8 @@ def augmented_homology(C, hom_range, D, extra_gens=()):
                 B = map_piece(C.diff(i + 1), e)
                 h -= image_dim(ring, B, C.module(i).twists, gens, e)
             if C.lo < i < C.hi:
-                AB = (A @ B) % p if p else A @ B
+                AB = dense(A, p) @ dense(B, p)
+                AB = sparse(AB % p if p else AB)
                 h += image_dim(ring, AB, C.module(i - 1).twists, gens, e)
             table[(i, e)] = h
     return table

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -178,16 +179,21 @@ def test_cli_reports_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_entry_point_subprocess():
+def fresh_python(*argv, address_space=None):
+    """A fresh interpreter on the package sources, its address space capped
+    at address_space bytes when given."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     env = dict(os.environ)
-    root = os.path.dirname(corpus_dir())
-    env["PYTHONPATH"] = os.path.join(root, "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "hmf.cli", "validate", golden_path("codim2_xa_yb")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(corpus_dir()), "src")
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env,
+                          preexec_fn=cap if address_space else None)
+
+
+def test_cli_entry_point_subprocess():
+    proc = fresh_python("-m", "hmf.cli", "validate", golden_path("codim2_xa_yb"))
     assert proc.returncode == 0
 
 
@@ -213,6 +219,40 @@ def test_cli_golden_report(tmp_path, name, command):
         argv += ["--degree-bound", "6"]
     assert main(argv) == want["exit"]
     assert hashlib.sha256(report.read_bytes()).hexdigest() == want["sha256"]
+
+
+# the codim3 reports at the default degree bound (9), which the golden
+# table above leaves out
+DEFAULT_BOUND_DIGESTS = {
+    "resolve-s": "3944de9593a32431379981ee2146b5235f73a30e1752ec3e2c65883fd38de36e",
+    "suite": "ab917f8a28b2ec6afeeec51faf666a7d79ee04c99fce7662c4b85845bf052f01",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_BOUND_DIGESTS))
+def test_cli_golden_report_default_bound(tmp_path, command):
+    report = tmp_path / "report.json"
+    assert main([command, golden_path("codim3_shifted"), "-o", str(report)]) == 0
+    assert (hashlib.sha256(report.read_bytes()).hexdigest()
+            == DEFAULT_BOUND_DIGESTS[command])
+
+
+def test_cli_resolve_r_deep_in_bounded_memory(tmp_path):
+    # nine steps over the 6-variable ring fit in 1 GiB only while no degree
+    # piece is held densely; a MemoryError under the cap exits nonzero
+    proc = fresh_python("-m", "hmf.cli", "resolve-r", golden_path("codim3_shifted"),
+                        "--steps", "9", "-o", str(tmp_path / "report.json"),
+                        address_space=1 << 30)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_imports_without_numpy():
+    proc = fresh_python("-c", "import importlib, pkgutil, sys, hmf\n"
+                              "for m in pkgutil.iter_modules(hmf.__path__):\n"
+                              "    importlib.import_module('hmf.' + m.name)\n"
+                              "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 MALFORMED = [

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmf.ring import Field, GradedRing, Poly, RingError, ScalarMatrix
+from hmf.ring import Field, GradedRing, Poly, RingError
 
 
 @pytest.fixture
@@ -94,17 +94,6 @@ def test_ring_axioms(s1, s2, s3):
     for part in p.homogeneous_parts().values():
         total = total + part
     assert total == p
-
-
-def test_scalar_matrix_rank_nullity_and_solve():
-    fld = Field()
-    M = ScalarMatrix(fld, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert M.rank() + M.nullspace().cols == M.cols
-    b = [fld.canon(4), fld.canon(8), fld.canon(1)]
-    x = M.solve(b)
-    assert x is not None
-    assert M.mul_vec(x) == b
-    assert M.solve([fld.canon(1), fld.canon(0), fld.canon(0)]) is None
 
 
 def test_field_validation():
