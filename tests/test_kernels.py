@@ -54,6 +54,30 @@ def test_inconsistent_column_flagged():
     assert (dense(X, P)[:, 0] == 0).all()
 
 
+def exact_product(A, B, p):
+    """A B mod p in Python ints, with no overflow at any prime."""
+    m, n = A.shape[0], B.shape[1]
+    if not A.shape[1]:
+        return np.zeros((m, n), dtype=object)
+    return (A.astype(object) @ B.astype(object)) % p
+
+
+@pytest.mark.parametrize("p", [2, P, 2**26 - 5, MAX_PRIME])
+@pytest.mark.parametrize("m,k,n", [(3, 0, 4), (1, 1, 1), (5, 7, 3), (9, 300, 6)])
+def test_matmul_exact(p, m, k, n):
+    # the elimination multiplies residues in Python ints: solve_many must
+    # recover the exact product A B mod p as a consistent right-hand side,
+    # up to the largest prime Field admits, and the all-(p - 1) inputs give
+    # the largest products
+    rng = np.random.default_rng(m * k + n)
+    for A, B in [(rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n))),
+                 (np.full((m, k), p - 1), np.full((k, n), p - 1))]:
+        AB = exact_product(A, B, p)
+        ok, X = _kernels.solve_many(sparse(A), sparse(AB), p)
+        assert all(ok) and X.shape == (k, n)
+        assert (exact_product(A, dense(X, p), p) == AB).all()
+
+
 def reference_rref(A, p):
     """Scalar Gauss-Jordan elimination mod p, or over Q with Fractions when
     p is 0, one entry at a time: the reference the kernel is compared
