@@ -81,11 +81,12 @@ class MatrixMap:
         self.ring = ring
         self.src = src
         self.dst = dst
-        self.entries = tuple(tuple(row) for row in entries)
+        self.entries = tuple(map(tuple, entries))
         self.level = level
         self.shift = shift
+        ncols = src.rank
         if len(self.entries) != dst.rank or any(
-            len(row) != src.rank for row in self.entries
+            len(row) != ncols for row in self.entries
         ):
             raise ShapeError(
                 f"entries shape {len(self.entries)}x"
@@ -171,6 +172,7 @@ class MatrixMap:
         other_rows = [[(j, b.terms) for j, b in enumerate(row) if b.terms]
                       for row in other.entries]
         z = ring.zero()
+        ncols = other.src.rank
         rows = []
         for row in self.entries:
             acc = {}
@@ -178,7 +180,7 @@ class MatrixMap:
                 if a.terms:
                     for j, bt in other_rows[k]:
                         Poly.add_products(acc.setdefault(j, {}), a.terms, bt)
-            out = [z] * other.src.rank
+            out = [z] * ncols
             for j, t in acc.items():
                 out[j] = Poly.reduced(ring, t)
             rows.append(out)

@@ -5,8 +5,11 @@ A homogeneous element of degree e in a free module with generator degrees
 e - t_k.  Fixing monomial bases of those graded pieces turns every
 congruence  sum_i c_i g_i = target (mod ideal)  into one sparse linear
 system over the coefficient field, held as the nonzero rows of a
-_kernels.SparseMatrix.  All solvers here pick the first-pivot solution
-with free variables set to zero, so results are reproducible bit for bit.
+_kernels.SparseMatrix.  The bases are the ring's packed monomial bases
+(GradedRing.monomial_basis), so the cell of a term and a basis monomial is
+found by adding their keys and looking the sum up.  All solvers here pick
+the first-pivot solution with free variables set to zero, so results are
+reproducible bit for bit.
 
 A degree piece of a free module over a quotient S/I has one representation,
 QuotientPieces (coordinates on standard monomials, via normal forms against
@@ -15,8 +18,6 @@ ideal membership.
 """
 
 from __future__ import annotations
-
-from operator import add
 
 from . import _kernels
 from ._kernels import SparseMatrix, _subtract
@@ -33,7 +34,7 @@ def piece_layout(ring, twists, e):
     total = 0
     for tw in twists:
         offsets.append(total)
-        total += len(ring.monomials(e - tw))
+        total += len(ring.monomial_basis(e - tw)[0])
     return offsets, total
 
 
@@ -51,7 +52,7 @@ def piece_matrix(ring, entries, src_twists, dst_twists, shift, e):
     dst_off, nrows = piece_layout(ring, dst_twists, e)
     rows = {}
     for j, tj in enumerate(src_twists):
-        mons = ring.monomials(e - shift - tj)
+        mons = ring.monomial_basis(e - shift - tj)[0]
         if not mons:
             continue
         col0 = src_off[j]
@@ -59,15 +60,17 @@ def piece_matrix(ring, entries, src_twists, dst_twists, shift, e):
             q = row[j]
             if q is None or not q.terms:
                 continue
-            idx = ring.monomial_index(e - dst_twists[i])
+            idx = ring.monomial_basis(e - dst_twists[i])[1]
             row0 = dst_off[i]
             for expo, c in q.terms.items():
                 for col, mon in enumerate(mons, col0):
-                    r = idx.get(tuple(map(add, expo, mon)))
+                    # packed keys: the product monomial is the sum, and a
+                    # key of the wrong degree is in no basis of degree e
+                    r = idx.get(expo + mon)
                     if r is None:
                         raise SolveError(
                             f"entry ({i}, {j}) has a term of degree "
-                            f"{ring.mono_degree(expo)}, expected "
+                            f"{expo >> ring.deg_shift}, expected "
                             f"{shift + tj - dst_twists[i]}"
                         )
                     # each (term, monomial) pair hits its own cell
@@ -100,7 +103,7 @@ def graded_solve(ring, dst_twists, e, slots, targets, variant=0):
     col_slot = []
     col_mono = []
     for si, (_, sdeg) in enumerate(slots):
-        for m in ring.monomials(e - sdeg):
+        for m in ring.monomial_basis(e - sdeg)[0]:
             col_slot.append(si)
             col_mono.append(m)
     ok, X = fld.solve_many(A, B)
@@ -182,10 +185,10 @@ class QuotientPieces:
 
     def _piece(self, d):
         """({pivot monomial: rest of its RREF row}, {standard monomial:
-        position}) of I_d, monomials by their index in ring.monomials(d)."""
+        position}) of I_d, monomials by their index in ring.monomial_basis(d)."""
         if d in self._pieces:
             return self._pieces[d]
-        n = len(self.ring.monomials(d))
+        n = len(self.ring.monomial_basis(d)[0])
         pivots = {}
         if self.gens and n:
             # rows of A span I_d: the transpose of the row map [g_1 ... g_r]

@@ -490,7 +490,7 @@ def formula_suite(F, finite=None, tower=None, steps=None, D=None):
             for t in L.module(i).twists:
                 kpoly[t] = kpoly.get(t, 0) + sign
             sign = -sign
-        ring_hf = [len(ring.monomials(e)) for e in range(0, DL + 1)]
+        ring_hf = [len(ring.monomial_basis(e)[0]) for e in range(0, DL + 1)]
         predicted = []
         for e in range(0, DL + 1):
             acc = 0

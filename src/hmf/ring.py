@@ -3,16 +3,24 @@
 The default field is F_32003 (a large prime standing in for an infinite
 residue field); any prime up to MAX_PRIME, or characteristic zero over
 Fractions (slower), may be chosen.  Polynomials are sparse maps from
-exponent vectors to nonzero field scalars, kept in canonical form, with a
+packed monomial keys to nonzero field scalars, kept in canonical form, with a
 fixed graded-reverse-lexicographic term order for printing and serialization.
+
+A monomial x^e of a ring with n variables is keyed by one int,
+deg << (16*n) | sum_i e_i << (16*(n-1-i)), with its weighted degree in the
+top field and a 16-bit field per exponent.  The key of a product is the sum
+of the keys, and the degree of a monomial is one shift.  Degrees (and so
+exponents) stay below 2**16: packing a larger monomial, the monomial basis
+of a larger degree, or a product whose degree reaches 2**16 raises RingError,
+so a field never carries into its neighbour.  Exponent tuples appear only at
+the API boundary: GradedRing.monomial, GradedRing.monomials, parsing and
+printing.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cmp_to_key
-from operator import add
 
 from . import _kernels
 
@@ -20,6 +28,10 @@ DEFAULT_PRIME = 32003
 # the largest prime p with (p - 1)**2 + p <= 2**53, accepted as the input
 # contract; the kernels work on Python ints and need no bound of their own
 MAX_PRIME = 94906249
+# bits per exponent field of a packed monomial key; every monomial degree
+# stays below 2**EXP_BITS
+EXP_BITS = 16
+EXP_LIMIT = 1 << EXP_BITS
 
 
 class RingError(ValueError):
@@ -61,9 +73,16 @@ class Field:
         return f"Field({self.char})"
 
     def canon(self, x):
-        if self.char:
-            return int(x) % self.char
-        return Fraction(x)
+        """The field element of an int or a Fraction; n/d is n * d^-1 mod p."""
+        p = self.char
+        if not p:
+            return Fraction(x)
+        if isinstance(x, Fraction):
+            if x.denominator % p == 0:
+                raise RingError(f"{x} has a denominator divisible by the "
+                                f"characteristic {p}")
+            return x.numerator * pow(x.denominator, -1, p) % p
+        return int(x) % p
 
     def add(self, a, b):
         return (a + b) % self.char if self.char else a + b
@@ -97,20 +116,9 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# Monomial order: graded reverse lexicographic on weighted exponent vectors.
-
-
-def _grevlex_cmp(pair_a, pair_b):
-    (da, ea), (db, eb) = pair_a, pair_b
-    if da != db:
-        return -1 if da > db else 1
-    if ea == eb:
-        return 0
-    for x, y in zip(reversed(ea), reversed(eb)):
-        if x != y:
-            # last differing exponent smaller  ->  earlier (bigger in grevlex)
-            return -1 if x < y else 1
-    return 0
+# Monomial order: graded reverse lexicographic on weighted exponent vectors,
+# higher degree first.  Within one degree, e comes first when its last
+# differing exponent is smaller: ascending order of the reversed tuples.
 
 
 class GradedRing:
@@ -136,7 +144,13 @@ class GradedRing:
         self.var_degs = degs
         self.nvars = len(names)
         self._var_index = {n: i for i, n in enumerate(names)}
+        # the degree field of a packed key starts at bit deg_shift, and a key
+        # of degree >= EXP_LIMIT is >= _key_limit
+        self.deg_shift = EXP_BITS * len(names)
+        self._key_limit = EXP_LIMIT << self.deg_shift
+        self._shifts = tuple(range(self.deg_shift - EXP_BITS, -1, -EXP_BITS))
         self.regseq = ()
+        # degree -> (packed monomial keys, grevlex-descending, {key: position})
         self._mon_cache = {}
         self._membership_pieces = {}
 
@@ -187,57 +201,71 @@ class GradedRing:
         c = self.field.canon(c)
         if c == 0:
             return Poly(self, {})
-        return Poly(self, {(0,) * self.nvars: c})
+        # the constant monomial packs to 0
+        return Poly(self, {0: c})
 
     def var(self, name):
-        i = self._var_index[name]
         e = [0] * self.nvars
-        e[i] = 1
-        return Poly(self, {tuple(e): self.field.canon(1)})
+        e[self._var_index[name]] = 1
+        return self.monomial(e)
 
     def monomial(self, expo, coeff=1):
         c = self.field.canon(coeff)
         if c == 0:
             return self.zero()
-        return Poly(self, {tuple(expo): c})
+        return Poly(self, {self.pack(expo): c})
 
-    def mono_degree(self, expo):
-        return sum(e * d for e, d in zip(expo, self.var_degs))
+    # -- packed monomial keys
+
+    def pack(self, expo):
+        """The packed key of an exponent vector (see the module docstring)."""
+        expo = tuple(expo)
+        if len(expo) != self.nvars or any(e < 0 for e in expo):
+            raise RingError(f"bad exponent vector {expo} for {self.nvars} variables")
+        key = sum(e * w for e, w in zip(expo, self.var_degs))
+        if key >= EXP_LIMIT:
+            raise RingError(f"monomial {expo} has degree {key}, the packed "
+                            f"bound is {EXP_LIMIT - 1}")
+        for e in expo:
+            key = key << EXP_BITS | e
+        return key
+
+    def unpack(self, key):
+        """The exponent tuple of a packed key."""
+        return tuple(key >> s & (EXP_LIMIT - 1) for s in self._shifts)
 
     def monomials(self, d):
         """All exponent tuples of weighted degree d, grevlex-descending."""
-        return self._monomial_basis(d)[0]
+        return tuple(map(self.unpack, self.monomial_basis(d)[0]))
 
-    def monomial_index(self, d):
-        """Position of each degree-d exponent tuple in monomials(d)."""
-        return self._monomial_basis(d)[1]
-
-    def _monomial_basis(self, d):
-        if d < 0:
-            return (), {}
+    def monomial_basis(self, d):
+        """(keys, {key: position}): the packed keys of the degree-d
+        monomials, grevlex-descending, and the position of each."""
         got = self._mon_cache.get(d)
         if got is not None:
             return got
+        if d >= EXP_LIMIT:
+            raise RingError(f"degree {d} exceeds the packed bound {EXP_LIMIT - 1}")
         out = []
 
         def rec(i, rem, cur):
+            w = self.var_degs[i]
             if i == self.nvars - 1:
-                w = self.var_degs[i]
                 if rem % w == 0:
                     out.append(tuple(cur + [rem // w]))
                 return
-            w = self.var_degs[i]
             for e in range(rem // w, -1, -1):
                 rec(i + 1, rem - e * w, cur + [e])
 
-        if self.nvars == 0:
-            if d == 0:
-                out.append(())
-        else:
-            rec(0, d, [])
-        out.sort(key=cmp_to_key(lambda a, b: _grevlex_cmp((d, a), (d, b))))
-        res = tuple(out)
-        got = (res, {m: i for i, m in enumerate(res)})
+        if d >= 0:
+            if self.nvars == 0:
+                if d == 0:
+                    out.append(())
+            else:
+                rec(0, d, [])
+        out.sort(key=lambda e: e[::-1])
+        keys = tuple(map(self.pack, out))
+        got = (keys, {k: i for i, k in enumerate(keys)})
         self._mon_cache[d] = got
         return got
 
@@ -248,14 +276,14 @@ class GradedRing:
 
 
 class Poly:
-    """Sparse polynomial in canonical form (no zero coefficients)."""
+    """Sparse polynomial in canonical form (no zero coefficients): terms maps
+    packed monomial keys to coefficients."""
 
-    __slots__ = ("ring", "terms", "_deg")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._deg = None
 
     @staticmethod
     def add_products(t, terms1, terms2):
@@ -263,13 +291,17 @@ class Poly:
         the coefficients unreduced; Poly.reduced makes the sum canonical."""
         for e1, c1 in terms1.items():
             for e2, c2 in terms2.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 t[e] = t.get(e, 0) + c1 * c2
 
     @staticmethod
     def reduced(ring, t):
         """The Poly of a term dict with unreduced coefficients: reduced mod
-        p once, zero coefficients dropped."""
+        p once, zero coefficients dropped.  Every product passes here, so
+        this is where a degree reaching EXP_LIMIT is caught."""
+        if t and max(t) >= ring._key_limit:
+            raise RingError(f"product of degree {max(t) >> ring.deg_shift} "
+                            f"exceeds the packed bound {EXP_LIMIT - 1}")
         p = ring.field.char
         if p:
             return Poly(ring, {e: r for e, c in t.items() if (r := c % p)})
@@ -281,24 +313,25 @@ class Poly:
         return not self.terms
 
     def is_homogeneous(self):
-        degs = {self.ring.mono_degree(e) for e in self.terms}
-        return len(degs) <= 1
+        # the degree is the top field, so the keys of least and greatest
+        # degree are the least and the greatest key
+        t = self.terms
+        s = self.ring.deg_shift
+        return not t or min(t) >> s == max(t) >> s
 
     def degree(self):
         """Degree of a homogeneous polynomial; None for 0; error if mixed."""
         if not self.terms:
             return None
-        if self._deg is None:
-            degs = {self.ring.mono_degree(e) for e in self.terms}
-            if len(degs) != 1:
-                raise RingError(f"inhomogeneous polynomial {self}")
-            self._deg = degs.pop()
-        return self._deg
+        if not self.is_homogeneous():
+            raise RingError(f"inhomogeneous polynomial {self}")
+        return next(iter(self.terms)) >> self.ring.deg_shift
 
     def homogeneous_parts(self):
+        s = self.ring.deg_shift
         parts = {}
         for e, c in self.terms.items():
-            parts.setdefault(self.ring.mono_degree(e), {})[e] = c
+            parts.setdefault(e >> s, {})[e] = c
         return {d: Poly(self.ring, t) for d, t in sorted(parts.items())}
 
     # -- arithmetic
@@ -354,10 +387,12 @@ class Poly:
     # -- printing (grevlex-descending, deterministic)
 
     def sorted_terms(self):
+        """(exponent tuple, coefficient) pairs, grevlex-descending."""
         ring = self.ring
-        items = [((ring.mono_degree(e), e), e, c) for e, c in self.terms.items()]
-        items.sort(key=cmp_to_key(lambda a, b: _grevlex_cmp(a[0], b[0])))
-        return [(e, c) for _, e, c in items]
+        s = ring.deg_shift
+        items = [(ring.unpack(k), k >> s, c) for k, c in self.terms.items()]
+        items.sort(key=lambda it: (-it[1], it[0][::-1]))
+        return [(e, c) for e, _, c in items]
 
     def __str__(self):
         if not self.terms:
@@ -445,8 +480,10 @@ def parse_poly(ring, s):
             i += 1
             continue
         if re.fullmatch(r"\d+(/\d+)?", t):
-            val = Fraction(t) if "/" in t else int(t)
-            c = ring.field.canon(val)
+            num, _, den = t.partition("/")
+            if den and int(den) == 0:
+                raise RingError(f"zero denominator in {s!r}")
+            c = ring.field.canon(Fraction(int(num), int(den)) if den else int(num))
             cur_coeff = c if cur_coeff is None else ring.field.mul(cur_coeff, c)
         else:
             if t not in ring._var_index:

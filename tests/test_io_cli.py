@@ -308,3 +308,39 @@ def test_malformed_keys_exit_2(tmp_path, capsys, kind, path, value):
         io_json.load(str(bad))
     assert main(["extract" if kind == "complex" else "validate", str(bad)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def _corpus_copy(tmp_path, name, edit):
+    """A copy of a corpus file with edit applied to its JSON object."""
+    with open(golden_path(name)) as fh:
+        obj = json.load(fh)
+    edit(obj)
+    path = tmp_path / f"{name}.json"
+    path.write_text(io_json.dumps(obj))
+    return str(path)
+
+
+def test_cli_rational_coefficients_over_fp(tmp_path):
+    # 1/2*a + 1/2*a is a over F_32003, so the report is the original's
+    def halves(obj):
+        obj["d_blocks"]["1->1"][0][0] = "1/2*a + 1/2*a"
+        obj["ring"]["regseq"][0] = "3/2*a*x - 1/2*a*x"
+
+    same = _corpus_copy(tmp_path, "codim2_xa_yb", halves)
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    assert main(["validate", golden_path("codim2_xa_yb"), "-o", str(want)]) == 0
+    assert main(["validate", same, "-o", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("entry,reason", [("1/32003*a", "divisible"),
+                                          ("x^70000", "packed bound"),
+                                          ("1/0*a", "zero denominator")])
+def test_cli_unrepresentable_polynomial_exits_2(tmp_path, capsys, entry, reason):
+    def put(obj):
+        obj["d_blocks"]["1->1"][0][0] = entry
+
+    bad = _corpus_copy(tmp_path, "codim2_xa_yb", put)
+    assert main(["validate", bad]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and reason in err
