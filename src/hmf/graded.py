@@ -273,8 +273,8 @@ def ideal_membership(g, level):
     ring = g.ring
     if level < 0 or level > ring.codim:
         raise RingError(f"ideal level {level} out of range 0..{ring.codim}")
-    if g.is_zero() or level == 0:
-        return g.is_zero()
+    if not g.terms or level == 0:
+        return not g.terms
     Q = ring._membership_pieces.get(level)
     if Q is None:
         Q = QuotientPieces(ring, ring.regseq[:level])

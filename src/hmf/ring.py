@@ -365,6 +365,11 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
+        # most products in the builders have a zero factor
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         t = {}
         Poly.add_products(t, self.terms, other.terms)
         return Poly.reduced(self.ring, t)
@@ -374,6 +379,8 @@ class Poly:
     def scale(self, c):
         fld = self.ring.field
         c = fld.canon(c)
+        if not self.terms:
+            return self
         if c == 0:
             return self.ring.zero()
         return Poly(self.ring, {e: fld.mul(cc, c) for e, cc in self.terms.items()})
