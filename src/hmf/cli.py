@@ -37,6 +37,14 @@ def _load_hmf(path):
     return obj
 
 
+def _check_valid(F, path):
+    """F, which the builders may only take once it validates."""
+    rep = validate_hmf(F)
+    if not rep.ok:
+        raise SchemaError(f"{path}: invalid factorization: {rep.failures[:1]}")
+    return F
+
+
 def _emit(args, payload):
     text = io_json.dumps(payload)
     if getattr(args, "output", None):
@@ -77,10 +85,7 @@ def cmd_validate(args):
 def cmd_resolve_s(args):
     from .resolutions import build_finite
 
-    F = _load_hmf(args.file)
-    rep = validate_hmf(F)
-    if not rep.ok:
-        raise SchemaError(f"{args.file}: invalid factorization: {rep.failures[:1]}")
+    F = _check_valid(_load_hmf(args.file), args.file)
     bundle = build_finite(F)
     L = bundle.complex
     cert = exactness_certificate(L, (1, L.hi), args.degree_bound)
@@ -95,10 +100,7 @@ def cmd_resolve_s(args):
 def cmd_resolve_r(args):
     from .resolutions import build_infinite
 
-    F = _load_hmf(args.file)
-    rep = validate_hmf(F)
-    if not rep.ok:
-        raise SchemaError(f"{args.file}: invalid factorization: {rep.failures[:1]}")
+    F = _check_valid(_load_hmf(args.file), args.file)
     bundle = build_infinite(F, args.steps)
     T = bundle.complex
     cert = exactness_certificate(T, (1, T.hi - 1), args.degree_bound)
@@ -187,6 +189,7 @@ def cmd_extract(args):
     from .factorization import HMF
 
     if isinstance(obj, HMF):
+        _check_valid(obj, args.file)
         steps = args.steps or (2 * obj.c + 4)
         tower = build_infinite(obj, steps)
         vw = cosyz_tower(obj, steps, tower=tower)

@@ -5,6 +5,13 @@ polynomial ring S together with the level p; every zero/equality test reads
 entries modulo the prefix ideal via degreewise linear algebra.  Sign
 conventions (tensor differential, shifts, cones) are fixed once and written
 up in SIGN.md; `Complex.validate` enforces d^2 = 0 at the complex's level.
+
+A polynomial matrix is a MatrixMap whose rows hold its nonzero entries only,
+as {row: {column: Poly}}, the layout of the scalar _kernels.SparseMatrix.
+Rows are never changed once a map is built, so a change of level, shift or
+twists shares them.  MatrixMap.from_strings is the one constructor from a
+dense grid and MatrixMap.entries the one dense view; parsing, the writers
+and HMF's constructor use them, and the algebra never does.
 """
 
 from __future__ import annotations
@@ -69,30 +76,28 @@ ZERO_MODULE = FreeModule(())
 class MatrixMap:
     """Homogeneous matrix between graded free modules, read at some level.
 
-    entries[i][j] maps generator j of src into row i of dst and is zero or
-    homogeneous of degree src.twists[j] + shift - dst.twists[i].  shift is
-    the internal degree the map adds (0 for differentials, deg f for a
-    homotopy of f, -deg f for a CI operator).
+    rows[i][j] is the entry that maps generator j of src into row i of dst,
+    homogeneous of degree src.twists[j] + shift - dst.twists[i].  rows holds
+    the nonzero entries only, as {row: {column: Poly}} with no empty row
+    (the layout of _kernels.SparseMatrix.rows).  shift is the internal
+    degree the map adds (0 for differentials, deg f for a homotopy of f,
+    -deg f for a CI operator).
+
+    A map never changes its rows once built, so maps that differ only in
+    level, shift or twists share them.  from_strings builds a map from a
+    dense grid and entries is the dense view; both are for the boundary
+    (parsing, the writers and tests).
     """
 
-    __slots__ = ("ring", "src", "dst", "entries", "level", "shift")
+    __slots__ = ("ring", "src", "dst", "rows", "level", "shift")
 
-    def __init__(self, ring, src, dst, entries, level=0, shift=0, check=True):
+    def __init__(self, ring, src, dst, rows, level=0, shift=0, check=True):
         self.ring = ring
         self.src = src
         self.dst = dst
-        self.entries = tuple(map(tuple, entries))
+        self.rows = rows
         self.level = level
         self.shift = shift
-        ncols = src.rank
-        if len(self.entries) != dst.rank or any(
-            len(row) != ncols for row in self.entries
-        ):
-            raise ShapeError(
-                f"entries shape {len(self.entries)}x"
-                f"{len(self.entries[0]) if self.entries else 0}"
-                f" does not match {dst.rank}x{src.rank}"
-            )
         if check:
             self.check_homogeneous()
 
@@ -100,38 +105,52 @@ class MatrixMap:
 
     @classmethod
     def zero(cls, ring, src, dst, level=0, shift=0):
-        z = ring.zero()
-        return cls(
-            ring,
-            src,
-            dst,
-            [[z] * src.rank for _ in range(dst.rank)],
-            level,
-            shift,
-            check=False,
-        )
+        return cls(ring, src, dst, {}, level, shift, check=False)
 
     @classmethod
     def identity(cls, ring, module, level=0):
-        rows = []
-        one = ring.one()
-        z = ring.zero()
-        for i in range(module.rank):
-            rows.append([one if i == j else z for j in range(module.rank)])
-        return cls(ring, module, module, rows, level, 0, check=False)
+        return cls.poly_times_identity(ring, ring.one(), module, level)
 
     @classmethod
     def poly_times_identity(cls, ring, g, module, level=0):
-        rows = []
-        z = ring.zero()
-        for i in range(module.rank):
-            rows.append([g if i == j else z for j in range(module.rank)])
+        rows = {i: {i: g} for i in range(module.rank)} if g.terms else {}
         return cls(ring, module, module, rows, level, g.degree() or 0, check=False)
 
     @classmethod
-    def from_strings(cls, ring, src, dst, rows, level=0, shift=0):
-        ent = [[ring.poly(s) if isinstance(s, str) else s for s in row] for row in rows]
-        return cls(ring, src, dst, ent, level, shift)
+    def from_strings(cls, ring, src, dst, grid, level=0, shift=0, check=True):
+        """The map of a dense grid: a list of rows of Polys or polynomial
+        strings, zeros included."""
+        if len(grid) != dst.rank or any(len(r) != src.rank for r in grid):
+            raise ShapeError(
+                f"entries shape {len(grid)}x{len(grid[0]) if grid else 0}"
+                f" does not match {dst.rank}x{src.rank}"
+            )
+        rows = {}
+        for i, r in enumerate(grid):
+            row = {}
+            for j, s in enumerate(r):
+                q = ring.poly(s) if isinstance(s, str) else s
+                if q.terms:
+                    row[j] = q
+            if row:
+                rows[i] = row
+        return cls(ring, src, dst, rows, level, shift, check)
+
+    @property
+    def entries(self):
+        """Dense view: a tuple of rows of Polys, zeros filled in."""
+        z = self.ring.zero()
+        cols = range(self.src.rank)
+        empty = {}
+        return tuple(tuple(self.rows.get(i, empty).get(j, z) for j in cols)
+                     for i in range(self.dst.rank))
+
+    def _sorted(self):
+        """(i, j, entry) over the nonzero entries in row-major order."""
+        for i in sorted(self.rows):
+            row = self.rows[i]
+            for j in sorted(row):
+                yield i, j, row[j]
 
     # -- degree bookkeeping
 
@@ -139,16 +158,16 @@ class MatrixMap:
         return self.src.twists[j] + self.shift - self.dst.twists[i]
 
     def check_homogeneous(self):
-        for i in range(self.dst.rank):
-            for j in range(self.src.rank):
-                q = self.entries[i][j]
-                if q.is_zero():
-                    continue
-                if not q.is_homogeneous() or q.degree() != self.required_degree(i, j):
-                    raise ContractViolation(
-                        f"entry ({i},{j}) = {q} has degree {q.degree()}, "
-                        f"required {self.required_degree(i, j)}"
-                    )
+        for i, j, q in self._sorted():
+            if not (0 <= i < self.dst.rank and 0 <= j < self.src.rank):
+                raise ShapeError(
+                    f"entry ({i},{j}) outside {self.dst.rank}x{self.src.rank}"
+                )
+            if not q.is_homogeneous() or q.degree() != self.required_degree(i, j):
+                raise ContractViolation(
+                    f"entry ({i},{j}) = {q} has degree {q.degree()}, "
+                    f"required {self.required_degree(i, j)}"
+                )
 
     # -- algebra
 
@@ -158,44 +177,44 @@ class MatrixMap:
         if self.level != other.level:
             raise ShapeError(f"level mismatch {self.level} != {other.level}")
 
+    def _like(self, rows, shift=None):
+        """A map with self's modules and level and the given rows."""
+        return MatrixMap(self.ring, self.src, self.dst, rows, self.level,
+                         self.shift if shift is None else shift, check=False)
+
     def compose(self, other):
         """self o other (other applied first).
 
-        Each output cell sums the products over the nonzero entries of a row
-        of self and the nonzero entries of the matching rows of other, in
-        one term dict reduced once.
+        Each output cell sums the products over a row of self and the
+        matching rows of other, in one term dict reduced once.
         """
         self._compat(other)
         if other.dst.twists != self.src.twists:
             raise ShapeError("composition twist mismatch")
         ring = self.ring
-        other_rows = [[(j, b.terms) for j, b in enumerate(row) if b.terms]
-                      for row in other.entries]
-        z = ring.zero()
-        ncols = other.src.rank
-        rows = []
-        for row in self.entries:
+        orows = other.rows
+        rows = {}
+        for i, row in self.rows.items():
             acc = {}
-            for k, a in enumerate(row):
-                if a.terms:
-                    for j, bt in other_rows[k]:
-                        Poly.add_products(acc.setdefault(j, {}), a.terms, bt)
-            out = [z] * ncols
+            for k, a in row.items():
+                brow = orows.get(k)
+                if brow:
+                    at = a.terms
+                    for j, b in brow.items():
+                        Poly.add_products(acc.setdefault(j, {}), at, b.terms)
+            out = {}
             for j, t in acc.items():
-                out[j] = Poly.reduced(ring, t)
-            rows.append(out)
-        return MatrixMap(
-            ring,
-            other.src,
-            self.dst,
-            rows,
-            self.level,
-            self.shift + other.shift,
-            check=False,
-        )
+                q = Poly.reduced(ring, t)
+                if q.terms:
+                    out[j] = q
+            if out:
+                rows[i] = out
+        return MatrixMap(ring, other.src, self.dst, rows, self.level,
+                         self.shift + other.shift, check=False)
 
-    def _entrywise(self, other, op):
-        """op(a, b) on each pair of entries; a is kept where b is zero."""
+    def _plus(self, other, negate):
+        """self + other, or self - other when negate; the rows that other
+        leaves alone are shared."""
         self._compat(other)
         if (
             other.src.twists != self.src.twists
@@ -203,43 +222,48 @@ class MatrixMap:
             or other.shift != self.shift
         ):
             raise ShapeError("sum shape mismatch")
-        rows = [
-            [op(a, b) if b.terms else a for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ]
-        return MatrixMap(
-            self.ring, self.src, self.dst, rows, self.level, self.shift, check=False
-        )
+        rows = dict(self.rows)
+        for i, brow in other.rows.items():
+            out = dict(rows.get(i, ()))
+            for j, b in brow.items():
+                a = out.get(j)
+                if a is None:
+                    out[j] = -b if negate else b
+                else:
+                    q = a - b if negate else a + b
+                    if q.terms:
+                        out[j] = q
+                    else:
+                        del out[j]
+            if out:
+                rows[i] = out
+            else:
+                del rows[i]
+        return self._like(rows)
 
     def __add__(self, other):
-        return self._entrywise(other, lambda a, b: a + b if a.terms else b)
+        return self._plus(other, False)
 
     def __sub__(self, other):
-        return self._entrywise(other, lambda a, b: a - b if a.terms else -b)
+        return self._plus(other, True)
 
     def __neg__(self):
-        rows = [[-a for a in row] for row in self.entries]
-        return MatrixMap(
-            self.ring, self.src, self.dst, rows, self.level, self.shift, check=False
-        )
+        return self._like({i: {j: -a for j, a in row.items()}
+                           for i, row in self.rows.items()})
 
     def scale(self, c):
-        rows = [[a.scale(c) for a in row] for row in self.entries]
-        return MatrixMap(
-            self.ring, self.src, self.dst, rows, self.level, self.shift, check=False
-        )
+        c = self.ring.field.canon(c)
+        return self._like({i: {j: a.scale(c) for j, a in row.items()}
+                           for i, row in self.rows.items()} if c else {})
 
     def scale_poly(self, g):
-        dg = g.degree() or 0
-        rows = [[a * g for a in row] for row in self.entries]
-        return MatrixMap(
-            self.ring, self.src, self.dst, rows, self.level, self.shift + dg, check=False
-        )
+        # S is a domain, so a nonzero g leaves every entry nonzero
+        rows = ({i: {j: a * g for j, a in row.items()}
+                 for i, row in self.rows.items()} if g.terms else {})
+        return self._like(rows, self.shift + (g.degree() or 0))
 
     def with_shift(self, shift):
-        return MatrixMap(
-            self.ring, self.src, self.dst, self.entries, self.level, shift, check=False
-        )
+        return self._like(self.rows, shift)
 
     def with_level(self, level):
         if level < self.level:
@@ -249,12 +273,8 @@ class MatrixMap:
     def relevel(self, level):
         """Reinterpret the same S-matrix at any level (a choice of lifting
         when the level drops)."""
-        return MatrixMap(
-            self.ring, self.src, self.dst, self.entries, level, self.shift, check=False
-        )
-
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.dst.rank))
+        return MatrixMap(self.ring, self.src, self.dst, self.rows, level,
+                         self.shift, check=False)
 
     def submatrix(self, row_idx, col_idx):
         src = FreeModule(
@@ -265,31 +285,37 @@ class MatrixMap:
             tuple(self.dst.twists[i] for i in row_idx),
             tuple(self.dst.label(i) for i in row_idx),
         )
-        rows = [[self.entries[i][j] for j in col_idx] for i in row_idx]
+        cols = {j: k for k, j in enumerate(col_idx)}
+        rows = {}
+        for a, i in enumerate(row_idx):
+            row = self.rows.get(i)
+            if row:
+                out = {cols[j]: q for j, q in row.items() if j in cols}
+                if out:
+                    rows[a] = out
         return MatrixMap(self.ring, src, dst, rows, self.level, self.shift, check=False)
 
     @staticmethod
     def from_blocks(ring, blocks, src_mods, dst_mods, level=0, shift=0):
         """Assemble a map from a grid of optional blocks.
 
-        blocks[bi][bj] maps src_mods[bj] -> dst_mods[bi]; None means zero.
+        blocks[bi][bj] is a map of the ranks of src_mods[bj] -> dst_mods[bi],
+        or None for zero; only its rows are read.
         """
         src = FreeModule.concat(src_mods)
         dst = FreeModule.concat(dst_mods)
-        z = ring.zero()
-        rows = [[z] * src.rank for _ in range(dst.rank)]
+        rows = {}
         roff = 0
         for bi, dmod in enumerate(dst_mods):
             coff = 0
             for bj, smod in enumerate(src_mods):
                 blk = blocks[bi][bj]
                 if blk is not None:
-                    ent = blk.entries if isinstance(blk, MatrixMap) else blk
-                    if len(ent) != dmod.rank or any(len(r) != smod.rank for r in ent):
+                    if blk.dst.rank != dmod.rank or blk.src.rank != smod.rank:
                         raise ShapeError(f"block ({bi},{bj}) shape mismatch")
-                    for i in range(dmod.rank):
-                        for j in range(smod.rank):
-                            rows[roff + i][coff + j] = ent[i][j]
+                    for i, row in blk.rows.items():
+                        rows.setdefault(roff + i, {}).update(
+                            (coff + j, q) for j, q in row.items())
                 coff += smod.rank
             roff += dmod.rank
         return MatrixMap(ring, src, dst, rows, level, shift, check=False)
@@ -297,14 +323,15 @@ class MatrixMap:
     # -- tests modulo the level ideal
 
     def is_zero(self):
-        return all(q.is_zero() for row in self.entries for q in row)
+        return not self.rows
 
     def first_nonmember(self, level=None):
+        """The row-major first entry (i, j) outside the level ideal, or
+        None."""
         level = self.level if level is None else level
-        for i, row in enumerate(self.entries):
-            for j, q in enumerate(row):
-                if not ideal_membership(q, level):
-                    return (i, j)
+        for i, j, q in self._sorted():
+            if not ideal_membership(q, level):
+                return (i, j)
         return None
 
     def in_ideal(self, level=None):
@@ -312,11 +339,8 @@ class MatrixMap:
 
     def is_minimal(self):
         """No unit entries: every degree-0 (scalar) entry vanishes."""
-        for i in range(self.dst.rank):
-            for j in range(self.src.rank):
-                if self.required_degree(i, j) == 0 and not self.entries[i][j].is_zero():
-                    return False
-        return True
+        return not any(self.required_degree(i, j) == 0
+                       for i, row in self.rows.items() for j in row)
 
     def str_rows(self):
         return [[str(q) for q in row] for row in self.entries]
@@ -382,7 +406,7 @@ class Complex:
                 bad = sq.first_nonmember()
                 if bad is not None:
                     failures.append(
-                        f"d^2 != 0 at degree {i}, entry {bad}: {sq.entries[bad[0]][bad[1]]}"
+                        f"d^2 != 0 at degree {i}, entry {bad}: {sq.rows[bad[0]][bad[1]]}"
                     )
         return failures
 
@@ -411,14 +435,14 @@ class Complex:
         return Complex(self.ring, q, self.modules, diffs, self.lo, self.hi)
 
     def twisted(self, n):
-        """Add n to every generator degree (entries unchanged)."""
+        """Add n to every generator degree (the maps share their rows)."""
         modules = {i: m.shifted(n) for i, m in self.modules.items()}
         diffs = {
             i: MatrixMap(
                 self.ring,
                 modules[i],
                 modules[i - 1],
-                d.entries,
+                d.rows,
                 self.level,
                 d.shift,
                 check=False,
@@ -561,12 +585,12 @@ def koszul_tensor(idxs, B, level=None):
                 g = ring.regseq[fj - 1].scale(sign)
                 blocks[tgt][jsrc] = MatrixMap.poly_times_identity(
                     ring, g, B.module(s), level
-                ).entries
+                )
             # B part: identity tensor b
             if s == 1:
                 tgt = dst_pos.get((J, 0))
                 if tgt is not None:
-                    blocks[tgt][jsrc] = b.entries
+                    blocks[tgt][jsrc] = b
         diffs[n] = MatrixMap.from_blocks(
             ring, blocks, summands[n], summands[n - 1], level
         )
@@ -592,13 +616,12 @@ def koszul_complex(ring, idxs, level=0):
     for n in range(1, m + 1):
         src = bases[n]
         dst = {J: k for k, J in enumerate(bases[n - 1])}
-        z = ring.zero()
-        rows = [[z] * len(src) for _ in bases[n - 1]]
+        rows = {}
         for jcol, J in enumerate(src):
             for r, fj in enumerate(J):
                 J2 = tuple(x for x in J if x != fj)
                 sign = 1 if (r % 2 == 0) else -1
-                rows[dst[J2]][jcol] = ring.regseq[fj - 1].scale(sign)
+                rows.setdefault(dst[J2], {})[jcol] = ring.regseq[fj - 1].scale(sign)
         diffs[n] = MatrixMap(ring, modules[n], modules[n - 1], rows, level, check=False)
     return Complex(ring, level, modules, diffs, 0, m)
 
@@ -624,40 +647,46 @@ def solve_factorization(A, Cs, level, variant=0):
     dst = A.dst if A is not None else Cs[0].dst
     if any(C.dst.twists != dst.twists for C in Cs):
         raise ShapeError("target rows mismatch")
-    slots = []
-    if A is not None:
-        for i in range(A.src.rank):
-            slots.append((A.column(i), A.src.twists[i] + A.shift))
+    # the unknowns: the columns of A, then f_m at each target row k
+    ncols_A = A.src.rank if A is not None else 0
+    slots = {k: dict(row) for k, row in A.rows.items()} if A is not None else {}
+    slot_degs = [t + A.shift for t in A.src.twists] if A is not None else []
     ideal_slots = []
     for m in range(1, level + 1):
         fm = ring.regseq[m - 1]
         for k in range(dst.rank):
-            vec = [None] * dst.rank
-            vec[k] = fm
+            slots.setdefault(k, {})[len(slot_degs)] = fm
+            slot_degs.append(dst.twists[k] + fm.degree())
             ideal_slots.append((m, k))
-            slots.append((tuple(vec), dst.twists[k] + fm.degree()))
-    ncols_A = A.src.rank if A is not None else 0
     # group target columns of every right-hand side by homogeneous degree
     groups = {}
+    pos = {}
     for n, C in enumerate(Cs):
         for j in range(C.src.rank):
-            groups.setdefault(C.src.twists[j] + C.shift, []).append((n, j))
-    z = ring.zero()
-    Xrows = [[[z] * C.src.rank for _ in range(ncols_A)] for C in Cs]
-    Wrows = [[[[z] * C.src.rank for _ in range(dst.rank)] for _ in range(level)]
-             for C in Cs]
+            cols = groups.setdefault(C.src.twists[j] + C.shift, [])
+            pos[n, j] = len(cols)
+            cols.append((n, j))
+    targets = {e: {} for e in groups}
+    for n, C in enumerate(Cs):
+        for k, row in C.rows.items():
+            for j, q in row.items():
+                targets[C.src.twists[j] + C.shift].setdefault(k, {})[pos[n, j]] = q
+    Xrows = [{} for _ in Cs]
+    Wrows = [[{} for _ in range(level)] for _ in Cs]
     solved = [True] * len(Cs)
     for e, cols in sorted(groups.items()):
-        targets = [Cs[n].column(j) for n, j in cols]
-        res = graded_solve(ring, dst.twists, e, slots, targets, variant=variant)
+        res = graded_solve(ring, dst.twists, e, slots, slot_degs, targets[e],
+                           len(cols), variant=variant)
         for (n, j), coeffs in zip(cols, res):
             if coeffs is None:
                 solved[n] = False
                 continue
-            for i in range(ncols_A):
-                Xrows[n][i][j] = coeffs[i]
-            for si, (m, k) in enumerate(ideal_slots):
-                Wrows[n][m - 1][k][j] = coeffs[ncols_A + si]
+            for s, q in coeffs.items():
+                if s < ncols_A:
+                    Xrows[n].setdefault(s, {})[j] = q
+                else:
+                    m, k = ideal_slots[s - ncols_A]
+                    Wrows[n][m - 1].setdefault(k, {})[j] = q
     out = []
     for n, C in enumerate(Cs):
         if not solved[n]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .complexes import Complex, FreeModule, MatrixMap, ShapeError
+from .complexes import Complex, FreeModule, MatrixMap, ShapeError, ZERO_MODULE
 from .factorization import HMF, Report, validate_hmf
 from .graded import QuotientPieces
 from .lifting import Obstruction, ci_from_lifting, higher_homotopies, lift_step
@@ -174,7 +174,8 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
             bad = [i for i in range(2, C.hi + 1) if C.module(i).rank]
             if bad:
                 raise PreStabilityError(0, f"nonzero base at degrees {bad}")
-            return {"b1": {}, "b0": {}, "d": [], "h": {}}
+            d = MatrixMap.zero(ring, ZERO_MODULE, ZERO_MODULE)
+            return {"b1": {}, "b0": {}, "d": d, "h": {}}
         C, pr, _ = descent.level(cc)
         if pr.report:
             raise ExtractionError(f"peel inconsistent: {pr.report[:1]}")
@@ -213,40 +214,22 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
                 "descent tail does not match the recursed blocks "
                 f"(codimension {cc}); deeper towers need duality data"
             )
-        z = ring.zero()
-        n1 = len(sub_a1) + C.module(1).rank
-        n0 = len(sub_a0) + C.module(0).rank
-        d_rows = [[z] * n1 for _ in range(n0)]
-        for i, row in enumerate(sub["d"]):
-            for j, val in enumerate(row):
-                d_rows[i][j] = val
-        if cc > 1 and th1 is not None:
-            for i in range(len(sub_a0)):
-                for j in range(C.module(1).rank):
-                    d_rows[i][len(sub_a1) + j] = th1.entries[i][j]
-        for i in range(C.module(0).rank):
-            for j in range(C.module(1).rank):
-                d_rows[len(sub_a0) + i][len(sub_a1) + j] = C.diff(1).entries[i][j]
-        h = {p: sub["h"][p] for p in sub["h"]}
-        h_rows = [[z] * n0 for _ in range(n1)]
-        if cc > 1:
-            for i in range(len(sub_a1)):
-                for j in range(len(sub_a0)):
-                    h_rows[i][j] = th2.entries[i][j]
-                for j in range(C.module(0).rank):
-                    h_rows[i][len(sub_a0) + j] = tau0.entries[i][j]
-            d2 = G.diff(2)
-            for i in range(C.module(1).rank):
-                for j in range(len(sub_a0)):
-                    h_rows[len(sub_a1) + i][j] = d2.entries[i][j]
-        for i in range(C.module(1).rank):
-            for j in range(C.module(0).rank):
-                h_rows[len(sub_a1) + i][len(sub_a0) + j] = th0.entries[i][j]
-        h[cc] = h_rows
-        return {"b1": b1, "b0": b0, "d": d_rows, "h": h}
+        # d and h_cc as 2x2 block maps over (lower levels, level cc); the
+        # peeled blocks lack the head twist, so only their rows are copied
+        A1 = [FreeModule(sub_a1), b1[cc]]
+        A0 = [FreeModule(sub_a0), b0[cc]]
+        upper = cc > 1
+        d = MatrixMap.from_blocks(
+            ring, [[sub["d"], th1 if upper else None], [None, C.diff(1)]], A1, A0)
+        h = dict(sub["h"])
+        h[cc] = MatrixMap.from_blocks(
+            ring, [[th2 if upper else None, tau0 if upper else None],
+                   [G.diff(2) if upper else None, th0]], A0, A1)
+        return {"b1": b1, "b0": b0, "d": d, "h": h}
 
     data = rec(cc0)
-    out = HMF(ring, data["b1"], data["b0"], data["d"], data["h"], c=cc0)
+    out = HMF(ring, data["b1"], data["b0"], data["d"].entries,
+              {p: h.entries for p, h in data["h"].items()}, c=cc0)
     rep = validate_hmf(out)
     if not rep.ok:
         raise ExtractionError(f"extracted data fails validation: {rep.failures[:2]}")
@@ -389,14 +372,12 @@ def strengthen(F, variant=0):
                 )[int(m.group(3))] = i
                 continue
             raise ShapeError(f"unrecognized finite-resolution label {lab!r}")
-        h_rows = []
-        for qlev in range(0, p + 1):
-            for k in range(F.rank1(qlev)):
-                h_rows.append(list(X.entries[a1_rows[(qlev, k)]]))
-        new_h[p] = h_rows
+        cols = list(range(X.src.rank))
+        new_h[p] = X.submatrix([a1_rows[(qlev, k)] for qlev in range(0, p + 1)
+                                for k in range(F.rank1(qlev))], cols).entries
         ext = {}
         for (i, w), rowmap in sorted(ext_rows.items()):
-            rows = [list(X.entries[rowmap[k]]) for k in range(F.rank0(w))]
+            rows = X.submatrix([rowmap[k] for k in range(F.rank0(w))], cols).rows
             ext[(i, w)] = MatrixMap(
                 ring,
                 F.A0(p),

@@ -79,13 +79,14 @@ class HMF:
             self.b0[p] = FreeModule(
                 m0.twists, tuple(_block_label(0, p, k) for k in range(m0.rank))
             )
-        self.d = MatrixMap(ring, self.A1(self.c), self.A0(self.c), d_entries, 0, 0)
+        self.d = MatrixMap.from_strings(ring, self.A1(self.c), self.A0(self.c),
+                                        d_entries, 0, 0)
         self.h = {}
         for p in range(1, self.c + 1):
             ent = h_entries.get(p)
             if ent is None:
                 raise ShapeError(f"missing homotopy block h_{p}")
-            self.h[p] = MatrixMap(
+            self.h[p] = MatrixMap.from_strings(
                 ring, self.A0(p), self.A1(p), ent, 0, ring.fdeg(p)
             )
         self.strong_ext = strong_ext or {}
@@ -138,14 +139,8 @@ class HMF:
 
     def pi(self, p):
         """Block projection A_1(p) -> B_1(p)."""
-        n = self.off1(p) + self.rank1(p)
-        rows = []
         one = self.ring.one()
-        z = self.ring.zero()
-        for i in range(self.rank1(p)):
-            rows.append(
-                [one if j == self.off1(p) + i else z for j in range(n)]
-            )
+        rows = {i: {self.off1(p) + i: one} for i in range(self.rank1(p))}
         return MatrixMap(self.ring, self.A1(p), self.b1[p], rows, 0, 0, check=False)
 
     def __repr__(self):
@@ -251,29 +246,22 @@ def presentation(F, p):
         return F.b_block(0).with_level(0), F.b_block(0)
     dp = F.d_p(p)
     pres = dp.with_level(p)
-    cols = []
+    rows = {i: dict(row) for i, row in dp.rows.items()}
     src_tw = []
     src_labels = []
-    z = ring.zero()
-    nrows = F.A0(p).rank
     for q in range(1, p + 1):
         for k in range(F.rank0(q)):
             row = F.off0(q) + k
             for i in range(1, q):
-                col = [z] * nrows
-                col[row] = ring.regseq[i - 1]
-                cols.append(col)
+                col = dp.src.rank + len(src_tw)
+                rows.setdefault(row, {})[col] = ring.regseq[i - 1]
                 src_tw.append(F.b0[q].twists[k] + ring.fdeg(i))
                 src_labels.append(f"e{i}*{_block_label(0, q, k)}")
     aug_src = FreeModule(
         tuple(F.A1(p).twists) + tuple(src_tw),
         tuple(F.A1(p).all_labels()) + tuple(src_labels),
     )
-    entries = [
-        list(dp.entries[i]) + [cols[j][i] for j in range(len(cols))]
-        for i in range(nrows)
-    ]
-    augmented = MatrixMap(ring, aug_src, F.A0(p), entries, 0, 0)
+    augmented = MatrixMap(ring, aug_src, F.A0(p), rows, 0, 0)
     return pres, augmented
 
 
@@ -350,12 +338,7 @@ def validate_strong(F):
                 failures.append(f"p={p}: extension slot ({i},{w}) out of range")
                 continue
             scaled = blk.scale_poly(ring.regseq[i - 1])
-            emb = MatrixMap.zero(ring, F.A0(p), F.A0(p), 0, total.shift)
-            rows = list(emb.entries)
-            rows = [list(r) for r in rows]
-            for a in range(F.rank0(w)):
-                for jcol in range(F.A0(p).rank):
-                    rows[F.off0(w) + a][jcol] = scaled.entries[a][jcol]
+            rows = {F.off0(w) + a: row for a, row in scaled.rows.items()}
             emb = MatrixMap(ring, F.A0(p), F.A0(p), rows, 0, total.shift, check=False)
             total = total + emb
         fid = MatrixMap.poly_times_identity(ring, ring.regseq[p - 1], F.A0(p), 0)
@@ -368,10 +351,7 @@ def validate_strong(F):
             rows_idx = list(range(F.off0(1), F.off0(1) + F.rank0(1)))
             cols_idx = list(range(F.A0(p).rank))
             top = F.d_p(p).compose(F.h[p]).submatrix(rows_idx, cols_idx)
-            rho = MatrixMap.zero(ring, F.A0(p), F.b0[1], 0, 0)
-            rr = [list(r) for r in rho.entries]
-            for a in range(F.rank0(1)):
-                rr[a][F.off0(1) + a] = ring.regseq[p - 1]
+            rr = {a: {F.off0(1) + a: ring.regseq[p - 1]} for a in range(F.rank0(1))}
             rho_f = MatrixMap(ring, F.A0(p), F.b0[1], rr, 0, ring.fdeg(p), check=False)
             if (top - rho_f).is_zero():
                 items.append(f"rho d h_{p} = f_{p} rho: exact")
@@ -391,7 +371,8 @@ def migrate_poly(ring2, poly):
 
 
 def migrate_map(ring2, mm):
-    rows = [[migrate_poly(ring2, q) for q in row] for row in mm.entries]
+    rows = {i: {j: migrate_poly(ring2, q) for j, q in row.items()}
+            for i, row in mm.rows.items()}
     return MatrixMap(ring2, mm.src, mm.dst, rows, mm.level, mm.shift, check=False)
 
 
@@ -431,11 +412,9 @@ def change_of_generators_hmf(F, alpha):
             acc = acc + ring.regseq[j].scale(alpha[i][j])
         new_regseq.append(acc)
     ring2 = clone_ring_with_regseq(ring, new_regseq)
-    d2 = [[migrate_poly(ring2, q) for q in row] for row in F.d.entries]
-    h2 = {}
-    for p in range(1, c + 1):
-        scaled = F.h[p].scale(alpha[p - 1][p - 1])
-        h2[p] = [[migrate_poly(ring2, q) for q in row] for row in scaled.entries]
+    d2 = migrate_map(ring2, F.d).entries
+    h2 = {p: migrate_map(ring2, F.h[p].scale(alpha[p - 1][p - 1])).entries
+          for p in range(1, c + 1)}
     return HMF(ring2, F.b1, F.b0, d2, h2, generalized=F.generalized, c=c)
 
 

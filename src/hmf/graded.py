@@ -5,7 +5,9 @@ A homogeneous element of degree e in a free module with generator degrees
 e - t_k.  Fixing monomial bases of those graded pieces turns every
 congruence  sum_i c_i g_i = target (mod ideal)  into one sparse linear
 system over the coefficient field, held as the nonzero rows of a
-_kernels.SparseMatrix.  The bases are the ring's packed monomial bases
+_kernels.SparseMatrix.  Polynomial matrices come in as the nonzero rows of
+a MatrixMap ({row: {column: Poly}}), and solutions go out as their nonzero
+coefficients only.  The bases are the ring's packed monomial bases
 (GradedRing.monomial_basis), so the cell of a term and a basis monomial is
 found by adding their keys and looking the sum up.  All solvers here pick
 the first-pivot solution with free variables set to zero, so results are
@@ -38,32 +40,27 @@ def piece_layout(ring, twists, e):
     return offsets, total
 
 
-def piece_matrix(ring, entries, src_twists, dst_twists, shift, e):
+def piece_matrix(ring, rows, src_twists, dst_twists, shift, e):
     """Scalar matrix of a map between degree pieces of free modules.
 
-    entries[i][j] (a Poly, or None for zero) sends source generator j, of
-    twist src_twists[j], to target generator i, of twist dst_twists[i], and
-    the map raises degree by shift.  Columns are the degree-(e - shift)
-    piece of the source and rows the degree-e piece of the target, each laid
-    out by piece_layout.  A term that lands outside the target piece (a term
-    of the wrong degree) raises SolveError.
+    rows[i][j] (a Poly; absent entries are zero, as in MatrixMap.rows) sends
+    source generator j, of twist src_twists[j], to target generator i, of
+    twist dst_twists[i], and the map raises degree by shift.  Columns are
+    the degree-(e - shift) piece of the source and rows the degree-e piece
+    of the target, each laid out by piece_layout.  A term that lands outside
+    the target piece (a term of the wrong degree) raises SolveError.
     """
     src_off, ncols = piece_layout(ring, src_twists, e - shift)
     dst_off, nrows = piece_layout(ring, dst_twists, e)
-    rows = {}
-    for j, tj in enumerate(src_twists):
-        mons = ring.monomial_basis(e - shift - tj)[0]
-        if not mons:
-            continue
-        col0 = src_off[j]
-        for i, row in enumerate(entries):
-            q = row[j]
-            if q is None or not q.terms:
-                continue
-            idx = ring.monomial_basis(e - dst_twists[i])[1]
-            row0 = dst_off[i]
+    out = {}
+    for i, row in rows.items():
+        idx = ring.monomial_basis(e - dst_twists[i])[1]
+        row0 = dst_off[i]
+        for j, q in row.items():
+            tj = src_twists[j]
+            mons = ring.monomial_basis(e - shift - tj)[0]
             for expo, c in q.terms.items():
-                for col, mon in enumerate(mons, col0):
+                for col, mon in enumerate(mons, src_off[j]):
                     # packed keys: the product monomial is the sum, and a
                     # key of the wrong degree is in no basis of degree e
                     r = idx.get(expo + mon)
@@ -74,41 +71,40 @@ def piece_matrix(ring, entries, src_twists, dst_twists, shift, e):
                             f"{shift + tj - dst_twists[i]}"
                         )
                     # each (term, monomial) pair hits its own cell
-                    rows.setdefault(row0 + r, {})[col] = c
-    return SparseMatrix((nrows, ncols), rows)
+                    out.setdefault(row0 + r, {})[col] = c
+    return SparseMatrix((nrows, ncols), out)
 
 
-def graded_solve(ring, dst_twists, e, slots, targets, variant=0):
-    """Solve sum_i c_i * slot_i = target in the degree-e piece.
+def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets,
+                 variant=0):
+    """Solve sum_s c_s * slot_s = target in the degree-e piece, per target.
 
-    slots: list of (vector over dst_twists, slot degree); the unknown c_i is
-    homogeneous of degree e - slotdeg_i.  targets: list of vectors.  Returns,
-    per target, either a list of coefficient Polys or None when unsolvable.
+    The slots are the columns of a map to the free module with twists
+    dst_twists from one with a generator of twist slot_degs[s] per slot, so
+    the unknown c_s is homogeneous of degree e - slot_degs[s]; slots holds
+    that map's rows, as in MatrixMap.rows.  targets holds, the same way, the
+    rows of the map whose column t < ntargets is target t.  Returns, per
+    target, {s: c_s} over the nonzero coefficients, or None when unsolvable.
 
     variant = 0 picks the canonical first-pivot solution with zero free
     variables; any other value adds the first nullspace vector, giving a
     second deterministic representative whenever the solution is not unique.
     """
     fld = ring.field
-    rows = range(len(dst_twists))
-    # the slots are the columns of a map from a free module with one
-    # generator per slot; a target is a map from one generator of twist e
-    A = piece_matrix(ring, [[vec[k] for vec, _ in slots] for k in rows],
-                     [sdeg for _, sdeg in slots], dst_twists, 0, e)
-    B = piece_matrix(ring, [[tgt[k] for tgt in targets] for k in rows],
-                     [e] * len(targets), dst_twists, 0, e)
+    A = piece_matrix(ring, slots, slot_degs, dst_twists, 0, e)
+    B = piece_matrix(ring, targets, [e] * ntargets, dst_twists, 0, e)
     if A.shape[0] == 0:
         # B has no rows either, so every target was zero
-        return [[ring.zero() for _ in slots] for _ in targets]
+        return [{} for _ in range(ntargets)]
     col_slot = []
     col_mono = []
-    for si, (_, sdeg) in enumerate(slots):
+    for si, sdeg in enumerate(slot_degs):
         for m in ring.monomial_basis(e - sdeg)[0]:
             col_slot.append(si)
             col_mono.append(m)
     ok, X = fld.solve_many(A, B)
     # per target, its solution column: {unknown: value}, unknowns ascending
-    sols = [{} for _ in targets]
+    sols = [{} for _ in range(ntargets)]
     for i, row in X.rows.items():
         for j, x in row.items():
             sols[j][i] = x
@@ -121,7 +117,6 @@ def graded_solve(ring, dst_twists, e, slots, targets, variant=0):
             sols[j] = {i: sol[i] for i in sorted(sol) if sol[i]}
     # each (slot, monomial) pair is one unknown, so every coefficient is one
     # term dict
-    z = ring.zero()
     results = []
     for j, sol in enumerate(sols):
         if not ok[j]:
@@ -130,10 +125,7 @@ def graded_solve(ring, dst_twists, e, slots, targets, variant=0):
         terms = {}
         for col, c in sol.items():
             terms.setdefault(col_slot[col], {})[col_mono[col]] = c
-        coeffs = [z] * len(slots)
-        for si, t in terms.items():
-            coeffs[si] = Poly(ring, t)
-        results.append(coeffs)
+        results.append({si: Poly(ring, t) for si, t in terms.items()})
     return results
 
 
@@ -156,8 +148,12 @@ def graded_piece_solve(targets, gens, variant=0):
     if not degs:
         return [[ring.zero() for _ in gens] for _ in targets]
     e = degs.pop()
-    slots = [((g,), ed) for g, ed in gens]
-    return graded_solve(ring, (0,), e, slots, [(t,) for t in targets], variant=variant)
+    res = graded_solve(ring, (0,), e, {0: dict(enumerate(g for g, _ in gens))},
+                       [ed for _, ed in gens], {0: dict(enumerate(targets))},
+                       len(targets), variant=variant)
+    z = ring.zero()
+    return [None if r is None else [r.get(i, z) for i in range(len(gens))]
+            for r in res]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +188,7 @@ class QuotientPieces:
         pivots = {}
         if self.gens and n:
             # rows of A span I_d: the transpose of the row map [g_1 ... g_r]
-            A = piece_matrix(self.ring, [self.gens],
+            A = piece_matrix(self.ring, {0: dict(enumerate(self.gens))},
                              [g.degree() for g in self.gens], (0,), 0, d).T
             R, piv = _kernels.rref(A, self.ring.field.char)
             for i, c in enumerate(piv):
@@ -254,7 +250,7 @@ class QuotientPieces:
         form of its piece matrix factors through that of the source, and
         its standard columns are the induced map.
         """
-        A = piece_matrix(self.ring, mm.entries, mm.src.twists, mm.dst.twists,
+        A = piece_matrix(self.ring, mm.rows, mm.src.twists, mm.dst.twists,
                          mm.shift, e)
         cols = self._layout(mm.src.twists, e - mm.shift)[1]
         return self._normal_form(A, mm.dst.twists, e, cols)
@@ -262,7 +258,7 @@ class QuotientPieces:
     def contains(self, g):
         """Is the nonzero homogeneous polynomial g in I?"""
         e = g.degree()
-        b = piece_matrix(self.ring, [[g]], (e,), (0,), 0, e)
+        b = piece_matrix(self.ring, {0: {0: g}}, (e,), (0,), 0, e)
         return not self._normal_form(b, (0,), e, {0: 0}).rows
 
 

@@ -134,11 +134,19 @@ def complex_from_json(obj, where="complex"):
     _require(len(span) == 2 and all(_is_int(x) for x in span), where,
              "'range' must be two integers [lo, hi]")
     lo, hi = span
+    modules = _key(obj, "modules", list, where)
+    _require(hi - lo + 1 == len(modules), where,
+             f"'range' [{lo}, {hi}] does not match {len(modules)} modules")
     mods = {}
-    for k, m in enumerate(_key(obj, "modules", list, where)):
+    for k, m in enumerate(modules):
         at = f"{where}.modules[{k}]"
-        mods[lo + k] = FreeModule(_twists(m, "twists", at),
-                                  tuple(_key(m, "labels", list, at, [])) or None)
+        twists = _twists(m, "twists", at)
+        labels = _key(m, "labels", list, at, [])
+        _require(all(isinstance(x, str) for x in labels), at,
+                 "'labels' must be a list of strings")
+        _require(not labels or len(labels) == len(twists), at,
+                 "'labels' and 'twists' differ in length")
+        mods[lo + k] = FreeModule(twists, tuple(labels) or None)
     level = _key(obj, "level", int, where)
     _require(0 <= level <= ring.codim, where, "level out of range")
     rows_all = _key(obj, "diffs", list, where)
@@ -213,6 +221,7 @@ def hmf_from_json(obj, where="hmf"):
         at = f"{where}.B[{k}]"
         p = _key(rec, "p", int, at)
         _require(0 <= p <= c, at, "'p' out of range")
+        _require(p not in b1, at, f"second entry for p={p}")
         b1[p] = FreeModule(_twists(rec, "B1", at))
         b0[p] = FreeModule(_twists(rec, "B0", at))
     rank1 = {p: b1.get(p, FreeModule(())).rank for p in range(0, c + 1)}
@@ -256,8 +265,9 @@ def hmf_from_json(obj, where="hmf"):
             _require(1 <= i < w <= p, f"{at}[{key}]", "slot out of range")
             rows = _poly_rows(ring, rowsb, f"{at}[{key}]")
             try:
-                ext[(i, w)] = MatrixMap(ring, F.A0(p), F.b0[w], rows, 0,
-                                        ring.fdeg(p) - ring.fdeg(i), check=False)
+                ext[(i, w)] = MatrixMap.from_strings(
+                    ring, F.A0(p), F.b0[w], rows, 0,
+                    ring.fdeg(p) - ring.fdeg(i), check=False)
             except ShapeError as exc:
                 raise SchemaError(f"{at}[{key}]: {exc}") from exc
         ext_all[p] = ext

@@ -259,7 +259,7 @@ def koszul_extension(psi0, B, L, idxs, variant=0):
                 acc = term if acc is None else acc + term
             if acc is not None:
                 batch.append((k, J, MatrixMap(ring, mods[k], L.module(j - 1),
-                                              acc.entries, L.level, 0,
+                                              acc.rows, L.level, 0,
                                               check=False)))
         if batch:
             got = lift_step(L.diff(j), [C for _, _, C in batch], L.level,
@@ -470,7 +470,7 @@ def lifted_comparison_check(phis, sigma, sigmap, steps):
                 blk = table.get((i,), m)
                 if blk is None:
                     return None
-                blocks[kd][js] = blk.entries
+                blocks[kd][js] = blk
         return MatrixMap.from_blocks(
             ring, blocks, modules(C, src_l), modules(C, dst_l), 0
         )
@@ -488,7 +488,7 @@ def lifted_comparison_check(phis, sigma, sigmap, steps):
                 blk = _phi_at(phis, sigma, sigmap, i, m, q)
                 if blk is None:
                     return None
-                blocks[kd][js] = blk.entries
+                blocks[kd][js] = blk
         return MatrixMap.from_blocks(
             ring, blocks, modules(G, src_l), modules(Gp, dst_l), 0
         )

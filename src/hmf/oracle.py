@@ -434,13 +434,11 @@ def formula_suite(F, finite=None, tower=None, steps=None, D=None):
         if not any(F.rank1(qq) or F.rank0(qq) for qq in range(1, p + 1)):
             continue
         pres, _ = presentation(F, p)
-        for i in range(pres.dst.rank):
-            from .graded import ideal_membership
+        from .graded import ideal_membership
 
-            if all(
-                ideal_membership(pres.entries[i][j], p)
-                for j in range(pres.src.rank)
-            ):
+        for i in range(pres.dst.rank):
+            # an absent row is a zero row
+            if all(ideal_membership(q, p) for q in pres.rows.get(i, {}).values()):
                 free_ok = False
     items.append(
         CheckItem(

@@ -239,8 +239,10 @@ def random_filtered_conjugation(F, rng):
     mods0 = {p: F.b0[p] for p in F.levels()}
     offs1 = {p: F.off1(p) for p in F.levels()}
     offs0 = {p: F.off0(p) for p in F.levels()}
-    g1 = MatrixMap(ring, F.A1(F.c), F.A1(F.c), random_change(mods1, offs1), 0, 0)
-    g0 = MatrixMap(ring, F.A0(F.c), F.A0(F.c), random_change(mods0, offs0), 0, 0)
+    g1 = MatrixMap.from_strings(ring, F.A1(F.c), F.A1(F.c),
+                                random_change(mods1, offs1), 0, 0)
+    g0 = MatrixMap.from_strings(ring, F.A0(F.c), F.A0(F.c),
+                                random_change(mods0, offs0), 0, 0)
     ident0 = MatrixMap.identity(ring, F.A0(F.c), 0)
     g0_inv, = lift_through(g0, [ident0], 0)
     if g0_inv is None:

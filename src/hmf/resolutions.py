@@ -62,9 +62,9 @@ def _scalar_part(ring, mm):
     """Constant coefficients of entries at required degree 0 (reduction of a
     map modulo the graded maximal ideal): the degree-0 piece of the map with
     every twist set to 0 and the other entries dropped."""
-    entries = [[q if mm.required_degree(i, j) == 0 else None
-                for j, q in enumerate(row)] for i, row in enumerate(mm.entries)]
-    return piece_matrix(ring, entries, (0,) * mm.src.rank,
+    rows = {i: {j: q for j, q in row.items() if mm.required_degree(i, j) == 0}
+            for i, row in mm.rows.items()}
+    return piece_matrix(ring, rows, (0,) * mm.src.rank,
                         (0,) * mm.dst.rank, 0, 0)
 
 
@@ -161,7 +161,7 @@ def shamash(G, sigma, steps, weights=None):
                     raise ShapeError(
                         f"homotopy block sigma_{i} at degree {m} missing"
                     )
-                blocks[kd][js] = blk.entries
+                blocks[kd][js] = blk
         diffs[n] = MatrixMap.from_blocks(
             ring, blocks, src_mods, dst_mods, level
         )
@@ -183,7 +183,7 @@ def shamash(G, sigma, steps, weights=None):
             kd = dst_pos.get((a - 1, m))
             if kd is None:
                 continue
-            ident = MatrixMap.identity(ring, G.module(m), level).entries
+            ident = MatrixMap.identity(ring, G.module(m), level)
             blocks[kd][js] = ident
             sblocks[js][kd] = ident
         t_op[n] = MatrixMap.from_blocks(
@@ -227,7 +227,7 @@ def build_infinite(F, steps, variant=0):
     # stage 1
     U = two_term_complex(ring, F.b_block(1), level=0)
     h1 = F.h[1]
-    start = {((1,), 0): MatrixMap(ring, U.module(0), U.module(1), h1.entries, 0,
+    start = {((1,), 0): MatrixMap(ring, U.module(0), U.module(1), h1.rows, 0,
                                   ring.fdeg(1), check=False)}
     sigma = higher_homotopies(U, (1,), max_total, start=start, variant=variant)
     bundle = shamash(U, sigma, steps)
@@ -238,11 +238,11 @@ def build_infinite(F, steps, variant=0):
         B = two_term_complex(ring, F.b_block(p), level=p - 1)
         psi0 = F.psi_block(p).with_level(p - 1)
         psi0 = MatrixMap(
-            ring, B.module(1), Tprev.module(0), psi0.entries, p - 1, 0, check=False
+            ring, B.module(1), Tprev.module(0), psi0.rows, p - 1, 0, check=False
         )
         U = mapping_cone(Tprev, B, {0: psi0})
         hp = F.h[p]
-        start = {((1,), 0): MatrixMap(ring, U.module(0), U.module(1), hp.entries,
+        start = {((1,), 0): MatrixMap(ring, U.module(0), U.module(1), hp.rows,
                                       p - 1, ring.fdeg(p), check=False)}
         sigma = higher_homotopies(U, (p,), max_total, start=start, variant=variant)
         uweights = {}
@@ -366,10 +366,8 @@ def peel(C, t=None, variant=0):
                 raise SolverBug("kernel vector mixes twists")
             twists.append(tws.pop())
         kmod = FreeModule(tuple(twists), tuple(f"k{i}.{j}" for j in range(ncols)))
-        rows = [
-            [ring.const(vecs[jcol].get(r, 0)) for jcol in range(ncols)]
-            for r in range(C.module(i).rank)
-        ]
+        rows = {r: {jcol: ring.const(x) for jcol, x in row.items()}
+                for r, row in N.rows.items()}
         u0 = MatrixMap(ring, kmod, C.module(i), rows, p - 1, 0, check=False)
         corr = sections[i].compose(ti.relevel(p - 1).compose(u0))
         u = u0 - corr
@@ -419,7 +417,7 @@ def peel(C, t=None, variant=0):
                 inc[i][0]
             )
             kdiffs[i] = MatrixMap(
-                ring, Gmods[i], Gmods[i - 1], d.entries, p - 1, 0, check=False
+                ring, Gmods[i], Gmods[i - 1], d.rows, p - 1, 0, check=False
             )
     G = Complex(ring, p - 1, Gmods, kdiffs, 0, C.hi)
     sigma = HomotopySystem(G, (p,))
@@ -437,7 +435,7 @@ def peel(C, t=None, variant=0):
                 (jj,),
                 m,
                 MatrixMap(
-                    ring, Gmods[m], Gmods[i - 1], comp.entries, p - 1, jj * q,
+                    ring, Gmods[m], Gmods[i - 1], comp.rows, p - 1, jj * q,
                     check=False,
                 ),
             )
@@ -476,7 +474,7 @@ def build_intermediate(F, j, steps, tower=None, variant=0):
         B = two_term_complex(ring, F.b_block(p), level=j)
         psi0 = F.psi_block(p)
         psi0 = MatrixMap(
-            ring, B.module(1), prev.module(0), psi0.entries, j, 0, check=False
+            ring, B.module(1), prev.module(0), psi0.rows, j, 0, check=False
         )
         idxs = tuple(range(j + 1, p))
         KB, phi = koszul_extension(psi0, B, prev, idxs, variant=variant)
@@ -543,12 +541,12 @@ def box(Y, f_idx, theta, tau, check=True):
     lowdiffs = {}
     if Y.module(1).rank:
         lowdiffs[1] = MatrixMap(
-            ring, lowmods[1], lowmods[0], Y.diff(1).entries, Y.level, 0, check=False
+            ring, lowmods[1], lowmods[0], Y.diff(1).rows, Y.level, 0, check=False
         )
     Ylow = Complex(ring, Y.level, lowmods, lowdiffs, 0, 1)
     th1 = theta[1]
     phi0 = MatrixMap(
-        ring, lowmods[1], Yhigh.module(0), th1.entries, Y.level, 0, check=False
+        ring, lowmods[1], Yhigh.module(0), th1.rows, Y.level, 0, check=False
     )
     BX = mapping_cone(Yhigh, Ylow, {0: phi0}, check=False)
     # attached homotopy for f on the box
@@ -578,7 +576,7 @@ def box(Y, f_idx, theta, tau, check=True):
         th = theta.get(i + 2)
         if th is not None:
             hb[i] = MatrixMap(
-                ring, BX.module(i), BX.module(i + 1), th.entries, Y.level, q,
+                ring, BX.module(i), BX.module(i + 1), th.rows, Y.level, q,
                 check=False,
             )
     bundle = ResolutionBundle(
@@ -657,11 +655,11 @@ def box_unroll(bundle):
     }
     diffs = {}
     if Y1.rank and Y0.rank:
-        diffs[1] = MatrixMap(ring, Y1, Y0, d1.entries, BX.level, 0, check=False)
+        diffs[1] = MatrixMap(ring, Y1, Y0, d1.rows, BX.level, 0, check=False)
     if Y2.rank and Y1.rank:
-        diffs[2] = MatrixMap(ring, Y2, Y1, d2.entries, BX.level, 0, check=False)
+        diffs[2] = MatrixMap(ring, Y2, Y1, d2.rows, BX.level, 0, check=False)
     if Y3.rank and Y2.rank:
-        diffs[3] = MatrixMap(ring, Y3, Y2, d3.entries, BX.level, 0, check=False)
+        diffs[3] = MatrixMap(ring, Y3, Y2, d3.rows, BX.level, 0, check=False)
     hi = 3
     for i in range(2, BX.hi + 1):
         modules[i + 2] = BX.module(i)
@@ -671,7 +669,7 @@ def box_unroll(bundle):
                     list(range(0, r3)), list(range(BX.module(2).rank))
                 )
                 diffs[4] = MatrixMap(
-                    ring, BX.module(2), Y3, d4.entries, BX.level, 0, check=False
+                    ring, BX.module(2), Y3, d4.rows, BX.level, 0, check=False
                 )
         else:
             diffs[i + 2] = BX.diff(i)
@@ -723,7 +721,7 @@ def cosyz_tower(F, steps, tower=None, variant=0, verify=False, D=None):
             Vmods = {0: head0, 1: head1}
             Vdiffs = {}
             if head1.rank and head0.rank:
-                Vdiffs[1] = MatrixMap(ring, head1, head0, bmat.entries, 0, 0,
+                Vdiffs[1] = MatrixMap(ring, head1, head0, bmat.rows, 0, 0,
                                       check=False)
             V = Complex(ring, 0, Vmods, Vdiffs, 0, 1)
         else:
@@ -731,7 +729,7 @@ def cosyz_tower(F, steps, tower=None, variant=0, verify=False, D=None):
             Vmods = {0: head0, 1: head1}
             Vdiffs = {}
             if head1.rank and head0.rank:
-                Vdiffs[1] = MatrixMap(ring, head1, head0, bmat.entries, p - 1, 0,
+                Vdiffs[1] = MatrixMap(ring, head1, head0, bmat.rows, p - 1, 0,
                                       check=False)
             d2cols = pihp.submatrix(
                 list(range(F.rank1(p))), list(range(F.A0(p - 1).rank))
@@ -740,12 +738,12 @@ def cosyz_tower(F, steps, tower=None, variant=0, verify=False, D=None):
                 Vmods[n + 2] = Tprev.module(n).shifted(q)
             if F.rank1(p):
                 Vdiffs[2] = MatrixMap(
-                    ring, Vmods[2], head1, d2cols.entries, p - 1, 0, check=False
+                    ring, Vmods[2], head1, d2cols.rows, p - 1, 0, check=False
                 )
             for n in range(1, Tprev.hi + 1):
                 dn = Tprev.diff(n)
                 Vdiffs[n + 2] = MatrixMap(
-                    ring, Vmods[n + 2], Vmods[n + 1], dn.entries, p - 1, 0,
+                    ring, Vmods[n + 2], Vmods[n + 1], dn.rows, p - 1, 0,
                     check=False,
                 )
             V = Complex(ring, p - 1, Vmods, Vdiffs, 0, Tprev.hi + 2)
@@ -754,18 +752,18 @@ def cosyz_tower(F, steps, tower=None, variant=0, verify=False, D=None):
         Wmods = {0: head0, 1: head1}
         Wdiffs = {}
         if head1.rank and head0.rank:
-            Wdiffs[1] = MatrixMap(ring, head1, head0, bmat.entries, p, 0,
+            Wdiffs[1] = MatrixMap(ring, head1, head0, bmat.rows, p, 0,
                                   check=False)
         for n in range(0, Tp.hi + 1):
             Wmods[n + 2] = Tp.module(n).shifted(q)
         if F.rank1(p):
             Wdiffs[2] = MatrixMap(
-                ring, Wmods[2], head1, pihp.entries, p, 0, check=False
+                ring, Wmods[2], head1, pihp.rows, p, 0, check=False
             )
         for n in range(1, Tp.hi + 1):
             dn = Tp.diff(n)
             Wdiffs[n + 2] = MatrixMap(
-                ring, Wmods[n + 2], Wmods[n + 1], dn.entries, p, 0, check=False
+                ring, Wmods[n + 2], Wmods[n + 1], dn.rows, p, 0, check=False
             )
         W = Complex(ring, p, Wmods, Wdiffs, 0, Tp.hi + 2)
         vb = ResolutionBundle(V, "cosyzygy-step", meta={"p": p})

@@ -32,6 +32,8 @@ MAX_PRIME = 94906249
 # stays below 2**EXP_BITS
 EXP_BITS = 16
 EXP_LIMIT = 1 << EXP_BITS
+# variable degrees -> the monomial-basis cache of every ring with them
+_MON_CACHES = {}
 
 
 class RingError(ValueError):
@@ -150,8 +152,10 @@ class GradedRing:
         self._key_limit = EXP_LIMIT << self.deg_shift
         self._shifts = tuple(range(self.deg_shift - EXP_BITS, -1, -EXP_BITS))
         self.regseq = ()
-        # degree -> (packed monomial keys, grevlex-descending, {key: position})
-        self._mon_cache = {}
+        # degree -> (packed monomial keys, grevlex-descending, {key: position});
+        # the bases depend on the variable degrees only, so rings with the
+        # same degrees (a fresh one per change of generators) share them
+        self._mon_cache = _MON_CACHES.setdefault(degs, {})
         self._membership_pieces = {}
 
     @classmethod
@@ -365,11 +369,6 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        # most products in the builders have a zero factor
-        if not self.terms:
-            return self
-        if not other.terms:
-            return other
         t = {}
         Poly.add_products(t, self.terms, other.terms)
         return Poly.reduced(self.ring, t)
@@ -379,8 +378,6 @@ class Poly:
     def scale(self, c):
         fld = self.ring.field
         c = fld.canon(c)
-        if not self.terms:
-            return self
         if c == 0:
             return self.ring.zero()
         return Poly(self.ring, {e: fld.mul(cc, c) for e, cc in self.terms.items()})

@@ -15,10 +15,9 @@ def ideal_piece(ring, twists, gens, e):
     """Columns spanning (gens) * P in degree e, P free with the given twists:
     the piece of the block map [g_1 I | ... | g_r I] onto P."""
     n = len(twists)
-    entries = [[g if k == i else None for g in gens for k in range(n)]
-               for i in range(n)]
+    rows = {i: {a * n + i: g for a, g in enumerate(gens)} for i in range(n)}
     src = [t + g.degree() for g in gens for t in twists]
-    return piece_matrix(ring, entries, src, twists, 0, e)
+    return piece_matrix(ring, rows, src, twists, 0, e)
 
 
 def image_dim(ring, A, twists, gens, e):
@@ -35,7 +34,7 @@ def quotient_dim(ring, twists, gens, e):
 
 
 def map_piece(d, e):
-    return piece_matrix(d.ring, d.entries, d.src.twists, d.dst.twists, d.shift, e)
+    return piece_matrix(d.ring, d.rows, d.src.twists, d.dst.twists, d.shift, e)
 
 
 def augmented_homology(C, hom_range, D, extra_gens=()):

@@ -82,34 +82,58 @@ def reference_compose(f, g):
     return tuple(rows)
 
 
+def coefficients(ring):
+    if ring.field.char:
+        return st.integers(-2, 2)
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def random_poly(data, ring, d):
+    """Zero, or a sum of 1-3 random terms of degree d."""
+    q = ring.zero()
+    mons = ring.monomials(d)
+    if mons and data.draw(st.booleans()):
+        for _ in range(data.draw(st.integers(1, 3))):
+            q = q + ring.monomial(data.draw(st.sampled_from(mons)),
+                                  data.draw(coefficients(ring)))
+    return q
+
+
 def random_map(data, ring, src, dst, shift):
     """A homogeneous map with about half of its entries zero; few monomials
     and small coefficients, so sums cancel often."""
-    char = ring.field.char
-    coeff = (st.integers(-2, 2) if char else
-             st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
-    rows = []
-    for ti in dst.twists:
-        row = []
-        for tj in src.twists:
-            q = ring.zero()
-            mons = ring.monomials(tj + shift - ti)
-            if mons and data.draw(st.booleans()):
-                for _ in range(data.draw(st.integers(1, 3))):
-                    q = q + ring.monomial(data.draw(st.sampled_from(mons)),
-                                          data.draw(coeff))
-            row.append(q)
-        rows.append(row)
-    return MatrixMap(ring, src, dst, rows, shift=shift)
+    rows = [[random_poly(data, ring, tj + shift - ti) for tj in src.twists]
+            for ti in dst.twists]
+    return MatrixMap.from_strings(ring, src, dst, rows, shift=shift)
 
 
 def assert_canonical(mm):
+    """Sparse rows: no empty row, no zero entry, every index inside the
+    shape, and every coefficient reduced."""
     char = mm.ring.field.char
-    for row in mm.entries:
-        for q in row:
+    for i, row in mm.rows.items():
+        assert 0 <= i < mm.dst.rank and row
+        for j, q in row.items():
+            assert 0 <= j < mm.src.rank and q.terms
             for c in q.terms.values():
                 assert c != 0
                 assert (type(c) is int and 0 < c < char) if char else type(c) is Fraction
+
+
+def snapshot(mm):
+    return {i: {j: dict(q.terms) for j, q in row.items()}
+            for i, row in mm.rows.items()}
+
+
+def dense_blocks(blocks, src_mods, dst_mods, ring):
+    """The dense grid of a block map, zeros where a block is None."""
+    z = ring.zero()
+    grid = []
+    for brow, dmod in zip(blocks, dst_mods):
+        for i in range(dmod.rank):
+            grid.append(tuple(q for blk, smod in zip(brow, src_mods)
+                              for q in (blk.entries[i] if blk else (z,) * smod.rank)))
+    return tuple(grid)
 
 
 @pytest.mark.parametrize("char", [32003, 3, 0])
@@ -121,6 +145,8 @@ def test_map_algebra_matches_dense_reference(char, data):
                for _ in range(3))
     f = random_map(data, ring, V, W, 1)
     g, g2 = (random_map(data, ring, U, V, 1) for _ in range(2))
+    # maps share rows, so no operation may change an operand's
+    before = [snapshot(mm) for mm in (f, g, g2)]
     fg = f.compose(g)
     assert (fg.src, fg.dst, fg.shift) == (U, W, 2)
     assert fg.entries == reference_compose(f, g)
@@ -130,14 +156,49 @@ def test_map_algebra_matches_dense_reference(char, data):
     diff = g - g2
     assert diff.entries == tuple(tuple(a + (-b) for a, b in zip(ra, rb))
                                  for ra, rb in zip(g.entries, g2.entries))
-    for mm in (fg, total, diff):
+    neg = -g
+    assert neg.entries == tuple(tuple(-a for a in row) for row in g.entries)
+    c = data.draw(coefficients(ring))
+    scaled = g.scale(c)
+    assert scaled.entries == tuple(tuple(a.scale(c) for a in row)
+                                   for row in g.entries)
+    q = random_poly(data, ring, data.draw(st.integers(0, 1)))
+    times = g.scale_poly(q)
+    assert times.shift == g.shift + (q.degree() or 0)
+    assert times.entries == tuple(tuple(a * q for a in row) for row in g.entries)
+    rows = data.draw(st.lists(st.integers(0, V.rank - 1), unique=True)) if V.rank else []
+    cols = data.draw(st.lists(st.integers(0, U.rank - 1), unique=True)) if U.rank else []
+    sub = g.submatrix(rows, cols)
+    assert sub.entries == tuple(tuple(g.entries[i][j] for j in cols) for i in rows)
+    blocks = [[g, None], [None, f], [g2, None]]
+    glued = MatrixMap.from_blocks(ring, blocks, [U, V], [V, W, V], 0, 1)
+    assert glued.entries == dense_blocks(blocks, [U, V], [V, W, V], ring)
+    for mm in (fg, total, diff, neg, scaled, times, sub, glued):
         assert_canonical(mm)
+    assert [snapshot(mm) for mm in (f, g, g2)] == before
+
+
+def test_first_failure_is_row_major():
+    # the sum fills row 1 first, and then column 1 of row 0 before column 0
+    ring = GradedRing.make(Field(), [("x", 1), ("y", 1)], ["x^2", "y^2"])
+    M = FreeModule((0, 0))
+
+    def one(i, j, s):
+        grid = [["0", "0"], ["0", "0"]]
+        grid[i][j] = s
+        return MatrixMap.from_strings(ring, M, M, grid, check=False)
+
+    total = one(1, 0, "x") + one(0, 1, "y") + one(0, 0, "x + y")
+    assert list(total.rows) == [1, 0] and list(total.rows[0]) == [1, 0]
+    assert total.first_nonmember() == (0, 0)
+    with pytest.raises(ContractViolation, match=r"entry \(0,0\)"):
+        total.check_homogeneous()
 
 
 def test_homogeneity_enforced(F):
     ring = F.ring
     with pytest.raises(ContractViolation):
-        MatrixMap(
+        MatrixMap.from_strings(
             ring,
             FreeModule((0,)),
             FreeModule((0,)),
@@ -192,7 +253,7 @@ def test_cone_checks_chain_map(F):
     bump = MatrixMap.zero(F.ring, phi[1].src, phi[1].dst, 0)
     rows = [list(r) for r in bump.entries]
     rows[0][0] = F.ring.poly("x*a")
-    corrupt[1] = phi[1] + MatrixMap(
+    corrupt[1] = phi[1] + MatrixMap.from_strings(
         F.ring, phi[1].src, phi[1].dst, rows, 0, 0, check=False
     )
     with pytest.raises(ContractViolation):
@@ -295,7 +356,7 @@ def test_validate_homotopy_system_examples():
     assert sigma.get((1,), 0).entries[0][0] == ring.poly("x")
     assert not validate_homotopy_system(G, sigma)
     # perturb sigma_1 and the identity must fail by name
-    bump = MatrixMap(
+    bump = MatrixMap.from_strings(
         ring, G.module(0), G.module(1), [[ring.poly("x")]], 0, 2, check=False
     )
     sigma.set((1,), 0, sigma.get((1,), 0) + bump)
@@ -312,8 +373,8 @@ def _batch_inputs(char):
     d = F.d
     ident = MatrixMap.identity(ring, d.dst, 0)
     x = ring.poly("x")
-    mixed = MatrixMap(ring, FreeModule((1, 2)), d.dst,
-                      [[row[0], row[1] * x] for row in d.entries], 0, 0)
+    mixed = MatrixMap.from_strings(ring, FreeModule((1, 2)), d.dst,
+                                   [[row[0], row[1] * x] for row in d.entries], 0, 0)
     return d, [d, ident, mixed]
 
 

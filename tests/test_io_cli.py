@@ -1,11 +1,16 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmf import io_json
 from hmf.cli import main
@@ -285,6 +290,10 @@ MALFORMED = [
         ("hmf", ("ring", "vars"), [["x"]]),
         ("hmf", ("ring", "regseq", 0), 5),
         ("complex", ("modules", 0, "labels"), 5),
+        ("complex", ("modules", 0, "labels"), ["g0"]),
+        ("complex", ("modules", 0, "labels"), [1, 2, 3]),
+        ("complex", ("range",), [0, 1]),
+        ("complex", ("range",), [5, 2]),
     )
 ]
 
@@ -320,6 +329,18 @@ def _corpus_copy(tmp_path, name, edit):
     return str(path)
 
 
+def test_cli_duplicate_block_entry_exits_2(tmp_path, capsys):
+    # a second B entry for p = 1 would replace the first
+    def repeat(obj):
+        obj["B"].append(dict(obj["B"][0], B1=[2, 2]))
+
+    bad = _corpus_copy(tmp_path, "codim2_xz_y2", repeat)
+    with pytest.raises(SchemaError):
+        io_json.load(bad)
+    assert main(["validate", bad]) == 2
+    assert "second entry for p=1" in capsys.readouterr().err
+
+
 def test_cli_rational_coefficients_over_fp(tmp_path):
     # 1/2*a + 1/2*a is a over F_32003, so the report is the original's
     def halves(obj):
@@ -344,3 +365,59 @@ def test_cli_unrepresentable_polynomial_exits_2(tmp_path, capsys, entry, reason)
     assert main(["validate", bad]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and reason in err
+
+
+def _leaves(obj, path=()):
+    """The paths of the scalar leaves of a JSON object."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [leaf for k, v in items for leaf in _leaves(v, path + (k,))]
+    return [path]
+
+
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9),
+    st.sampled_from(["", "x", "0", "-y", "x^2", "1/2", "g0"]),
+    st.sampled_from([[], {}, [[]], ["x"], [0, 1]]),
+)
+FUZZ_COMMANDS = (["validate"], ["resolve-s", "--degree-bound", "4"], ["extract"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs():
+    """The corpus files and a finite-resolution complex, as JSON objects."""
+    objs = []
+    for name in sorted(GOLDEN_BUILDERS):
+        with open(golden_path(name)) as fh:
+            objs.append(json.load(fh))
+    finite = build_finite(load_golden("codim2_xz_y2")).complex
+    return objs + [io_json.complex_to_json(finite)]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzz_mutated_json_exit_codes(tmp_path_factory, fuzz_inputs, data):
+    # 1-2 leaves replaced, or deleted where the drawn value is None
+    obj = copy.deepcopy(data.draw(st.sampled_from(fuzz_inputs)))
+    for path in data.draw(st.lists(st.sampled_from(_leaves(obj)),
+                                   min_size=1, max_size=2, unique=True)):
+        parent = obj
+        try:
+            for step in path[:-1]:
+                parent = parent[step]
+            value = data.draw(FUZZ_VALUES)
+            if value is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced this leaf
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(io_json.dumps(obj))
+    argv = data.draw(st.sampled_from(FUZZ_COMMANDS)) + [str(path)]
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert time.perf_counter() - start < 5

@@ -93,7 +93,7 @@ def test_higher_homotopies_non_annihilating(F):
 
 def test_higher_homotopies_prescribed_start_checked(F):
     G = two_term_complex(F.ring, F.d_p(1))
-    wrong = MatrixMap(
+    wrong = MatrixMap.from_strings(
         F.ring, G.module(0), G.module(1), F.d_p(1).entries, 0, 2, check=False
     )
     with pytest.raises(AssertionError):

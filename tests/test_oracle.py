@@ -49,7 +49,7 @@ def test_mutation_detected():
         F.ring,
         0,
         dict(L.modules),
-        {1: L.diff(1), 2: MatrixMap(F.ring, L.module(2), L.module(1), rows, 0, 0)},
+        {1: L.diff(1), 2: MatrixMap.from_strings(F.ring, L.module(2), L.module(1), rows, 0, 0)},
         0,
         2,
     )
@@ -130,7 +130,7 @@ def _flip_sign(L):
     rows = [list(r) for r in L.diff(2).entries]
     rows[0][1] = -rows[0][1]
     diffs = dict(L.diffs)
-    diffs[2] = MatrixMap(L.ring, L.module(2), L.module(1), rows, 0, 0)
+    diffs[2] = MatrixMap.from_strings(L.ring, L.module(2), L.module(1), rows, 0, 0)
     return Complex(L.ring, L.level, dict(L.modules), diffs, L.lo, L.hi)
 
 

@@ -261,7 +261,7 @@ def test_box_precondition_checked(F, fin):
     bad_theta = dict(theta)
     rows = [list(r) for r in theta[0].entries]
     rows[0][0] = rows[0][0] + ring.poly("y*b")
-    bad_theta[0] = MatrixMap(
+    bad_theta[0] = MatrixMap.from_strings(
         ring, theta[0].src, theta[0].dst, rows, 0, 2, check=False
     )
     with pytest.raises(ContractViolation):

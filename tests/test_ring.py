@@ -185,10 +185,10 @@ def test_packed_overflow_through_compose():
     from hmf.complexes import FreeModule, MatrixMap
 
     ring = GradedRing(Field(), [("x", 1), ("y", 1)])
-    m = MatrixMap(ring, FreeModule((40000,)), FreeModule((0,)),
-                  [[ring.poly("x^40000")]])
-    n = MatrixMap(ring, FreeModule((80000,)), FreeModule((40000,)),
-                  [[ring.poly("x^40000")]])
+    m = MatrixMap.from_strings(ring, FreeModule((40000,)), FreeModule((0,)),
+                               [[ring.poly("x^40000")]])
+    n = MatrixMap.from_strings(ring, FreeModule((80000,)), FreeModule((40000,)),
+                               [[ring.poly("x^40000")]])
     with pytest.raises(RingError):
         m.compose(n)
 
