@@ -12,6 +12,12 @@ Rows are never changed once a map is built, so a change of level, shift or
 twists shares them.  MatrixMap.from_strings is the one constructor from a
 dense grid and MatrixMap.entries the one dense view; parsing, the writers
 and HMF's constructor use them, and the algebra never does.
+
+The identities the builders solve and check are sums of products, and
+MatrixMap.combine evaluates sum +-L o R + sum +-M in one term dict per
+output cell, reduced once; compose is its one-product case, and
+Poly.add_products the one polynomial product loop.  A Complex never changes
+its modules or diffs once built, so Complex.square(i) is composed once.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ class ContractViolation(ValueError):
     pass
 
 
+# rank -> ("g0", ..., "g<rank-1>"), the labels of every unlabelled module
+_DEFAULT_LABELS = {}
+
+
 @dataclass(frozen=True)
 class FreeModule:
     """Graded free module given by its generator degrees (twists)."""
@@ -39,7 +49,7 @@ class FreeModule:
     labels: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "twists", tuple(int(t) for t in self.twists))
+        object.__setattr__(self, "twists", tuple(map(int, self.twists)))
         if self.labels is not None:
             if len(self.labels) != len(self.twists):
                 raise ShapeError("labels length mismatch")
@@ -53,7 +63,12 @@ class FreeModule:
         return self.labels[k] if self.labels else f"g{k}"
 
     def all_labels(self):
-        return tuple(self.label(k) for k in range(self.rank))
+        if self.labels is not None:
+            return self.labels
+        got = _DEFAULT_LABELS.get(self.rank)
+        if got is None:
+            got = _DEFAULT_LABELS[self.rank] = tuple(f"g{k}" for k in range(self.rank))
+        return got
 
     def shifted(self, n, tag=None):
         labels = None
@@ -183,34 +198,52 @@ class MatrixMap:
                          self.shift if shift is None else shift, check=False)
 
     def compose(self, other):
-        """self o other (other applied first).
+        """self o other (other applied first): combine of the one product."""
+        return MatrixMap.combine(self.ring, other.src, self.dst, self.level,
+                                 self.shift + other.shift, [(1, self, other)])
 
-        Each output cell sums the products over a row of self and the
-        matching rows of other, in one term dict reduced once.
+    @staticmethod
+    def combine(ring, src, dst, level, shift, products=(), maps=()):
+        """sum c L o R over products (c, L, R) plus sum c M over maps (c, M),
+        as a map src -> dst at level with the given shift; c is an int or a
+        field element.
+
+        Every operand is checked as compose and + check theirs: each L and
+        R has the ring and the level, R.dst has L.src's twists, and each
+        product and each map has the twists of src and dst and the shift.
+        Every term of every operand goes into one term dict per output cell,
+        through Poly.add_products, and each cell is reduced once, so the sum
+        makes no intermediate map; a polynomial multiple g M comes in as the
+        product (g Id) o M, with poly_times_identity.  An empty sum is the
+        zero map.
         """
-        self._compat(other)
-        if other.dst.twists != self.src.twists:
-            raise ShapeError("composition twist mismatch")
-        ring = self.ring
-        orows = other.rows
-        rows = {}
-        for i, row in self.rows.items():
-            acc = {}
-            for k, a in row.items():
-                brow = orows.get(k)
-                if brow:
-                    at = a.terms
-                    for j, b in brow.items():
-                        Poly.add_products(acc.setdefault(j, {}), at, b.terms)
-            out = {}
-            for j, t in acc.items():
-                q = Poly.reduced(ring, t)
-                if q.terms:
-                    out[j] = q
-            if out:
-                rows[i] = out
-        return MatrixMap(ring, other.src, self.dst, rows, self.level,
-                         self.shift + other.shift, check=False)
+        cells = {}
+        for c, L, R in products:
+            for M in (L, R):
+                MatrixMap._check_operand(ring, level, M)
+            if R.dst.twists != L.src.twists:
+                raise ShapeError("composition twist mismatch")
+            if (R.src.twists != src.twists or L.dst.twists != dst.twists
+                    or L.shift + R.shift != shift):
+                raise ShapeError("sum shape mismatch")
+            Poly.add_products(cells, c, L.rows, R.rows)
+        for c, M in maps:
+            MatrixMap._check_operand(ring, level, M)
+            if (M.src.twists != src.twists or M.dst.twists != dst.twists
+                    or M.shift != shift):
+                raise ShapeError("sum shape mismatch")
+            # c M is the product c Id o M
+            one = ring.one()
+            Poly.add_products(cells, c, {i: {i: one} for i in M.rows}, M.rows)
+        return MatrixMap(ring, src, dst, Poly.reduced(ring, cells), level, shift,
+                         check=False)
+
+    @staticmethod
+    def _check_operand(ring, level, M):
+        if M.ring is not ring:
+            raise RingError("maps over different rings")
+        if M.level != level:
+            raise ShapeError(f"level mismatch {level} != {M.level}")
 
     def _plus(self, other, negate):
         """self + other, or self - other when negate; the rows that other
@@ -257,10 +290,9 @@ class MatrixMap:
                            for i, row in self.rows.items()} if c else {})
 
     def scale_poly(self, g):
-        # S is a domain, so a nonzero g leaves every entry nonzero
-        rows = ({i: {j: a * g for j, a in row.items()}
-                 for i, row in self.rows.items()} if g.terms else {})
-        return self._like(rows, self.shift + (g.degree() or 0))
+        gid = MatrixMap.poly_times_identity(self.ring, g, self.dst, self.level)
+        return MatrixMap.combine(self.ring, self.src, self.dst, self.level,
+                                 gid.shift + self.shift, [(1, gid, self)])
 
     def with_shift(self, shift):
         return self._like(self.rows, shift)
@@ -354,6 +386,10 @@ class Complex:
 
     modules[i] for lo <= i <= hi; diffs[i]: modules[i] -> modules[i-1] for
     lo < i <= hi.  Modules outside the range are zero.
+
+    A complex never changes its modules or diffs once built, as a MatrixMap
+    never changes its rows, so square(i) = d_{i-1} d_i is composed once per
+    complex and shared by validate and the CI-operator builders.
     """
 
     def __init__(self, ring, level, modules, diffs, lo=None, hi=None):
@@ -366,6 +402,7 @@ class Complex:
         self.hi = hi if hi is not None else (keys[-1] if keys else 0)
         for i in range(self.lo, self.hi + 1):
             self.modules.setdefault(i, ZERO_MODULE)
+        self._squares = {}
 
     def module(self, i):
         return self.modules.get(i, ZERO_MODULE)
@@ -377,6 +414,13 @@ class Complex:
                 self.ring, self.module(i), self.module(i - 1), self.level
             )
         return got
+
+    def square(self, i):
+        """d_{i-1} d_i: modules[i] -> modules[i-2], composed on first use."""
+        sq = self._squares.get(i)
+        if sq is None:
+            sq = self._squares[i] = self.diff(i - 1).compose(self.diff(i))
+        return sq
 
     def rank(self, i):
         return self.module(i).rank
@@ -402,7 +446,7 @@ class Complex:
                 failures.append(f"diff {i}: {exc}")
         if check_squares:
             for i in range(self.lo + 2, self.hi + 1):
-                sq = self.diff(i - 1).compose(self.diff(i))
+                sq = self.square(i)
                 bad = sq.first_nonmember()
                 if bad is not None:
                     failures.append(
@@ -492,15 +536,12 @@ def mapping_cone(Y, W, phi, check=True):
                 raise ContractViolation(f"phi[{j}] has wrong modules")
             p.check_homogeneous()
         for j in sorted(phi):
-            lhs = Y.diff(j).compose(phi[j]) if j > Y.lo else None
-            rhs = phi.get(j - 1)
-            acc = None
-            if lhs is not None:
-                acc = lhs
-            if rhs is not None:
-                term = rhs.compose(W.diff(j + 1))
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.in_ideal():
+            terms = [(1, Y.diff(j), phi[j])] if j > Y.lo else []
+            if j - 1 in phi:
+                terms.append((1, phi[j - 1], W.diff(j + 1)))
+            acc = MatrixMap.combine(ring, W.module(j + 1), Y.module(j - 1),
+                                    Y.level, phi[j].shift, terms)
+            if not acc.in_ideal():
                 raise ContractViolation(
                     f"phi is not a chain map: square at degree {j} fails"
                 )
@@ -807,7 +848,7 @@ def validate_homotopy_system(C, sigma, max_total=None, hom_range=None):
             for m in range(lo, hi + 1):
                 if C.module(m).rank == 0:
                     continue
-                acc = None
+                terms = []
                 missing = False
                 for b in itertools.product(*(range(x + 1) for x in a)):
                     s = tuple(x - y for x, y in zip(a, b))
@@ -822,16 +863,17 @@ def validate_homotopy_system(C, sigma, max_total=None, hom_range=None):
                             continue
                         missing = True
                         break
-                    term = second.compose(first)
-                    acc = term if acc is None else acc + term
-                if missing or acc is None:
+                    terms.append((1, second, first))
+                if missing or not terms:
                     continue
+                fid = []
                 if total == 1:
-                    j = sigma.findices[a.index(1)]
-                    f = ring.regseq[j - 1]
-                    acc = acc - MatrixMap.poly_times_identity(
-                        ring, f, C.module(m), C.level
-                    )
+                    f = ring.regseq[sigma.findices[a.index(1)] - 1]
+                    fid.append((-1, MatrixMap.poly_times_identity(
+                        ring, f, C.module(m), C.level)))
+                acc = MatrixMap.combine(
+                    ring, C.module(m), C.module(m + 2 * total - 2), C.level,
+                    index_shift(ring, sigma.findices, a), terms, fid)
                 bad = acc.first_nonmember()
                 if bad is not None:
                     failures.append(

@@ -5,10 +5,9 @@ syzygy as Ker(delta_1).  The recursion mirrors the forward constructions:
 solve the CI decomposition, demand the top operator be surjective, peel,
 harvest the degree-<=3 homotopies of the peeled complex, and descend on its
 degree->=2 tail.  Each descent step identifies the tail with the next
-quotient tower, which pins the head blocks; that identification is
-available through codimension 2 (the codimension-1 tower is 2-periodic),
-and deeper towers would need the cosyzygy duality that is out of scope
-here, so extraction raises beyond depth 2.
+quotient tower, which pins the head blocks; a tail whose ranks do not match
+the recursed blocks raises ExtractionError, and the output must pass
+validate_hmf.
 
 Also here: the strengthening of a factorization (re-reading h off genuine
 degree-0 homotopies of the finite resolution) and the syzygy shift check.
@@ -162,11 +161,6 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
     trace = ExtractionTrace()
     ring = descent.top.ring
     cc0 = descent.top.level
-    if cc0 > 2 and _needs_deep_towers(descent, cc0):
-        raise ExtractionError(
-            "extraction beyond codimension 2 needs cosyzygy towers at every "
-            "level, which require duality machinery outside this artifact"
-        )
 
     def rec(cc):
         if cc == 0:
@@ -237,21 +231,6 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
         cert = prestable_certificate(out, D=D)
         trace.record(certificate=[c.row() for c in cert])
     return out, trace
-
-
-def _needs_deep_towers(descent, cc):
-    """Extraction depth is bounded by where the descent tails stay periodic;
-    a tail that peels to zero within one descent level (two when cc = 3)
-    poses no problem.  A descent that fails here needs the deep towers too;
-    any other error propagates."""
-    try:
-        for k in range(cc, cc - (2 if cc == 3 else 1), -1):
-            tail = descent.level(k)[2]
-            if all(tail.module(i).rank == 0 for i in range(2, tail.hi + 1)):
-                return False
-    except (PreStabilityError, Obstruction, ShapeError):
-        pass
-    return True
 
 
 def multiplication_injective_on_coker(comp, f, D):

@@ -183,17 +183,19 @@ def validate_hmf(F, check_minimal=True):
     for p in range(1, F.c + 1):
         dp = F.d_p(p)
         hp = F.h[p]
-        fid = MatrixMap.poly_times_identity(ring, ring.regseq[p - 1], F.A0(p), 0)
-        delta_a = dp.compose(hp) - fid
+        f = ring.regseq[p - 1]
+        fid = MatrixMap.poly_times_identity(ring, f, F.A0(p), 0)
+        delta_a = MatrixMap.combine(ring, hp.src, dp.dst, 0, hp.shift,
+                                    [(1, dp, hp)], [(-1, fid)])
         bad = delta_a.first_nonmember(p - 1)
         if bad is None:
             items.append(f"axiom (a) at p={p}: ok")
         else:
             failures.append(f"axiom (a) at p={p}: entry {bad} not in (f_1..f_{p-1})")
         pi = F.pi(p)
-        lhs = pi.compose(hp).compose(dp)
-        rhs = pi.scale_poly(ring.regseq[p - 1])
-        delta_b = lhs - rhs.with_shift(lhs.shift)
+        fpi = MatrixMap.poly_times_identity(ring, f, pi.dst, 0)
+        delta_b = MatrixMap.combine(ring, dp.src, pi.dst, 0, hp.shift,
+                                    [(1, pi.compose(hp), dp), (-1, fpi, pi)])
         bad = delta_b.first_nonmember(p - 1)
         if bad is None:
             items.append(f"axiom (b) at p={p}: ok")
@@ -331,18 +333,21 @@ def validate_strong(F):
         if ext is None:
             failures.append(f"p={p}: no homotopy extension supplied")
             continue
-        total = F.d_p(p).compose(F.h[p])
-        nrows = F.A0(p).rank
+        dh = F.d_p(p).compose(F.h[p])
+        terms = []
         for (i, w), blk in sorted(ext.items()):
             if not (1 <= i < w <= p):
                 failures.append(f"p={p}: extension slot ({i},{w}) out of range")
                 continue
-            scaled = blk.scale_poly(ring.regseq[i - 1])
-            rows = {F.off0(w) + a: row for a, row in scaled.rows.items()}
-            emb = MatrixMap(ring, F.A0(p), F.A0(p), rows, 0, total.shift, check=False)
-            total = total + emb
+            f = ring.regseq[i - 1]
+            rows = {F.off0(w) + a: row for a, row in blk.rows.items()}
+            emb = MatrixMap(ring, F.A0(p), F.A0(p), rows, 0, dh.shift - f.degree(),
+                            check=False)
+            fid = MatrixMap.poly_times_identity(ring, f, F.A0(p), 0)
+            terms.append((1, fid, emb))
         fid = MatrixMap.poly_times_identity(ring, ring.regseq[p - 1], F.A0(p), 0)
-        if (total - fid).is_zero():
+        if MatrixMap.combine(ring, dh.src, dh.dst, 0, dh.shift, terms,
+                             [(1, dh), (-1, fid)]).is_zero():
             items.append(f"strong identity at p={p}: exact")
         else:
             failures.append(f"strong identity fails at p={p}")
@@ -350,7 +355,7 @@ def validate_strong(F):
         if F.rank0(1):
             rows_idx = list(range(F.off0(1), F.off0(1) + F.rank0(1)))
             cols_idx = list(range(F.A0(p).rank))
-            top = F.d_p(p).compose(F.h[p]).submatrix(rows_idx, cols_idx)
+            top = dh.submatrix(rows_idx, cols_idx)
             rr = {a: {F.off0(1) + a: ring.regseq[p - 1]} for a in range(F.rank0(1))}
             rho_f = MatrixMap(ring, F.A0(p), F.b0[1], rr, 0, ring.fdeg(p), check=False)
             if (top - rho_f).is_zero():
@@ -450,26 +455,22 @@ def change_of_generators_complex(C, tilde, alpha):
     diffs = {i: migrate_map(ring2, d) for i, d in C.diffs.items()}
     C2 = Complex(ring2, C.level, mods, diffs, C.lo, C.hi)
     tilde2 = {}
+    migrated = {j: {deg: migrate_map(ring2, t) for deg, t in tilde[j].items()}
+                for j in range(1, c + 1)}
     for i in range(1, c + 1):
+        nu_i = nu.rows.get(i - 1, {})
         tilde2[i] = {}
-        for deg in tilde[1]:
-            acc = None
-            for j in range(1, c + 1):
-                coef = nu.rows.get(i - 1, {}).get(j - 1, 0)
-                if fld.canon(coef) == 0:
-                    continue
-                term = migrate_map(ring2, tilde[j][deg]).scale(coef)
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = migrate_map(ring2, tilde[1][deg]).scale(0)
-            tilde2[i][deg] = acc
+        for deg, t in migrated[1].items():
+            tilde2[i][deg] = MatrixMap.combine(
+                ring2, t.src, t.dst, t.level, t.shift,
+                maps=[(nu_i[j - 1], migrated[j][deg]) for j in range(1, c + 1)
+                      if j - 1 in nu_i])
     # residual check: sum f'_i t~'_i = d~^2 exactly
-    for deg in tilde[1]:
-        acc = None
-        for i in range(1, c + 1):
-            term = tilde2[i][deg].scale_poly(ring2.regseq[i - 1])
-            acc = term if acc is None else acc + term
-        sq = C2.diff(deg - 1).compose(C2.diff(deg))
-        if not (acc - sq).is_zero():
+    for deg, t in migrated[1].items():
+        terms = [(1, MatrixMap.poly_times_identity(ring2, f, t.dst, t.level),
+                  tilde2[i][deg]) for i, f in enumerate(ring2.regseq, 1)]
+        terms.append((-1, C2.diff(deg - 1), C2.diff(deg)))
+        if not MatrixMap.combine(ring2, t.src, t.dst, t.level, 0,
+                                 terms).is_zero():
             raise RingError("transformed decomposition failed the residual check")
     return ring2, C2, tilde2

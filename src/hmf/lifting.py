@@ -21,6 +21,7 @@ from .complexes import (
     HomotopySystem,
     MatrixMap,
     ShapeError,
+    index_shift,
     koszul_tensor,
     lift_through,
     multi_indices,
@@ -73,7 +74,9 @@ def _lift_outcomes(d, Cs, level, kind, degree, details, Xs, variant):
         if X is None:
             out[n] = Obstruction(kind, degree, detail)
             continue
-        bug = _residual_bug(kind, degree, detail, d.compose(X) - C, level)
+        residual = MatrixMap.combine(d.ring, X.src, d.dst, d.level, C.shift,
+                                     [(1, d, X)], [(-1, C)])
+        bug = _residual_bug(kind, degree, detail, residual, level)
         out[n] = X if bug is None else bug
     return out
 
@@ -106,9 +109,12 @@ def ideal_decomposition(M, level, kind, degree, what, variant=0):
     if got is None:
         raise Obstruction(kind, degree, f"{what} not in the ideal")
     Ws = got[1]
-    rest = M.relevel(level)
-    for f, W in zip(M.ring.regseq, Ws):
-        rest = rest - W.scale_poly(f)
+    ring = M.ring
+    rest = MatrixMap.combine(
+        ring, M.src, M.dst, level, M.shift,
+        [(-1, MatrixMap.poly_times_identity(ring, f, M.dst, level), W)
+         for f, W in zip(ring.regseq, Ws)],
+        [(1, M.relevel(level))])
     bug = _residual_bug(kind, degree, what, rest, 0)
     if bug is not None:
         raise bug
@@ -130,20 +136,13 @@ def nullhomotopy(W, Y, a, gamma, variant=0):
     if not spots:
         return alpha
     shift = gamma[spots[0]].shift
-
-    def alpha_at(i):
-        got = alpha.get(i)
-        if got is not None:
-            return got
-        return MatrixMap.zero(Y.ring, W.module(i - a - 1), Y.module(i), Y.level, shift)
-
     for i in range(min(spots), max(spots) + 1):
         if W.module(i - a).rank == 0:
             continue
+        terms = [(sign, alpha[i], W.diff(i - a))] if i in alpha else []
         g = gamma.get(i)
-        if g is None:
-            g = MatrixMap.zero(Y.ring, W.module(i - a), Y.module(i), Y.level, shift)
-        C = g + alpha_at(i).compose(W.diff(i - a)).scale(sign)
+        C = MatrixMap.combine(Y.ring, W.module(i - a), Y.module(i), Y.level, shift,
+                              terms, [(1, g)] if g is not None else [])
         X, = lift_step(Y.diff(i + 1), [C], Y.level, "nullhomotopy", i,
                        variant=variant)
         if X is not None:
@@ -183,12 +182,7 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0
             for a in indices:
                 if a in failed:
                     continue
-                acc = None
-                if total == 1:
-                    j = findices[a.index(1)]
-                    acc = MatrixMap.poly_times_identity(
-                        ring, ring.regseq[j - 1], src, G.level
-                    )
+                terms = []
                 solvable = True
                 for b in itertools.product(*(range(x + 1) for x in a)):
                     if all(v == 0 for v in b):
@@ -203,10 +197,16 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0
                     if second is None:
                         solvable = False
                         break
-                    term = second.compose(first)
-                    acc = term.scale(-1) if acc is None else acc - term
-                if solvable and acc is not None:
-                    batch.append((a, acc))
+                    terms.append((-1, second, first))
+                if solvable:
+                    fid = []
+                    if total == 1:
+                        f = ring.regseq[findices[a.index(1)] - 1]
+                        fid.append((1, MatrixMap.poly_times_identity(
+                            ring, f, src, G.level)))
+                    batch.append((a, MatrixMap.combine(
+                        ring, src, G.module(tgt_deg - 1), G.level,
+                        index_shift(ring, findices, a), terms, fid)))
             if not batch:
                 continue
             out = _lift_outcomes(
@@ -249,18 +249,20 @@ def koszul_extension(psi0, B, L, idxs, variant=0):
             if not J:
                 row[k] = psi0
                 continue
-            acc = None
+            terms = []
             for r, fj in enumerate(J):
                 prev = X.get(tuple(x for x in J if x != fj))
                 if prev is None:
                     continue
-                sign = 1 if r % 2 == 0 else -1
-                term = prev.scale_poly(ring.regseq[fj - 1].scale(sign))
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                batch.append((k, J, MatrixMap(ring, mods[k], L.module(j - 1),
-                                              acc.rows, L.level, 0,
-                                              check=False)))
+                # X_{J minus J_r} read from e_J B_1, twisted up by deg f_{J_r}
+                f = ring.regseq[fj - 1]
+                prev = MatrixMap(ring, mods[k], prev.dst, prev.rows, L.level,
+                                 -f.degree(), check=False)
+                fid = MatrixMap.poly_times_identity(ring, f, prev.dst, L.level)
+                terms.append((1 if r % 2 == 0 else -1, fid, prev))
+            if terms:
+                batch.append((k, J, MatrixMap.combine(
+                    ring, mods[k], L.module(j - 1), L.level, 0, terms)))
         if batch:
             got = lift_step(L.diff(j), [C for _, _, C in batch], L.level,
                             "koszul extension", j,
@@ -283,8 +285,7 @@ def ci_from_lifting(C, upto=None, variant=0):
         raise ShapeError("ci operators need level >= 1")
     tilde = {j: {} for j in range(1, level + 1)}
     for i in range(C.lo + 2, upto + 1):
-        sq = C.diff(i - 1).compose(C.diff(i))
-        Ws = ideal_decomposition(sq, level, "ci decomposition", i, "d^2",
+        Ws = ideal_decomposition(C.square(i), level, "ci decomposition", i, "d^2",
                                  variant=variant)
         for j, W in enumerate(Ws, 1):
             tilde[j][i] = W
@@ -298,9 +299,10 @@ def ci_commutation_failures(C, tilde):
     for j in sorted(tilde):
         for i in sorted(tilde[j]):
             if i - 1 in tilde[j] and C.module(i - 3).rank and C.module(i).rank:
-                comm = C.diff(i - 2).compose(tilde[j][i]) - tilde[j][i - 1].compose(
-                    C.diff(i)
-                )
+                t = tilde[j][i]
+                comm = MatrixMap.combine(
+                    C.ring, C.module(i), C.module(i - 3), C.level, t.shift,
+                    [(1, C.diff(i - 2), t), (-1, tilde[j][i - 1], C.diff(i))])
                 if not comm.in_ideal():
                     failures.append(f"[t_{j}, d] != 0 at degree {i}")
     return failures
@@ -318,6 +320,7 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
     """
     G = sigma.complex
     Gp = sigmap.complex
+    q = G.ring.fdeg(sigma.findices[0])
 
     def sig(table, i, v):
         return table.get((i,), v)
@@ -329,7 +332,7 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
             tgt = v + 2 * m
             if G.module(v).rank == 0 or tgt > Gp.hi:
                 continue
-            acc = None
+            terms = []
             ok = True
             # - sum_{i+j=m, i>0} sigma'_i phi_j
             for i in range(1, m + 1):
@@ -342,8 +345,7 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
                 if sp is None:
                     ok = False
                     break
-                term = sp.compose(pj)
-                acc = term.scale(-1) if acc is None else acc - term
+                terms.append((-1, sp, pj))
             if not ok:
                 continue
             # + sum_{i+j=m} phi_j sigma_i   (i = 0 term uses phi_m at v-1)
@@ -360,10 +362,11 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
                         continue
                     ok = False
                     break
-                term = pj2.compose(si)
-                acc = term if acc is None else acc + term
-            if not ok or acc is None:
+                terms.append((1, pj2, si))
+            if not ok or not terms:
                 continue
+            acc = MatrixMap.combine(G.ring, G.module(v), Gp.module(tgt - 1),
+                                    Gp.level, m * q, terms)
             X, = lift_step(Gp.diff(tgt), [acc], Gp.level, "homotopy comparison",
                            v, [f"m={m}"], variant=variant)
             if X is not None:
@@ -401,7 +404,7 @@ def verify_comparison(phis, sigma, sigmap, max_m):
         for v in range(G.lo, G.hi + 1):
             if G.module(v).rank == 0:
                 continue
-            acc = None
+            terms = []
             ok = True
             for i in range(0, m + 1):
                 j = m - i
@@ -410,7 +413,6 @@ def verify_comparison(phis, sigma, sigmap, max_m):
                 if sp is None or pj is None:
                     ok = False
                     break
-                term1 = sp.compose(pj)
                 si = sigma.get((i,), v)
                 if si is None:
                     ok = False
@@ -420,12 +422,12 @@ def verify_comparison(phis, sigma, sigmap, max_m):
                 if pj2 is None:
                     ok = False
                     break
-                term2 = pj2.compose(si)
-                diff = term1 - term2
-                acc = diff if acc is None else acc + diff
-            if not ok or acc is None:
+                terms += [(1, sp, pj), (-1, pj2, si)]
+            if not ok or not terms:
                 continue
             checked += 1
+            acc = MatrixMap.combine(ring, G.module(v), Gp.module(v + 2 * m - 1),
+                                    G.level, m * q, terms)
             bad = acc.first_nonmember()
             if bad is not None:
                 failures.append(f"comparison identity fails at m={m}, v={v}: {bad}")
@@ -501,8 +503,8 @@ def lifted_comparison_check(phis, sigma, sigmap, steps):
         ph_prev = phimap(n - 1)
         if None in (dG, dGp, ph_n, ph_prev):
             continue
-        lhs = ph_prev.compose(dG)
-        rhs = dGp.compose(ph_n)
-        if not (lhs - rhs).is_zero():
+        diff = MatrixMap.combine(ring, dG.src, ph_prev.dst, 0, 0,
+                                 [(1, ph_prev, dG), (-1, dGp, ph_n)])
+        if not diff.is_zero():
             failures.append(f"lifted comparison fails at degree {n}")
     return failures

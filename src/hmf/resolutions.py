@@ -275,9 +275,11 @@ def special_lifting_and_ci(bundle, upto=None, variant=0):
     upto = T.hi if upto is None else upto
     t_top = bundle.ci[p]
     tilde = {j: {} for j in range(1, p + 1)}
+    f = ring.regseq[p - 1]
     for i in range(2, upto + 1):
-        sq = T.diff(i - 1).compose(T.diff(i))
-        rem = sq - t_top[i].scale_poly(ring.regseq[p - 1])
+        fid = MatrixMap.poly_times_identity(ring, f, T.module(i - 2), p)
+        rem = MatrixMap.combine(ring, T.module(i), T.module(i - 2), p, 0,
+                                [(-1, fid, t_top[i])], [(1, T.square(i))])
         tilde[p][i] = t_top[i]
         if p == 1:
             if not rem.is_zero():
@@ -293,7 +295,9 @@ def special_lifting_and_ci(bundle, upto=None, variant=0):
             for i in range(4, upto + 1):
                 A = tilde[ja]
                 Bop = tilde[jb]
-                comm = A[i - 2].compose(Bop[i]) - Bop[i - 2].compose(A[i])
+                comm = MatrixMap.combine(
+                    ring, T.module(i), T.module(i - 4), p, A[i].shift + Bop[i].shift,
+                    [(1, A[i - 2], Bop[i]), (-1, Bop[i - 2], A[i])])
                 if not comm.in_ideal(p):
                     report.append(f"[t_{ja}, t_{jb}] != 0 at degree {i}")
     return tilde, report
@@ -369,9 +373,9 @@ def peel(C, t=None, variant=0):
         rows = {r: {jcol: ring.const(x) for jcol, x in row.items()}
                 for r, row in N.rows.items()}
         u0 = MatrixMap(ring, kmod, C.module(i), rows, p - 1, 0, check=False)
-        corr = sections[i].compose(ti.relevel(p - 1).compose(u0))
-        u = u0 - corr
-        kernels[i] = u
+        tu = ti.relevel(p - 1).compose(u0)
+        kernels[i] = MatrixMap.combine(ring, kmod, C.module(i), p - 1, 0,
+                                       [(-1, sections[i], tu)], [(1, u0)])
         kernel_mods[i] = kmod
     for i in (0, 1):
         kernels[i] = MatrixMap.identity(ring, C.module(i), p - 1)
@@ -387,7 +391,6 @@ def peel(C, t=None, variant=0):
             inc[i][j] = sections[i].compose(lower)
             j += 1
     projections = {}
-    kdiffs = {}
     Gmods = {i: kernel_mods.get(i, ZERO_MODULE) for i in range(0, C.hi + 1)}
     # full basis change and its inverse, degree by degree
     for i in range(0, C.hi + 1):
@@ -411,34 +414,23 @@ def peel(C, t=None, variant=0):
         # kernel-block rows of the inverse
         kr = Gmods[i].rank
         projections[i] = inv.submatrix(list(range(kr)), list(range(C.module(i).rank)))
+    # the kernel's differential (jj = 0) and homotopies (jj >= 1) are the
+    # blocks projections[i-1] d_i inc[i][jj]; the first two are composed
+    # once per degree i
+    blocks = {}
     for i in range(1, C.hi + 1):
-        if Gmods[i].rank and Gmods[i - 1].rank:
-            d = projections[i - 1].compose(C.diff(i).relevel(p - 1)).compose(
-                inc[i][0]
-            )
-            kdiffs[i] = MatrixMap(
-                ring, Gmods[i], Gmods[i - 1], d.rows, p - 1, 0, check=False
-            )
-    G = Complex(ring, p - 1, Gmods, kdiffs, 0, C.hi)
-    sigma = HomotopySystem(G, (p,))
-    for jj in range(1, C.hi // 2 + 1):
-        for m in range(0, C.hi - 2 * jj + 1):
-            i = m + 2 * jj
-            if jj not in inc[i]:
-                continue
-            if Gmods[m].rank == 0 or Gmods[i - 1].rank == 0:
-                continue
-            comp = projections[i - 1].compose(
-                C.diff(i).relevel(p - 1)
-            ).compose(inc[i][jj])
-            sigma.set(
-                (jj,),
-                m,
-                MatrixMap(
+        if Gmods[i - 1].rank == 0:
+            continue
+        pd = projections[i - 1].compose(C.diff(i).relevel(p - 1))
+        for jj, inc_ij in inc[i].items():
+            m = i - 2 * jj
+            if Gmods[m].rank:
+                comp = pd.compose(inc_ij)
+                blocks.setdefault(jj, {})[m] = MatrixMap(
                     ring, Gmods[m], Gmods[i - 1], comp.rows, p - 1, jj * q,
-                    check=False,
-                ),
-            )
+                    check=False)
+    G = Complex(ring, p - 1, Gmods, blocks.pop(0, {}), 0, C.hi)
+    sigma = HomotopySystem(G, (p,), {(jj,): maps for jj, maps in blocks.items()})
     # round-trip report: ranks of Sh(G, sigma) against C
     for n in range(0, C.hi + 1):
         expect = sum(
@@ -509,28 +501,31 @@ def box(Y, f_idx, theta, tau, check=True):
             th = theta.get(i)
             if th is None:
                 continue
-            acc = None
-            if Y.module(i + 1).rank:
-                acc = Y.diff(i + 1).compose(th)
+            terms = [(1, Y.diff(i + 1), th)] if Y.module(i + 1).rank else []
             if i > 0 and theta.get(i - 1) is not None:
-                term = theta[i - 1].compose(Y.diff(i))
-                acc = term if acc is None else acc + term
+                terms.append((1, theta[i - 1], Y.diff(i)))
             fid = MatrixMap.poly_times_identity(ring, f, Y.module(i), Y.level)
-            if acc is not None and not (acc - fid).in_ideal():
+            if terms and not MatrixMap.combine(
+                    ring, Y.module(i), Y.module(i), Y.level, q, terms,
+                    [(-1, fid)]).in_ideal():
                 failures.append(f"homotopy identity fails at degree {i}")
         if tau.get(0) is not None and theta.get(0) is not None and theta.get(1) is not None:
-            t1 = Y.diff(3).compose(tau[0]) if Y.module(3).rank else None
-            t2 = theta[1].compose(theta[0])
-            acc = t2 if t1 is None else t1 + t2
-            if not acc.in_ideal():
+            terms = [(1, theta[1], theta[0])]
+            if Y.module(3).rank:
+                terms.append((1, Y.diff(3), tau[0]))
+            if not MatrixMap.combine(ring, Y.module(0), Y.module(2), Y.level,
+                                     theta[1].shift + theta[0].shift,
+                                     terms).in_ideal():
                 failures.append("identity d_3 tau_0 + theta_1 theta_0 = 0 fails")
         if theta.get(1) is not None and theta.get(2) is not None:
-            acc = tau[0].compose(Y.diff(1)) if tau.get(0) is not None else None
-            term = theta[2].compose(theta[1])
-            acc = term if acc is None else acc + term
+            terms = [(1, theta[2], theta[1])]
+            if tau.get(0) is not None:
+                terms.append((1, tau[0], Y.diff(1)))
             if tau.get(1) is not None and Y.module(4).rank:
-                acc = acc + Y.diff(4).compose(tau[1])
-            if not acc.in_ideal():
+                terms.append((1, Y.diff(4), tau[1]))
+            if not MatrixMap.combine(ring, Y.module(1), Y.module(3), Y.level,
+                                     theta[2].shift + theta[1].shift,
+                                     terms).in_ideal():
                 failures.append(
                     "identity tau_0 d_1 + theta_2 theta_1 + d_4 tau_1 = 0 fails"
                 )
@@ -606,16 +601,14 @@ def box_homotopy_failures(bundle):
     for i in range(0, BX.hi):
         if BX.module(i).rank == 0:
             continue
-        lhs = None
-        if i in hb:
-            lhs = BX.diff(i + 1).compose(hb[i])
+        terms = [(1, BX.diff(i + 1), hb[i])] if i in hb else []
         if i >= 1 and (i - 1) in hb:
-            term = hb[i - 1].compose(BX.diff(i))
-            lhs = term if lhs is None else lhs + term
-        if lhs is None:
+            terms.append((1, hb[i - 1], BX.diff(i)))
+        if not terms:
             continue
         fid = MatrixMap.poly_times_identity(ring, f, BX.module(i), BX.level)
-        if not (lhs - fid).in_ideal():
+        if not MatrixMap.combine(ring, BX.module(i), BX.module(i), BX.level,
+                                 f.degree(), terms, [(-1, fid)]).in_ideal():
             failures.append(f"box homotopy identity fails at degree {i}")
     return failures
 

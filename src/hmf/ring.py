@@ -290,26 +290,61 @@ class Poly:
         self.terms = terms
 
     @staticmethod
-    def add_products(t, terms1, terms2):
-        """Add the product of two term dicts into the term dict t, leaving
-        the coefficients unreduced; Poly.reduced makes the sum canonical."""
-        for e1, c1 in terms1.items():
-            for e2, c2 in terms2.items():
-                e = e1 + e2
-                t[e] = t.get(e, 0) + c1 * c2
+    def add_products(cells, c, lrows, rrows):
+        """Add c times the product of two polynomial matrices into cells.
+
+        The factors come as their nonzero rows, {i: {k: Poly}} and
+        {k: {j: Poly}} (the layout of MatrixMap.rows), and cells is
+        {i: {j: term dict}} with the coefficients left unreduced, so a sum
+        of products is made canonical once per cell by Poly.reduced.  c is
+        an int or a field element.  This is the one polynomial product
+        loop; Poly.__mul__ runs it on 1x1 matrices.
+        """
+        for i, lrow in lrows.items():
+            out = cells.get(i)
+            if out is None:
+                out = cells[i] = {}
+            for k, a in lrow.items():
+                brow = rrows.get(k)
+                if brow is None:
+                    continue
+                for e1, c1 in a.terms.items():
+                    c1 *= c
+                    for j, b in brow.items():
+                        t = out.get(j)
+                        if t is None:
+                            # a new cell: the keys e1 + e2 are distinct
+                            out[j] = {e1 + e2: c1 * c2 for e2, c2 in b.terms.items()}
+                            continue
+                        for e2, c2 in b.terms.items():
+                            e = e1 + e2
+                            t[e] = t.get(e, 0) + c1 * c2
 
     @staticmethod
-    def reduced(ring, t):
-        """The Poly of a term dict with unreduced coefficients: reduced mod
-        p once, zero coefficients dropped.  Every product passes here, so
-        this is where a degree reaching EXP_LIMIT is caught."""
-        if t and max(t) >= ring._key_limit:
-            raise RingError(f"product of degree {max(t) >> ring.deg_shift} "
-                            f"exceeds the packed bound {EXP_LIMIT - 1}")
+    def reduced(ring, cells):
+        """The rows {i: {j: Poly}} of cells {i: {j: term dict}} with
+        unreduced coefficients: each cell reduced mod p once, zero
+        coefficients, zero cells and empty rows dropped.  Every product
+        passes here, so this is where a degree reaching EXP_LIMIT is
+        caught."""
+        limit = ring._key_limit
         p = ring.field.char
-        if p:
-            return Poly(ring, {e: r for e, c in t.items() if (r := c % p)})
-        return Poly(ring, {e: c for e, c in t.items() if c})
+        rows = {}
+        for i, acc in cells.items():
+            out = {}
+            for j, t in acc.items():
+                if t and max(t) >= limit:
+                    raise RingError(f"product of degree {max(t) >> ring.deg_shift} "
+                                    f"exceeds the packed bound {EXP_LIMIT - 1}")
+                if p:
+                    t = {e: r for e, c in t.items() if (r := c % p)}
+                else:
+                    t = {e: c for e, c in t.items() if c}
+                if t:
+                    out[j] = Poly(ring, t)
+            if out:
+                rows[i] = out
+        return rows
 
     # -- predicates
 
@@ -369,9 +404,10 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        t = {}
-        Poly.add_products(t, self.terms, other.terms)
-        return Poly.reduced(self.ring, t)
+        cells = {}
+        Poly.add_products(cells, 1, {0: {0: self}}, {0: {0: other}})
+        got = Poly.reduced(self.ring, cells).get(0)
+        return got[0] if got else self.ring.zero()
 
     __rmul__ = __mul__
 

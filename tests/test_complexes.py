@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from hmf.complexes import (
 from hmf.corpus import codim2_xa_yb, micro_codim1
 from hmf.lifting import higher_homotopies
 from hmf.oracle import graded_homology, homology_is_zero
-from hmf.ring import DEFAULT_PRIME, Field, GradedRing
+from hmf.ring import DEFAULT_PRIME, Field, GradedRing, RingError
 
 
 @pytest.fixture(scope="module")
@@ -173,9 +174,43 @@ def test_map_algebra_matches_dense_reference(char, data):
     blocks = [[g, None], [None, f], [g2, None]]
     glued = MatrixMap.from_blocks(ring, blocks, [U, V], [V, W, V], 0, 1)
     assert glued.entries == dense_blocks(blocks, [U, V], [V, W, V], ring)
-    for mm in (fg, total, diff, neg, scaled, times, sub, glued):
+    # combine: a signed sum of products and maps, against compose, + and -
+    h = random_map(data, ring, U, W, 2)
+    before.append(snapshot(h))
+    products = [(c, f, (g, g2)[k]) for c, k in data.draw(st.lists(
+        st.tuples(coefficients(ring), st.integers(0, 1)), max_size=3))]
+    maps = [(c, h) for c in data.draw(st.lists(coefficients(ring), max_size=2))]
+    combined = MatrixMap.combine(ring, U, W, 0, 2, products, maps)
+    assert (combined.src, combined.dst, combined.shift) == (U, W, 2)
+    expect = MatrixMap.zero(ring, U, W, 0, 2)
+    for c, L, R in products:
+        expect = expect + L.compose(R).scale(c)
+    for c, M in maps:
+        expect = expect - M.scale(-c)
+    assert combined.entries == expect.entries
+    assert MatrixMap.combine(ring, U, W, 0, 2).rows == {}
+    # every mismatch raises what compose or + raises for it
+    ring2 = GradedRing.make(Field(char), [("x", 1), ("y", 1)], ["x^2", "y^2"])
+    other_ring = MatrixMap.zero(ring2, V, W, 0, 1)
+    V2 = FreeModule(V.twists + (0,))
+    U2 = FreeModule(U.twists + (0,))
+    mismatches = [
+        (lambda: other_ring.compose(g), [(1, other_ring, g)], []),
+        (lambda: f.compose(g.relevel(1)), [(1, f, g.relevel(1))], []),
+        (lambda: f.compose(MatrixMap.zero(ring, U, V2, 0, 1)),
+         [(1, f, MatrixMap.zero(ring, U, V2, 0, 1))], []),
+        (lambda: fg + h.with_shift(3), [], [(1, h.with_shift(3))]),
+        (lambda: fg + MatrixMap.zero(ring, U2, W, 0, 2), [],
+         [(1, MatrixMap.zero(ring, U2, W, 0, 2))]),
+    ]
+    for binary, products, maps in mismatches:
+        with pytest.raises((ShapeError, RingError)) as want:
+            binary()
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            MatrixMap.combine(ring, U, W, 0, 2, products, maps)
+    for mm in (fg, total, diff, neg, scaled, times, sub, glued, combined):
         assert_canonical(mm)
-    assert [snapshot(mm) for mm in (f, g, g2)] == before
+    assert [snapshot(mm) for mm in (f, g, g2, h)] == before
 
 
 def test_first_failure_is_row_major():

@@ -170,6 +170,17 @@ def test_extract_depth_three_shifted(W3):
     assert signature(out).ranks == ((0, 0), (2, 2), (2, 1))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_extract_codimension_four(seed):
+    from hmf.randgen import gen_random_hmf
+
+    F4 = gen_random_hmf(seed, 4, max_rank=3)
+    W4 = cosyz_tower(F4, 12)[4][1].complex
+    out, _ = extract_hmf(SyzygyInput(W4, 2))
+    assert validate_hmf(out).ok
+    assert signature(out).ranks == signature(F4).ranks
+
+
 def test_depth_probe_propagates_solver_bugs(W3, monkeypatch):
     # the codimension-3 probe for deep towers treats only the documented
     # descent failures as "needs deep towers"; a solver bug surfaces
@@ -236,7 +247,7 @@ def test_syzygy_shift(F):
 
 
 def test_cli_extract_descends_each_level_once(tmp_path, monkeypatch):
-    # check_prestable, the depth probe and the extraction share one descent
+    # check_prestable and the extraction share one descent
     import hmf.extract as extract
     from hmf.cli import main
     from hmf.corpus import corpus_dir

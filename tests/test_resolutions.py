@@ -160,6 +160,34 @@ def test_special_lifting_props(F, tower):
         assert comm.in_ideal(2)
 
 
+def test_tower_squares_composed_once(F, monkeypatch):
+    # validate and special_lifting_and_ci share each d_{i-1} d_i of the tower
+    tower = build_infinite(F, 8)
+    T = tower.complex
+    seen = []
+    combine = MatrixMap.combine
+
+    def counted(ring, src, dst, level, shift, products=(), maps=()):
+        products = list(products)
+        seen.extend((id(L), id(R)) for _, L, R in products)
+        return combine(ring, src, dst, level, shift, products, maps)
+
+    monkeypatch.setattr(MatrixMap, "combine", staticmethod(counted))
+    assert T.validate() == []
+    special_lifting_and_ci(tower)
+    squares = [(id(T.diffs[i - 1]), id(T.diffs[i]))
+               for i in range(T.lo + 2, T.hi + 1)]
+    assert len(squares) == 7
+    assert [seen.count(sq) for sq in squares] == [1] * len(squares)
+
+
+def test_square_failure_text():
+    from test_oracle import _flip_sign
+
+    L = _flip_sign(build_finite(codim2_xa_yb()).complex)
+    assert L.validate() == ["d^2 != 0 at degree 2, entry (0, 1): 2*a*b*x"]
+
+
 def test_peel_round_trip_micro():
     Fm = micro_codim1()
     tm = build_infinite(Fm, 8)

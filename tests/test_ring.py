@@ -193,6 +193,22 @@ def test_packed_overflow_through_compose():
         m.compose(n)
 
 
+def test_packed_overflow_through_combine():
+    # the overflow is caught before reduction, even where the terms cancel
+    from hmf.complexes import FreeModule, MatrixMap
+
+    ring = GradedRing(Field(), [("x", 1), ("y", 1)])
+    m = MatrixMap.from_strings(ring, FreeModule((40000,)), FreeModule((0,)),
+                               [[ring.poly("x^40000")]])
+    n = MatrixMap.from_strings(ring, FreeModule((80000,)), FreeModule((40000,)),
+                               [[ring.poly("x^40000")]])
+    low = MatrixMap.from_strings(ring, FreeModule((80000,)), FreeModule((0,)),
+                                 [["0"]])
+    for products in ([(1, m, n)], [(1, m, n), (-1, m, n)]):
+        with pytest.raises(RingError, match="exceeds the packed bound"):
+            MatrixMap.combine(ring, n.src, m.dst, 0, 0, products, [(1, low)])
+
+
 # -- packed keys against the tuple-keyed reference
 
 EXPONENTS = st.lists(st.integers(0, 3), min_size=4, max_size=4)
