@@ -2,6 +2,9 @@
 
 Subcommands take JSON files (factorizations or complexes per the schema: 1
 formats), run one pipeline each, and write deterministic JSON reports.
+Every builder command (resolve-s, resolve-r, intermediate, shamash, box,
+peel, extract, strengthen) validates its factorization first, so invalid
+input exits 2 before any builder runs.
 Exit codes: 0 success/PASS, 1 validation failure, 2 input error.
 """
 
@@ -116,7 +119,7 @@ def cmd_resolve_r(args):
 def cmd_intermediate(args):
     from .resolutions import build_intermediate
 
-    F = _load_hmf(args.file)
+    F = _check_valid(_load_hmf(args.file), args.file)
     bundle = build_intermediate(F, args.j, args.steps)
     Q = bundle.complex
     cert = exactness_certificate(Q, (1, Q.hi - 1), args.degree_bound)
@@ -131,7 +134,7 @@ def cmd_intermediate(args):
 def cmd_shamash(args):
     from .resolutions import build_infinite
 
-    F = _load_hmf(args.file)
+    F = _check_valid(_load_hmf(args.file), args.file)
     bundle = build_infinite(F, args.steps)
     stage = bundle.stages.get(args.p) if bundle.stages else None
     if stage is None:
@@ -148,7 +151,7 @@ def cmd_box(args):
     from .lifting import higher_homotopies
     from .resolutions import box, box_homotopy_failures, build_finite
 
-    F = _load_hmf(args.file)
+    F = _check_valid(_load_hmf(args.file), args.file)
     fin = build_finite(F)
     L = fin.complex
     f_idx = args.f_index if args.f_index is not None else F.c
@@ -170,7 +173,7 @@ def cmd_box(args):
 def cmd_peel(args):
     from .resolutions import build_infinite, peel
 
-    F = _load_hmf(args.file)
+    F = _check_valid(_load_hmf(args.file), args.file)
     p = args.p if args.p is not None else F.c
     bundle = build_infinite(F, args.steps)
     stage = bundle.stages.get(p) if bundle.stages else bundle
@@ -215,7 +218,7 @@ def cmd_extract(args):
 def cmd_strengthen(args):
     from .extract import strengthen
 
-    F = _load_hmf(args.file)
+    F = _check_valid(_load_hmf(args.file), args.file)
     S = strengthen(F)
     rep = validate_strong(S)
     payload = io_json.hmf_to_json(S)

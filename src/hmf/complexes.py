@@ -667,6 +667,46 @@ def koszul_complex(ring, idxs, level=0):
     return Complex(ring, level, modules, diffs, 0, m)
 
 
+class MissingBlock(ShapeError):
+    """A block the divided-power assembler needs is not known."""
+
+
+def divided_power_layout(C, n):
+    """Summands (a, m) of degree n of sum_a y^(a) C_{n-2a}, a ascending:
+    those with C_m nonzero."""
+    return [((n - m) // 2, m) for m in range(n, -1, -2)
+            if C.lo <= m <= C.hi and C.modules[m].rank]
+
+
+def divided_power_map(src, dst, n, k, q, orders, block, level, shift=0):
+    """A map from degree n of sum_a y^(a) src_{n-2a} to degree n + k of
+    sum_b y^(b) dst_{n+k-2b}, the y^(a)-summands twisted by a q.
+
+    The block from y^(a) src_m to y^(a-i) dst_{m+2i+k} is block(i, m) for i
+    in orders and zero otherwise; block(i, m) is None when that block is
+    not known, which raises MissingBlock.  The divided-power differential
+    is k = -1 with the homotopies sigma_i as blocks, a comparison map k = 0
+    with its phi_i, and the y-shift k = -2 (and its section, k = 2) the
+    identity at i = 1 (i = -1).
+    """
+    src_l = divided_power_layout(src, n)
+    dst_l = divided_power_layout(dst, n + k)
+    dst_pos = {t: kd for kd, t in enumerate(dst_l)}
+    blocks = [[None] * len(src_l) for _ in dst_l]
+    for js, (a, m) in enumerate(src_l):
+        for i in orders:
+            kd = dst_pos.get((a - i, m + 2 * i + k))
+            if kd is None:
+                continue
+            blk = block(i, m)
+            if blk is None:
+                raise MissingBlock(f"block {i} at degree {m} missing")
+            blocks[kd][js] = blk
+    return MatrixMap.from_blocks(
+        src.ring, blocks, [src.module(m).shifted(a * q) for a, m in src_l],
+        [dst.module(m).shifted(a * q) for a, m in dst_l], level, shift)
+
+
 # ---------------------------------------------------------------------------
 # Matrix-level graded solves
 

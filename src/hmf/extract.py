@@ -114,7 +114,7 @@ class Descent:
         return self._levels[cc]
 
 
-def _as_descent(inp, variant):
+def _as_descent(inp, variant=0):
     return inp if isinstance(inp, Descent) else Descent(inp, variant)
 
 
@@ -149,15 +149,14 @@ def check_prestable(inp, variant=0):
     return Report(failures, [], items)
 
 
-def extract_hmf(inp, variant=0, with_certificate=True, D=None):
+def extract_hmf(inp, with_certificate=True, D=None):
     """Extract a (pre-stable) factorization from a designated syzygy.
 
     Returns (HMF, ExtractionTrace).  The output validates and its module is
     the chosen syzygy up to an overall twist by deg f_c per descent level.
     Raises PreStabilityError / ExtractionError with the failing condition.
     """
-    descent = _as_descent(inp, variant)
-    variant = descent.variant
+    descent = _as_descent(inp)
     trace = ExtractionTrace()
     ring = descent.top.ring
     cc0 = descent.top.level
@@ -174,7 +173,8 @@ def extract_hmf(inp, variant=0, with_certificate=True, D=None):
         if pr.report:
             raise ExtractionError(f"peel inconsistent: {pr.report[:1]}")
         G = pr.kernel
-        sigma = higher_homotopies(G, (cc,), 2, hom_hi=2, variant=variant)
+        sigma = higher_homotopies(G, (cc,), 2, hom_hi=2,
+                                  variant=descent.variant)
         th0 = sigma.get((1,), 0)
         th1 = sigma.get((1,), 1)
         th2 = sigma.get((1,), 2)
@@ -310,7 +310,7 @@ _EXT_LABEL = re.compile(r"e(\d+)\*b0\.(\d+)\.(\d+)$")
 _A1_LABEL = re.compile(r"b1\.(\d+)\.(\d+)$")
 
 
-def strengthen(F, variant=0):
+def strengthen(F):
     """Replace h by the degree-0 part of an honest homotopy on the finite
     resolution of each stage.
 
@@ -322,7 +322,7 @@ def strengthen(F, variant=0):
     from .resolutions import build_finite
 
     ring = F.ring
-    fin = build_finite(F, variant=variant)
+    fin = build_finite(F)
     new_h = {}
     ext_all = {}
     for p in range(1, F.c + 1):
@@ -334,8 +334,7 @@ def strengthen(F, variant=0):
         fid = MatrixMap.poly_times_identity(
             ring, ring.regseq[p - 1], L.module(0), 0
         )
-        X, = lift_step(L.diff(1), [fid], 0, "strengthen", 0, [f"stage {p}"],
-                       variant=variant)
+        X, = lift_step(L.diff(1), [fid], 0, "strengthen", 0, [f"stage {p}"])
         labels = L.module(1).all_labels()
         a1_rows = {}
         ext_rows = {}

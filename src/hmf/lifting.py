@@ -20,7 +20,9 @@ import itertools
 from .complexes import (
     HomotopySystem,
     MatrixMap,
+    MissingBlock,
     ShapeError,
+    divided_power_map,
     index_shift,
     koszul_tensor,
     lift_through,
@@ -121,7 +123,7 @@ def ideal_decomposition(M, level, kind, degree, what, variant=0):
     return Ws
 
 
-def nullhomotopy(W, Y, a, gamma, variant=0):
+def nullhomotopy(W, Y, a, gamma):
     """Homotopy alpha with gamma = dY alpha - (-1)^(a+1) alpha dW.
 
     gamma is a chain map W[a] -> Y given as {i: MatrixMap W_{i-a} -> Y_i}.
@@ -143,8 +145,7 @@ def nullhomotopy(W, Y, a, gamma, variant=0):
         g = gamma.get(i)
         C = MatrixMap.combine(Y.ring, W.module(i - a), Y.module(i), Y.level, shift,
                               terms, [(1, g)] if g is not None else [])
-        X, = lift_step(Y.diff(i + 1), [C], Y.level, "nullhomotopy", i,
-                       variant=variant)
+        X, = lift_step(Y.diff(i + 1), [C], Y.level, "nullhomotopy", i)
         if X is not None:
             alpha[i + 1] = X
     return alpha
@@ -224,7 +225,7 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0
     return sigma
 
 
-def koszul_extension(psi0, B, L, idxs, variant=0):
+def koszul_extension(psi0, B, L, idxs):
     """Koszul extension of psi across K(f_i, i in idxs) tensor B[-1] -> L.
 
     psi0: B_1 -> L_0 (the induced chain map of the two-term B has no other
@@ -266,7 +267,7 @@ def koszul_extension(psi0, B, L, idxs, variant=0):
         if batch:
             got = lift_step(L.diff(j), [C for _, _, C in batch], L.level,
                             "koszul extension", j,
-                            [f"slot e_{J}" for _, J, _ in batch], variant=variant)
+                            [f"slot e_{J}" for _, J, _ in batch])
             for (k, J, _), XJ in zip(batch, got):
                 row[k] = X[J] = XJ
         phi[j] = MatrixMap.from_blocks(ring, [row], mods, [L.module(j)], L.level)
@@ -308,7 +309,7 @@ def ci_commutation_failures(C, tilde):
     return failures
 
 
-def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
+def homotopy_comparison(phi0, sigma, sigmap, max_m):
     """Comparison maps between two higher homotopy systems for one element.
 
     phi0: chain map {v: MatrixMap G_v -> G'_v} covering a map of the resolved
@@ -368,7 +369,7 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m, variant=0):
             acc = MatrixMap.combine(G.ring, G.module(v), Gp.module(tgt - 1),
                                     Gp.level, m * q, terms)
             X, = lift_step(Gp.diff(tgt), [acc], Gp.level, "homotopy comparison",
-                           v, [f"m={m}"], variant=variant)
+                           v, [f"m={m}"])
             if X is not None:
                 phis[m][v] = X
     return phis
@@ -441,67 +442,31 @@ def lifted_comparison_check(phis, sigma, sigmap, steps):
     Builds, per homological degree n <= steps, the block matrices
     delta~ = sum sigma_j, delta~' = sum sigma'_j, phi~ = sum phi_i on the
     divided-power modules, and checks delta~' phi~ = phi~ delta~ entrywise
-    (exact equality of polynomials).  Returns failure strings.
+    (exact equality of polynomials); a degree with a block not known is
+    skipped.  Returns failure strings.
     """
     G = sigma.complex
     Gp = sigmap.complex
     ring = G.ring
     q = ring.fdeg(sigma.findices[0])
 
-    def layout(C, n):
-        out = []
-        for a in range(0, n // 2 + 1):
-            m = n - 2 * a
-            if C.lo <= m <= C.hi and C.module(m).rank:
-                out.append((a, m))
-        return out
-
-    def modules(C, lay):
-        return [C.module(m).shifted(a * q) for a, m in lay]
-
     def delta(C, table, n):
-        src_l = layout(C, n)
-        dst_l = layout(C, n - 1)
-        dst_pos = {t: k for k, t in enumerate(dst_l)}
-        blocks = [[None] * len(src_l) for _ in dst_l]
-        for js, (a, m) in enumerate(src_l):
-            for i in range(0, a + 1):
-                kd = dst_pos.get((a - i, m + 2 * i - 1))
-                if kd is None:
-                    continue
-                blk = table.get((i,), m)
-                if blk is None:
-                    return None
-                blocks[kd][js] = blk
-        return MatrixMap.from_blocks(
-            ring, blocks, modules(C, src_l), modules(C, dst_l), 0
-        )
+        return divided_power_map(C, C, n, -1, q, range(n // 2 + 1),
+                                 lambda i, m: table.get((i,), m), 0)
 
     def phimap(n):
-        src_l = layout(G, n)
-        dst_l = layout(Gp, n)
-        dst_pos = {t: k for k, t in enumerate(dst_l)}
-        blocks = [[None] * len(src_l) for _ in dst_l]
-        for js, (a, m) in enumerate(src_l):
-            for i in range(0, a + 1):
-                kd = dst_pos.get((a - i, m + 2 * i))
-                if kd is None:
-                    continue
-                blk = _phi_at(phis, sigma, sigmap, i, m, q)
-                if blk is None:
-                    return None
-                blocks[kd][js] = blk
-        return MatrixMap.from_blocks(
-            ring, blocks, modules(G, src_l), modules(Gp, dst_l), 0
-        )
+        return divided_power_map(
+            G, Gp, n, 0, q, range(n // 2 + 1),
+            lambda i, m: _phi_at(phis, sigma, sigmap, i, m, q), 0)
 
     failures = []
     for n in range(1, steps + 1):
-        dG = delta(G, sigma, n)
-        dGp = delta(Gp, sigmap, n)
-        ph_n = phimap(n)
-        ph_prev = phimap(n - 1)
-        if None in (dG, dGp, ph_n, ph_prev):
+        try:
+            dG = delta(G, sigma, n)
+            dGp = delta(Gp, sigmap, n)
+            ph_n = phimap(n)
+            ph_prev = phimap(n - 1)
+        except MissingBlock:
             continue
         diff = MatrixMap.combine(ring, dG.src, ph_prev.dst, 0, 0,
                                  [(1, ph_prev, dG), (-1, dGp, ph_n)])

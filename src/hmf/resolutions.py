@@ -13,6 +13,16 @@ From a valid higher matrix factorization this module constructs:
 together with the inverse `peel` of the divided-power construction.  All
 complexes are carried as S-matrices plus a quotient level; truncations
 assert nothing beyond their stated range.
+
+Every tower starts from stage 0, the zero complex at level 0, and runs one
+loop from p = 1: the finite and intermediate towers share the Koszul-cone
+loop `_koszul_cones` (the finite one is its case j = 0), the quotient tower
+builds each stage as shamash over the cone of B(p) onto the stage before,
+and both take B(p) and psi_p from `_head_over`.  The cosyzygy step builds
+V(p-1) and W(p) with one head extension, `_head_extension`.  shamash
+assembles its differential, CI operator and section with
+`complexes.divided_power_map`, as `lifting.lifted_comparison_check` does
+its lifted maps.
 """
 
 from __future__ import annotations
@@ -27,6 +37,8 @@ from .complexes import (
     MatrixMap,
     ShapeError,
     ZERO_MODULE,
+    divided_power_layout,
+    divided_power_map,
     mapping_cone,
     two_term_complex,
 )
@@ -69,36 +81,51 @@ def _scalar_part(ring, mm):
 
 
 # ---------------------------------------------------------------------------
-# Finite resolution over S
+# Stage 0 and the Koszul-cone loop
 
 
-def build_finite(F, variant=0):
+def _zero_complex(ring):
+    """Stage 0 of every tower: the zero complex at level 0."""
+    return Complex(ring, 0, {0: ZERO_MODULE}, {}, 0, 0)
+
+
+def _head_over(F, p, prev):
+    """B(p) as a two-term complex at prev's level, and psi_p: B_1(p) -> prev_0
+    (the psi-block of d read into prev's degree-0 module)."""
+    ring = F.ring
+    B = two_term_complex(ring, F.b_block(p), level=prev.level)
+    psi0 = MatrixMap(ring, B.module(1), prev.module(0), F.psi_block(p).rows,
+                     prev.level, 0, check=False)
+    return B, psi0
+
+
+def _koszul_cones(F, prev):
+    """The stages p = j+1..c over S/(f_1..f_j), j = prev.level: stage p is the
+    cone of the Koszul extension of B(p) across K(f_{j+1}..f_{p-1}) onto
+    stage p-1, starting from prev.  Returns (top stage, {p: stage})."""
+    j = prev.level
+    stages = {}
+    for p in range(j + 1, F.c + 1):
+        B, psi0 = _head_over(F, p, prev)
+        KB, phi = koszul_extension(psi0, B, prev, tuple(range(j + 1, p)))
+        prev = stages[p] = mapping_cone(prev, KB, phi)
+    return prev, stages
+
+
+def build_finite(F):
     """Iterated cones of Koszul extensions: the S-free resolution tower.
 
     Returns a bundle whose complex is the length-c stage; stages[p] holds
     every intermediate resolution (stage p resolves the level-p module).
     A minimal factorization yields minimal stages, which is checked.
     """
-    ring = F.ring
     if F.generalized:
         raise ShapeError(
             "generalized factorizations resolve through build_intermediate"
         )
-    if F.c == 0:
-        empty = Complex(ring, 0, {0: ZERO_MODULE}, {}, 0, 0)
-        return ResolutionBundle(empty, "finite", stages={}, meta={"minimal": True})
-    stages = {}
-    prev = two_term_complex(ring, F.b_block(1), level=0)
-    stages[1] = prev
-    for p in range(2, F.c + 1):
-        B = two_term_complex(ring, F.b_block(p), level=0)
-        psi0 = F.psi_block(p)
-        KB, phi = koszul_extension(psi0, B, prev, tuple(range(1, p)), variant=variant)
-        prev = mapping_cone(prev, KB, phi)
-        stages[p] = prev
-    bundle = ResolutionBundle(prev, "finite", stages=stages)
-    bundle.meta["minimal"] = prev.is_minimal()
-    return bundle
+    top, stages = _koszul_cones(F, _zero_complex(F.ring))
+    return ResolutionBundle(top, "finite", stages=stages,
+                            meta={"minimal": top.is_minimal()})
 
 
 # ---------------------------------------------------------------------------
@@ -120,79 +147,34 @@ def shamash(G, sigma, steps, weights=None):
         raise ShapeError("divided-power step must quotient by the next element")
     q = ring.fdeg(f_idx)
     level = G.level + 1
-    layout = {}
-    modules = {}
+    layout = {n: divided_power_layout(G, n) for n in range(steps + 1)}
     base_weights = weights or {}
+    modules = {}
     new_weights = {}
-    for n in range(0, steps + 1):
-        summands = []
-        wts = []
-        for a in range(0, n // 2 + 1):
-            m = n - 2 * a
-            if m < G.lo or m > G.hi or G.module(m).rank == 0:
-                continue
-            summands.append((a, m, G.module(m).rank))
-            wts.extend(
-                [f_idx if a else base_weights.get(m, [0] * G.module(m).rank)[k]
-                 for k in range(G.module(m).rank)]
-            )
-        layout[n] = summands
-        mods = []
-        for a, m, _ in summands:
-            mods.append(G.module(m).shifted(a * q, tag=f"y{f_idx}^({a})*" if a else None))
-        modules[n] = FreeModule.concat(mods) if mods else ZERO_MODULE
-        new_weights[n] = tuple(wts)
-    diffs = {}
-    for n in range(1, steps + 1):
-        src_sum = layout[n]
-        dst_sum = layout[n - 1]
-        dst_pos = {(a, m): k for k, (a, m, _) in enumerate(dst_sum)}
-        src_mods = [G.module(m).shifted(a * q) for a, m, _ in src_sum]
-        dst_mods = [G.module(m).shifted(a * q) for a, m, _ in dst_sum]
-        blocks = [[None] * len(src_sum) for _ in dst_sum]
-        for js, (a, m, _) in enumerate(src_sum):
-            for i in range(0, a + 1):
-                tgt = (a - i, m + 2 * i - 1)
-                kd = dst_pos.get(tgt)
-                if kd is None:
-                    continue
-                blk = sigma.get((i,), m)
-                if blk is None:
-                    raise ShapeError(
-                        f"homotopy block sigma_{i} at degree {m} missing"
-                    )
-                blocks[kd][js] = blk
-        diffs[n] = MatrixMap.from_blocks(
-            ring, blocks, src_mods, dst_mods, level
-        )
+    for n, summands in layout.items():
+        modules[n] = FreeModule.concat(
+            [G.module(m).shifted(a * q, tag=f"y{f_idx}^({a})*" if a else None)
+             for a, m in summands]) if summands else ZERO_MODULE
+        new_weights[n] = tuple(
+            f_idx if a else base_weights.get(m, [0] * G.module(m).rank)[k]
+            for a, m in summands for k in range(G.module(m).rank))
+
+    idents = {m: MatrixMap.identity(ring, G.module(m), level)
+              for m in range(G.lo, G.hi + 1)}
+
+    def ident(i, m):
+        return idents[m]
+
+    diffs = {n: divided_power_map(G, G, n, -1, q, range(n // 2 + 1),
+                                  lambda i, m: sigma.get((i,), m), level)
+             for n in range(1, steps + 1)}
     T = Complex(ring, level, modules, diffs, 0, steps)
     # structural lifted CI operator: project y^(a) to y^(a-1); section shifts up
-    t_op = {}
-    section = {}
-    for n in range(2, steps + 1):
-        src_sum = layout[n]
-        dst_sum = layout[n - 2]
-        dst_pos = {(a, m): k for k, (a, m, _) in enumerate(dst_sum)}
-        src_mods = [G.module(m).shifted(a * q) for a, m, _ in src_sum]
-        dst_mods = [G.module(m).shifted(a * q) for a, m, _ in dst_sum]
-        blocks = [[None] * len(src_sum) for _ in dst_sum]
-        sblocks = [[None] * len(dst_sum) for _ in src_sum]
-        for js, (a, m, _) in enumerate(src_sum):
-            if a == 0:
-                continue
-            kd = dst_pos.get((a - 1, m))
-            if kd is None:
-                continue
-            ident = MatrixMap.identity(ring, G.module(m), level)
-            blocks[kd][js] = ident
-            sblocks[js][kd] = ident
-        t_op[n] = MatrixMap.from_blocks(
-            ring, blocks, src_mods, dst_mods, level, shift=-q
-        )
-        section[n] = MatrixMap.from_blocks(
-            ring, sblocks, dst_mods, src_mods, level, shift=q
-        )
-    bundle = ResolutionBundle(
+    t_op = {n: divided_power_map(G, G, n, -2, q, (1,), ident, level,
+                                 shift=-q) for n in range(2, steps + 1)}
+    section = {n: divided_power_map(G, G, n - 2, 2, q, (-1,), ident,
+                                    level, shift=q) for n in range(2, steps + 1)}
+    return ResolutionBundle(
         T,
         "divided-power",
         weights=new_weights,
@@ -202,7 +184,6 @@ def shamash(G, sigma, steps, weights=None):
         layout=layout,
         meta={"f_idx": f_idx, "base": G},
     )
-    return bundle
 
 
 def build_infinite(F, steps, variant=0):
@@ -218,42 +199,20 @@ def build_infinite(F, steps, variant=0):
         raise ShapeError(
             "generalized factorizations resolve through build_intermediate"
         )
-    if F.c == 0:
-        empty = Complex(ring, 0, {0: ZERO_MODULE}, {}, 0, 0)
-        return ResolutionBundle(empty, "quotient-tower")
     stages = {}
     ustages = {}
     max_total = max(1, steps // 2 + 1)
-    # stage 1
-    U = two_term_complex(ring, F.b_block(1), level=0)
-    h1 = F.h[1]
-    start = {((1,), 0): MatrixMap(ring, U.module(0), U.module(1), h1.rows, 0,
-                                  ring.fdeg(1), check=False)}
-    sigma = higher_homotopies(U, (1,), max_total, start=start, variant=variant)
-    bundle = shamash(U, sigma, steps)
-    stages[1] = bundle
-    ustages[1] = U
-    for p in range(2, F.c + 1):
-        Tprev = stages[p - 1].complex
-        B = two_term_complex(ring, F.b_block(p), level=p - 1)
-        psi0 = F.psi_block(p).with_level(p - 1)
-        psi0 = MatrixMap(
-            ring, B.module(1), Tprev.module(0), psi0.rows, p - 1, 0, check=False
-        )
-        U = mapping_cone(Tprev, B, {0: psi0})
-        hp = F.h[p]
-        start = {((1,), 0): MatrixMap(ring, U.module(0), U.module(1), hp.rows,
+    top = ResolutionBundle(_zero_complex(ring), "quotient-tower")
+    for p in range(1, F.c + 1):
+        B, psi0 = _head_over(F, p, top.complex)
+        U = mapping_cone(top.complex, B, {0: psi0})
+        start = {((1,), 0): MatrixMap(ring, U.module(0), U.module(1), F.h[p].rows,
                                       p - 1, ring.fdeg(p), check=False)}
         sigma = higher_homotopies(U, (p,), max_total, start=start, variant=variant)
-        uweights = {}
-        for n in range(U.lo, U.hi + 1):
-            prev_w = stages[p - 1].weights.get(n, ())
-            extra = B.module(n).rank
-            uweights[n] = tuple(prev_w) + tuple([0] * extra)
-        bundle = shamash(U, sigma, steps, weights=uweights)
-        stages[p] = bundle
+        uweights = {n: tuple(top.weights.get(n, ())) + (0,) * B.module(n).rank
+                    for n in range(U.lo, U.hi + 1)}
+        top = stages[p] = shamash(U, sigma, steps, weights=uweights)
         ustages[p] = U
-    top = stages[F.c]
     top.stages = stages
     top.meta["ustages"] = ustages
     top.meta["minimal"] = top.complex.is_minimal()
@@ -261,7 +220,7 @@ def build_infinite(F, steps, variant=0):
     return top
 
 
-def special_lifting_and_ci(bundle, upto=None, variant=0):
+def special_lifting_and_ci(bundle, upto=None):
     """All lifted CI operators on the top stage.
 
     The operator for the top index is the structural weight shift attached
@@ -286,7 +245,7 @@ def special_lifting_and_ci(bundle, upto=None, variant=0):
                 raise SolverBug("codimension-1 lifted operator fails exact division")
             continue
         Ws = ideal_decomposition(rem, p - 1, "ci decomposition", i,
-                                 f"d^2 - f_{p} t_{p}", variant=variant)
+                                 f"d^2 - f_{p} t_{p}")
         for j, W in enumerate(Ws, 1):
             tilde[j][i] = W.with_level(p)
     report = []
@@ -447,7 +406,7 @@ def peel(C, t=None, variant=0):
 # Intermediate resolutions
 
 
-def build_intermediate(F, j, steps, tower=None, variant=0):
+def build_intermediate(F, j, steps, tower=None):
     """Resolution of the top module over S/(f_1..f_j), 1 <= j <= c.
 
     Starts from the truncated stage-j quotient tower and iterates Koszul
@@ -456,26 +415,13 @@ def build_intermediate(F, j, steps, tower=None, variant=0):
     """
     if not (1 <= j <= F.c):
         raise ShapeError("intermediate level out of range")
-    tower = tower or build_infinite(F, steps, variant=variant)
+    tower = tower or build_infinite(F, steps)
+    stage = tower.stages[j] if tower.stages else tower
     if j == F.c:
-        return tower.stages[j] if tower.stages else tower
-    prev = (tower.stages[j] if tower.stages else tower).complex
-    ring = F.ring
-    stages = {}
-    for p in range(j + 1, F.c + 1):
-        B = two_term_complex(ring, F.b_block(p), level=j)
-        psi0 = F.psi_block(p)
-        psi0 = MatrixMap(
-            ring, B.module(1), prev.module(0), psi0.rows, j, 0, check=False
-        )
-        idxs = tuple(range(j + 1, p))
-        KB, phi = koszul_extension(psi0, B, prev, idxs, variant=variant)
-        prev = mapping_cone(prev, KB, phi)
-        stages[p] = prev
-    bundle = ResolutionBundle(prev, "intermediate", stages=stages)
-    bundle.meta["j"] = j
-    bundle.meta["minimal"] = prev.is_minimal()
-    return bundle
+        return stage
+    top, stages = _koszul_cones(F, stage.complex)
+    return ResolutionBundle(top, "intermediate", stages=stages,
+                            meta={"j": j, "minimal": top.is_minimal()})
 
 
 # ---------------------------------------------------------------------------
@@ -675,21 +621,43 @@ def box_unroll(bundle):
 # Cosyzygy extensions (V and W complexes)
 
 
-def cosyz_tower(F, steps, tower=None, variant=0, verify=False, D=None):
+def _head_extension(head, tail, level, q, d2):
+    """The head b: B_1 -> B_0 in degrees 1, 0 at level, continued by the
+    complex tail (twisted by q) in degrees >= 2 through d2: tail_0 -> B_1.
+    Without a tail the head stands alone, on [0, 1]."""
+    ring = head.ring
+    mods = {0: head.dst, 1: head.src}
+    diffs = {}
+    if head.src.rank and head.dst.rank:
+        diffs[1] = head.relevel(level)
+    if tail is None:
+        return Complex(ring, level, mods, diffs, 0, 1)
+    ext = tail.twisted(q).shift(-2)
+    mods.update(ext.modules)
+    diffs.update(ext.diffs)
+    if head.src.rank:
+        diffs[2] = MatrixMap(ring, mods[2], head.src, d2.rows, level, 0,
+                             check=False)
+    return Complex(ring, level, mods, diffs, 0, ext.hi)
+
+
+def cosyz_tower(F, steps, tower=None, verify=False, D=None):
     """Two-step right extensions of the quotient-tower stages.
 
     For each p: V(p-1) (level p-1) extends stage p-1 by B_1(p), B_0(p) with
     second differential the composite  A_0(p-1) -> A_0(p) -h_p-> A_1(p)
     -pi_p-> B_1(p);  W(p) (level p) extends stage p by the same head with
     second differential pi_p h_p on all of A_0(p).  The tail modules are
-    twisted by deg f_p, matching the head's homotopy grading.
+    twisted by deg f_p, matching the head's homotopy grading.  Stage 0 has
+    no tail to extend, so V(0) is the head alone.
 
     The extensions are exact only for pre-stable data; verify=True runs the
     oracle certificates and attaches them to each bundle's meta (a failed
     certificate reports the stability violation).
     """
     ring = F.ring
-    tower = tower or build_infinite(F, steps, variant=variant)
+    tower = tower or build_infinite(F, steps)
+    tails = {p: stage.complex for p, stage in tower.stages.items()}
     out = {}
     for p in range(1, F.c + 1):
         if F.rank1(p) == 0 and F.rank0(p) == 0:
@@ -701,64 +669,15 @@ def cosyz_tower(F, steps, tower=None, variant=0, verify=False, D=None):
             )
             continue
         q = ring.fdeg(p)
-        hp = F.h[p]
-        pihp = hp.submatrix(
+        pihp = F.h[p].submatrix(
             list(range(F.off1(p), F.off1(p) + F.rank1(p))),
             list(range(F.A0(p).rank)),
         )
-        head1 = F.b1[p]
-        head0 = F.b0[p]
-        bmat = F.b_block(p)
-        # V(p-1)
-        if p == 1:
-            Vmods = {0: head0, 1: head1}
-            Vdiffs = {}
-            if head1.rank and head0.rank:
-                Vdiffs[1] = MatrixMap(ring, head1, head0, bmat.rows, 0, 0,
-                                      check=False)
-            V = Complex(ring, 0, Vmods, Vdiffs, 0, 1)
-        else:
-            Tprev = tower.stages[p - 1].complex
-            Vmods = {0: head0, 1: head1}
-            Vdiffs = {}
-            if head1.rank and head0.rank:
-                Vdiffs[1] = MatrixMap(ring, head1, head0, bmat.rows, p - 1, 0,
-                                      check=False)
-            d2cols = pihp.submatrix(
-                list(range(F.rank1(p))), list(range(F.A0(p - 1).rank))
-            )
-            for n in range(0, Tprev.hi + 1):
-                Vmods[n + 2] = Tprev.module(n).shifted(q)
-            if F.rank1(p):
-                Vdiffs[2] = MatrixMap(
-                    ring, Vmods[2], head1, d2cols.rows, p - 1, 0, check=False
-                )
-            for n in range(1, Tprev.hi + 1):
-                dn = Tprev.diff(n)
-                Vdiffs[n + 2] = MatrixMap(
-                    ring, Vmods[n + 2], Vmods[n + 1], dn.rows, p - 1, 0,
-                    check=False,
-                )
-            V = Complex(ring, p - 1, Vmods, Vdiffs, 0, Tprev.hi + 2)
-        # W(p)
-        Tp = tower.stages[p].complex
-        Wmods = {0: head0, 1: head1}
-        Wdiffs = {}
-        if head1.rank and head0.rank:
-            Wdiffs[1] = MatrixMap(ring, head1, head0, bmat.rows, p, 0,
-                                  check=False)
-        for n in range(0, Tp.hi + 1):
-            Wmods[n + 2] = Tp.module(n).shifted(q)
-        if F.rank1(p):
-            Wdiffs[2] = MatrixMap(
-                ring, Wmods[2], head1, pihp.rows, p, 0, check=False
-            )
-        for n in range(1, Tp.hi + 1):
-            dn = Tp.diff(n)
-            Wdiffs[n + 2] = MatrixMap(
-                ring, Wmods[n + 2], Wmods[n + 1], dn.rows, p, 0, check=False
-            )
-        W = Complex(ring, p, Wmods, Wdiffs, 0, Tp.hi + 2)
+        d2v = pihp.submatrix(list(range(F.rank1(p))),
+                             list(range(F.A0(p - 1).rank)))
+        head = F.b_block(p)
+        V = _head_extension(head, tails.get(p - 1), p - 1, q, d2v)
+        W = _head_extension(head, tails[p], p, q, pihp)
         vb = ResolutionBundle(V, "cosyzygy-step", meta={"p": p})
         wb = ResolutionBundle(W, "cosyzygy-step", meta={"p": p})
         if verify:

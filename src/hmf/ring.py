@@ -152,6 +152,7 @@ class GradedRing:
         self._key_limit = EXP_LIMIT << self.deg_shift
         self._shifts = tuple(range(self.deg_shift - EXP_BITS, -1, -EXP_BITS))
         self.regseq = ()
+        self._fdegs = ()
         # degree -> (packed monomial keys, grevlex-descending, {key: position});
         # the bases depend on the variable degrees only, so rings with the
         # same degrees (a fresh one per change of generators) share them
@@ -178,6 +179,7 @@ class GradedRing:
                 raise RingError(f"regular sequence element {g} is a constant")
             polys.append(g)
         self.regseq = tuple(polys)
+        self._fdegs = tuple(g.degree() for g in polys)
         self._membership_pieces.clear()
         return self
 
@@ -186,8 +188,8 @@ class GradedRing:
         return len(self.regseq)
 
     def fdeg(self, j):
-        """Degree of f_j (1-based)."""
-        return self.regseq[j - 1].degree()
+        """Degree of f_j (1-based), stored by set_regseq."""
+        return self._fdegs[j - 1]
 
     def __repr__(self):
         vs = ",".join(self.var_names)

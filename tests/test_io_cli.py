@@ -367,6 +367,26 @@ def test_cli_unrepresentable_polynomial_exits_2(tmp_path, capsys, entry, reason)
     assert "input error" in err and reason in err
 
 
+def _break_h(obj):
+    obj["h_blocks"]["2"][0][1] = "a"
+
+
+def _break_d(obj):
+    obj["d_blocks"]["1->1"][0][0] = "b"
+
+
+@pytest.mark.parametrize("edit", [_break_h, _break_d], ids=["h", "d"])
+@pytest.mark.parametrize("command", [["intermediate", "--j", "1"], ["shamash"],
+                                     ["box"], ["peel"], ["strengthen"]],
+                         ids=lambda argv: argv[0])
+def test_cli_builders_validate_first(tmp_path, capsys, command, edit):
+    # a factorization that fails its axioms is an input error for every
+    # builder, not a solver failure or a report on wrong data
+    bad = _corpus_copy(tmp_path, "codim2_xa_yb", edit)
+    assert main(command + [bad]) == 2
+    assert "invalid factorization" in capsys.readouterr().err
+
+
 def _leaves(obj, path=()):
     """The paths of the scalar leaves of a JSON object."""
     if isinstance(obj, (dict, list)):
@@ -380,7 +400,10 @@ FUZZ_VALUES = st.one_of(
     st.sampled_from(["", "x", "0", "-y", "x^2", "1/2", "g0"]),
     st.sampled_from([[], {}, [[]], ["x"], [0, 1]]),
 )
-FUZZ_COMMANDS = (["validate"], ["resolve-s", "--degree-bound", "4"], ["extract"])
+FUZZ_COMMANDS = (["validate"], ["resolve-s", "--degree-bound", "4"], ["extract"],
+                 ["peel", "--steps", "4"], ["shamash", "--steps", "4"],
+                 ["intermediate", "--j", "1", "--steps", "4"], ["box"],
+                 ["strengthen"])
 
 
 @pytest.fixture(scope="module")

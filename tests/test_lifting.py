@@ -298,3 +298,14 @@ def test_every_solve_resubstitutes(solve_calls, builder, monkeypatch):
     monkeypatch.setattr(lifting, "solve_factorization", doubled_factor)
     with pytest.raises(SolverBug, match="re-substitution fails"):
         solve_calls[builder]()
+
+
+def test_lifted_comparison_lock(residue_field_systems, monkeypatch):
+    # the assembled maps between two differing systems, recorded before the
+    # divided-power blocks were given one assembler
+    from test_resolutions import lifted_maps_digest
+
+    _, sig1, sig2, phi0 = residue_field_systems
+    phis = homotopy_comparison(phi0, sig1, sig2, 2)
+    assert lifted_maps_digest(monkeypatch, phis, sig1, sig2, 5) == (
+        "0301e868306a2e6dd2776a94ae9c7a2ea05a30c7e463a36d6333a2427e07599e")

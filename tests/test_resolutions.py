@@ -467,3 +467,70 @@ def test_builder_output_lock(c, seed):
                      for a in sorted(sig1.maps) for m in sorted(sig1.maps[a])]),
     )
     assert got == LIFTING_DIGESTS[c, seed]
+
+
+def complex_digest(C):
+    """sha256 of a complex: its level and range, every module's twists and
+    labels, and the str_rows of every differential in range."""
+    h = hashlib.sha256()
+    h.update(repr((C.level, C.lo, C.hi)).encode())
+    for i in range(C.lo, C.hi + 1):
+        h.update(repr((i, C.module(i).twists, C.module(i).all_labels())).encode())
+    for i in range(C.lo + 1, C.hi + 1):
+        h.update(repr((i, C.diff(i).str_rows())).encode())
+    return h.hexdigest()
+
+
+def lifted_maps_digest(monkeypatch, phis, sigma, sigmap, steps):
+    """sha256 of the maps lifted_comparison_check assembles (delta~, phi~
+    and delta~', read from the one sum it forms per degree), with its
+    verdict."""
+    from hmf.lifting import lifted_comparison_check
+
+    seen = []
+    combine = MatrixMap.combine
+
+    def spy(ring, src, dst, level, shift, products=(), maps=()):
+        seen.append([(c, L.str_rows(), R.str_rows()) for c, L, R in products])
+        return combine(ring, src, dst, level, shift, products, maps)
+
+    monkeypatch.setattr(MatrixMap, "combine", staticmethod(spy))
+    failures = lifted_comparison_check(phis, sigma, sigmap, steps)
+    monkeypatch.undo()
+    return hashlib.sha256(repr((failures, seen)).encode()).hexdigest()
+
+
+# sha256 of every V(p-1) and W(p) of cosyz_tower (complex_digest of each,
+# p ascending), and of the assembled maps of lifted_comparison_check between
+# the variant-0 and variant-1 homotopy systems for f_c on the finite
+# resolution; recorded before the divided-power blocks and the head
+# extension were each given one assembler
+TOWER_DIGESTS = {
+    (2, 3): ("e220ab8310476c3a5a768d3e1f617c3466f55399d21c16846ba0d6a4f388581a",
+             "5fc6f99b4154037b5064e39cb459899c13035c520c67908324e1a1797faa36ad"),
+    (3, 1): ("0b128c0687eb4aa36146a9d00174f811a6cb28836eb29724521242254b4b7d2c",
+             "5df75780ccf4d68b50e323ddbe9db921d52a4da9f010060b60fb68508f3d1d42"),
+    (4, 2): ("97732c2c5175083369214b3a13e5c7c907b3377cc01c54a7b5a2ef06938d900c",
+             "0def43622f9c6c5d114c2edd6ebc8a66eb7ac403826424fb9982b5e1e6e66e24"),
+    (5, 2): ("06af31dbd21942ee9ab234b0a67877bb06430a6843a64c4c4ccb070569af76d7",
+             "c2098cb446aac971963f0b7ff6c298302b9d3afa3947ff4ba1acf3d1e688bb06"),
+}
+
+
+@pytest.mark.parametrize("c,seed", sorted(TOWER_DIGESTS))
+def test_cosyz_and_lifted_comparison_lock(c, seed, monkeypatch):
+    from hmf.lifting import homotopy_comparison
+
+    F = gen_random_hmf(seed, c=c, max_rank=3)
+    vw = cosyz_tower(F, 8)
+    cosyz = hashlib.sha256(repr([
+        (p, complex_digest(V.complex), complex_digest(W.complex))
+        for p, (V, W) in sorted(vw.items())]).encode()).hexdigest()
+    L = build_finite(F).complex
+    sig0 = higher_homotopies(L, (c,), 3)
+    sig1 = higher_homotopies(L, (c,), 3, variant=1)
+    phi0 = {v: MatrixMap.identity(F.ring, L.module(v), 0)
+            for v in range(L.lo, L.hi + 1)}
+    phis = homotopy_comparison(phi0, sig0, sig1, 3)
+    got = (cosyz, lifted_maps_digest(monkeypatch, phis, sig0, sig1, 7))
+    assert got == TOWER_DIGESTS[c, seed]
