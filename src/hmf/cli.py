@@ -4,7 +4,9 @@ Subcommands take JSON files (factorizations or complexes per the schema: 1
 formats), run one pipeline each, and write deterministic JSON reports.
 Every builder command (resolve-s, resolve-r, intermediate, shamash, box,
 peel, extract, strengthen) validates its factorization first, so invalid
-input exits 2 before any builder runs.
+input exits 2 before any builder runs, as does a level (--p, --j,
+--f-index, or the default c) outside 1..c or a numeric argument below its
+bound.
 Exit codes: 0 success/PASS, 1 validation failure, 2 input error.
 """
 
@@ -46,6 +48,28 @@ def _check_valid(F, path):
     if not rep.ok:
         raise SchemaError(f"{path}: invalid factorization: {rep.failures[:1]}")
     return F
+
+
+def _level(value, F, what):
+    """value, a level of F's tower, which must lie in 1..c."""
+    if not 1 <= value <= F.c:
+        raise SchemaError(f"{what} = {value} outside 1..{F.c}")
+    return value
+
+
+def _at_least(lo):
+    """An argparse type: an integer >= lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lo}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _emit(args, payload):
@@ -120,7 +144,7 @@ def cmd_intermediate(args):
     from .resolutions import build_intermediate
 
     F = _check_valid(_load_hmf(args.file), args.file)
-    bundle = build_intermediate(F, args.j, args.steps)
+    bundle = build_intermediate(F, _level(args.j, F, "--j"), args.steps)
     Q = bundle.complex
     cert = exactness_certificate(Q, (1, Q.hi - 1), args.degree_bound)
     print("betti:", " ".join(str(r) for r in Q.betti_list()))
@@ -136,9 +160,8 @@ def cmd_shamash(args):
 
     F = _check_valid(_load_hmf(args.file), args.file)
     bundle = build_infinite(F, args.steps)
-    stage = bundle.stages.get(args.p) if bundle.stages else None
-    if stage is None:
-        stage = bundle
+    stage = (bundle if args.p is None
+             else bundle.stages[_level(args.p, F, "--p")])
     T = stage.complex
     print("betti:", " ".join(str(r) for r in T.betti_list()))
     _maybe_tex(args, T)
@@ -152,9 +175,9 @@ def cmd_box(args):
     from .resolutions import box, box_homotopy_failures, build_finite
 
     F = _check_valid(_load_hmf(args.file), args.file)
-    fin = build_finite(F)
-    L = fin.complex
-    f_idx = args.f_index if args.f_index is not None else F.c
+    f_idx = _level(F.c if args.f_index is None else args.f_index, F,
+                   "--f-index")
+    L = build_finite(F).complex
     sigma = higher_homotopies(L, (f_idx,), 2)
     theta = {i: sigma.get((1,), i) for i in range(0, 4)}
     tau = {i: sigma.get((2,), i) for i in range(0, 2)}
@@ -174,10 +197,9 @@ def cmd_peel(args):
     from .resolutions import build_infinite, peel
 
     F = _check_valid(_load_hmf(args.file), args.file)
-    p = args.p if args.p is not None else F.c
-    bundle = build_infinite(F, args.steps)
-    stage = bundle.stages.get(p) if bundle.stages else bundle
-    pr = peel(stage.complex, t=stage.ci.get(p) or None)
+    p = _level(F.c if args.p is None else args.p, F, "--p")
+    stage = build_infinite(F, args.steps).stages[p]
+    pr = peel(stage.complex, t=stage.ci[p])
     payload = io_json.complex_to_json(pr.kernel, provenance="peeled")
     payload["report"] = pr.report
     _emit(args, payload)
@@ -185,19 +207,23 @@ def cmd_peel(args):
 
 
 def cmd_extract(args):
-    from .extract import Descent, SyzygyInput, check_prestable, extract_hmf
-    from .resolutions import build_infinite, cosyz_tower
+    from .extract import (
+        Descent,
+        SyzygyInput,
+        check_prestable,
+        extract_hmf,
+        prestable_certificate,
+    )
+    from .resolutions import cosyz_tower
 
     obj = io_json.load(args.file)
     from .factorization import HMF
 
     if isinstance(obj, HMF):
         _check_valid(obj, args.file)
-        steps = args.steps or (2 * obj.c + 4)
-        tower = build_infinite(obj, steps)
-        vw = cosyz_tower(obj, steps, tower=tower)
-        _, W = vw[obj.c]
-        inp = SyzygyInput(W.complex, args.syzygy)
+        c = _level(obj.c, obj, "c")
+        _, W = cosyz_tower(obj, args.steps or (2 * c + 4))[c]
+        inp = SyzygyInput(W, args.syzygy)
     else:
         inp = SyzygyInput(obj, args.syzygy)
     descent = Descent(inp)
@@ -209,6 +235,8 @@ def cmd_extract(args):
         return 1
     out, trace = extract_hmf(descent)
     if args.trace:
+        cert = prestable_certificate(out)
+        trace.record(certificate=[item.row() for item in cert])
         with open(args.trace, "w") as fh:
             fh.write(io_json.dumps(trace.as_json()))
     _emit(args, io_json.hmf_to_json(out))
@@ -277,10 +305,10 @@ def main(argv=None):
     def common(p, steps_default=None):
         p.add_argument("-o", "--output", help="write JSON output here")
         p.add_argument("--tex", help="write a TeX arrow diagram here")
-        p.add_argument("--degree-bound", type=int, default=None,
+        p.add_argument("--degree-bound", type=_at_least(0), default=None,
                        help="internal degree bound for certificates")
         if steps_default is not None:
-            p.add_argument("--steps", type=int, default=steps_default)
+            p.add_argument("--steps", type=_at_least(1), default=steps_default)
 
     p = sub.add_parser("validate", help="check the factorization axioms")
     p.add_argument("file")
@@ -323,10 +351,10 @@ def main(argv=None):
 
     p = sub.add_parser("extract", help="extract a factorization from syzygy data")
     p.add_argument("file")
-    p.add_argument("--syzygy", type=int, default=2)
+    p.add_argument("--syzygy", type=_at_least(2), default=2)
     p.add_argument("--trace", help="write the extraction trace here")
     common(p, steps_default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_at_least(1), default=None)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("strengthen", help="upgrade h to exact homotopy data")
@@ -343,8 +371,8 @@ def main(argv=None):
 
     p = sub.add_parser("gen-random", help="generate a random valid factorization")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--c", type=int, default=2)
-    p.add_argument("--max-rank", type=int, default=3)
+    p.add_argument("--c", type=_at_least(1), default=2)
+    p.add_argument("--max-rank", type=_at_least(1), default=3)
     p.add_argument("--gamma", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_gen_random)

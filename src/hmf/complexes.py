@@ -425,13 +425,10 @@ class Complex:
     def rank(self, i):
         return self.module(i).rank
 
-    def ranks(self):
-        return {i: self.rank(i) for i in range(self.lo, self.hi + 1)}
-
     def betti_list(self):
         return [self.rank(i) for i in range(self.lo, self.hi + 1)]
 
-    def validate(self, check_squares=True):
+    def validate(self):
         failures = []
         for i in range(self.lo + 1, self.hi + 1):
             d = self.diff(i)
@@ -444,14 +441,13 @@ class Complex:
                 d.check_homogeneous()
             except ContractViolation as exc:
                 failures.append(f"diff {i}: {exc}")
-        if check_squares:
-            for i in range(self.lo + 2, self.hi + 1):
-                sq = self.square(i)
-                bad = sq.first_nonmember()
-                if bad is not None:
-                    failures.append(
-                        f"d^2 != 0 at degree {i}, entry {bad}: {sq.rows[bad[0]][bad[1]]}"
-                    )
+        for i in range(self.lo + 2, self.hi + 1):
+            sq = self.square(i)
+            bad = sq.first_nonmember()
+            if bad is not None:
+                failures.append(
+                    f"d^2 != 0 at degree {i}, entry {bad}: {sq.rows[bad[0]][bad[1]]}"
+                )
         return failures
 
     def shift(self, a):
@@ -686,8 +682,7 @@ def divided_power_map(src, dst, n, k, q, orders, block, level, shift=0):
     in orders and zero otherwise; block(i, m) is None when that block is
     not known, which raises MissingBlock.  The divided-power differential
     is k = -1 with the homotopies sigma_i as blocks, a comparison map k = 0
-    with its phi_i, and the y-shift k = -2 (and its section, k = 2) the
-    identity at i = 1 (i = -1).
+    with its phi_i, and the y-shift k = -2 the identity at i = 1.
     """
     src_l = divided_power_layout(src, n)
     dst_l = divided_power_layout(dst, n + k)
@@ -862,7 +857,7 @@ class HomotopySystem:
         return sorted(self.maps.keys())
 
 
-def validate_homotopy_system(C, sigma, max_total=None, hom_range=None):
+def validate_homotopy_system(C, sigma, max_total=None):
     """Check the identities of a homotopy system at C's level.
 
     (1) sigma_0 is the differential (by construction).
@@ -878,14 +873,11 @@ def validate_homotopy_system(C, sigma, max_total=None, hom_range=None):
     totals = sorted({sum(a) for a in sigma.known_indices()})
     if max_total is not None:
         totals = [t for t in totals if t <= max_total]
-    lo, hi = C.lo, C.hi
-    if hom_range is not None:
-        lo, hi = hom_range
     for total in totals:
         if total < 1:
             continue
         for a in multi_indices(c, total):
-            for m in range(lo, hi + 1):
+            for m in range(C.lo, C.hi + 1):
                 if C.module(m).rank == 0:
                     continue
                 terms = []

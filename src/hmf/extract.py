@@ -149,7 +149,7 @@ def check_prestable(inp, variant=0):
     return Report(failures, [], items)
 
 
-def extract_hmf(inp, with_certificate=True, D=None):
+def extract_hmf(inp):
     """Extract a (pre-stable) factorization from a designated syzygy.
 
     Returns (HMF, ExtractionTrace).  The output validates and its module is
@@ -227,9 +227,6 @@ def extract_hmf(inp, with_certificate=True, D=None):
     rep = validate_hmf(out)
     if not rep.ok:
         raise ExtractionError(f"extracted data fails validation: {rep.failures[:2]}")
-    if with_certificate:
-        cert = prestable_certificate(out, D=D)
-        trace.record(certificate=[c.row() for c in cert])
     return out, trace
 
 
@@ -406,24 +403,24 @@ def syzygy_shift_check(F, steps=None, D=None):
     for p in range(max(1, c), c + 1):
         V, W = vw[p]
         try:
-            pr, _ = _descent_step(W.complex, p)
+            pr, _ = _descent_step(W, p)
         except (PreStabilityError, Obstruction) as exc:
             items.append(CheckItem(f"peel of W({p})", None, str(exc), "FAIL"))
             continue
         G = pr.kernel
         ok = True
-        for n in range(0, min(G.hi, V.complex.hi) + 1):
-            if G.module(n).twists != V.complex.module(n).twists:
+        for n in range(0, min(G.hi, V.hi) + 1):
+            if G.module(n).twists != V.module(n).twists:
                 ok = False
                 break
         items.append(
             CheckItem(
                 f"peel of the step-{p} extension matches the lower extension",
-                [V.complex.rank(n) for n in range(0, V.complex.hi + 1)],
+                [V.rank(n) for n in range(0, V.hi + 1)],
                 [G.rank(n) for n in range(0, G.hi + 1)],
                 "PASS" if ok else "FAIL",
             )
         )
-        items.append(exactness_certificate(V.complex, (1, V.complex.hi - 1), D))
-        items.append(exactness_certificate(W.complex, (1, W.complex.hi - 1), D))
+        items.append(exactness_certificate(V, (1, V.hi - 1), D))
+        items.append(exactness_certificate(W, (1, W.hi - 1), D))
     return items

@@ -36,14 +36,6 @@ class Report:
     def __bool__(self):
         return self.ok
 
-    def summary(self):
-        status = "PASS" if self.ok else "FAIL"
-        lines = [status]
-        lines += [f"item: {s}" for s in self.items]
-        lines += [f"warning: {s}" for s in self.warnings]
-        lines += [f"failure: {s}" for s in self.failures]
-        return "\n".join(lines)
-
 
 def _block_label(s, p, k):
     return f"b{s}.{p}.{k}"
@@ -134,9 +126,6 @@ class HMF:
         cols = range(self.off1(p), self.off1(p) + self.rank1(p))
         return self.d.submatrix(list(rows), list(cols))
 
-    def h_p(self, p):
-        return self.h[p]
-
     def pi(self, p):
         """Block projection A_1(p) -> B_1(p)."""
         one = self.ring.one()
@@ -150,7 +139,7 @@ class HMF:
         return f"HMF(c={self.c}; {rk})"
 
 
-def validate_hmf(F, check_minimal=True):
+def validate_hmf(F):
     """Check shapes, the filtration condition, and axioms (a) and (b).
 
     Returns a Report whose failures list every failing (p, entry, axiom);
@@ -211,9 +200,8 @@ def validate_hmf(F, check_minimal=True):
                     f"B_1({p}) = 0 but lower blocks nonzero: impossible for a "
                     "minimal factorization over a Cohen-Macaulay base"
                 )
-    if check_minimal:
-        minimal = F.d.is_minimal() and all(F.h[p].is_minimal() for p in range(1, F.c + 1))
-        items.append(f"minimal: {minimal}")
+    minimal = F.d.is_minimal() and all(F.h[p].is_minimal() for p in range(1, F.c + 1))
+    items.append(f"minimal: {minimal}")
     return Report(failures, warnings, items)
 
 

@@ -129,7 +129,7 @@ def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets,
     return results
 
 
-def graded_piece_solve(targets, gens, variant=0):
+def graded_piece_solve(targets, gens):
     """Spec surface: targets are homogeneous Polys of one degree e, gens are
     (Poly g_i, slot degree e_i); returns coefficient lists or None per target.
     """
@@ -150,7 +150,7 @@ def graded_piece_solve(targets, gens, variant=0):
     e = degs.pop()
     res = graded_solve(ring, (0,), e, {0: dict(enumerate(g for g, _ in gens))},
                        [ed for _, ed in gens], {0: dict(enumerate(targets))},
-                       len(targets), variant=variant)
+                       len(targets))
     z = ring.zero()
     return [None if r is None else [r.get(i, z) for i in range(len(gens))]
             for r in res]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .complexes import Complex, FreeModule, MatrixMap, ShapeError
+from .complexes import Complex, ContractViolation, FreeModule, MatrixMap, ShapeError
 from .factorization import HMF
 from .ring import Field, GradedRing, RingError
 
@@ -267,8 +267,8 @@ def hmf_from_json(obj, where="hmf"):
             try:
                 ext[(i, w)] = MatrixMap.from_strings(
                     ring, F.A0(p), F.b0[w], rows, 0,
-                    ring.fdeg(p) - ring.fdeg(i), check=False)
-            except ShapeError as exc:
+                    ring.fdeg(p) - ring.fdeg(i))
+            except (ShapeError, ContractViolation, RingError) as exc:
                 raise SchemaError(f"{at}[{key}]: {exc}") from exc
         ext_all[p] = ext
     if ext_all:
@@ -296,7 +296,7 @@ def load(path):
 # TeX arrow diagrams
 
 
-def complex_to_tex(C, name="F"):
+def complex_to_tex(C):
     lines = [r"\["]
     arrows = []
     for i in range(C.hi, C.lo, -1):
@@ -305,9 +305,9 @@ def complex_to_tex(C, name="F"):
             " & ".join(_tex_poly(str(q)) for q in row) for row in mat.entries
         )
         arrows.append(
-            rf"{name}_{{{i}}} \xrightarrow{{\begin{{pmatrix}}{body}\end{{pmatrix}}}}"
+            rf"F_{{{i}}} \xrightarrow{{\begin{{pmatrix}}{body}\end{{pmatrix}}}}"
         )
-    tail = rf"{name}_{{{C.lo}}}"
+    tail = rf"F_{{{C.lo}}}"
     lines.append(" ".join(arrows + [tail]))
     lines.append(r"\]")
     return "\n".join(lines)
@@ -325,13 +325,13 @@ def report_rows_to_json(rows):
     return {"schema": 1, "kind": "report", "rows": [r.row() for r in rows]}
 
 
-def report_rows_to_junit(rows, suite="hmf"):
+def report_rows_to_junit(rows):
     import xml.etree.ElementTree as ET
 
     failures = sum(1 for r in rows if r.verdict == "FAIL")
     root = ET.Element(
         "testsuite",
-        name=suite,
+        name="hmf",
         tests=str(len(rows)),
         failures=str(failures),
     )

@@ -274,18 +274,17 @@ def koszul_extension(psi0, B, L, idxs):
     return KB, phi
 
 
-def ci_from_lifting(C, upto=None, variant=0):
+def ci_from_lifting(C, variant=0):
     """CI operators from the stored lifting: solve d~^2 = sum f_j t~_j.
 
     Returns tilde: tilde[j][i]: C_i -> C_{i-2} with internal shift -deg f_j
     for 1 <= j <= C.level.
     """
     level = C.level
-    upto = C.hi if upto is None else upto
     if level == 0:
         raise ShapeError("ci operators need level >= 1")
     tilde = {j: {} for j in range(1, level + 1)}
-    for i in range(C.lo + 2, upto + 1):
+    for i in range(C.lo + 2, C.hi + 1):
         Ws = ideal_decomposition(C.square(i), level, "ci decomposition", i, "d^2",
                                  variant=variant)
         for j, W in enumerate(Ws, 1):

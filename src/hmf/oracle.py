@@ -95,12 +95,12 @@ def homology_is_zero(table, hom_range, D):
     return sorted(bad)
 
 
-def exactness_certificate(C, hom_range=None, D=None, extra_gens=()):
+def exactness_certificate(C, hom_range=None, D=None):
     """PASS iff homology vanishes in the window (degrees 1..hi-1 by default,
     guarding the truncation edge)."""
     lo, hi = (1, C.hi - 1) if hom_range is None else hom_range
     D = default_degree_bound(C) if D is None else D
-    table = graded_homology(C, (lo, hi), D, extra_gens)
+    table = graded_homology(C, (lo, hi), D)
     bad = homology_is_zero(table, (lo, hi), D)
     return CheckItem(
         f"exactness in degrees {lo}..{hi} up to internal degree {D}",
@@ -110,10 +110,10 @@ def exactness_certificate(C, hom_range=None, D=None, extra_gens=()):
     )
 
 
-def hilbert_function(pres, D, extra_gens=()):
+def hilbert_function(pres, D):
     """Degreewise dims of coker(pres) over the quotient at pres.level."""
     ring = pres.ring
-    Q = QuotientPieces(ring, ring.regseq[: pres.level] + tuple(extra_gens))
+    Q = QuotientPieces(ring, ring.regseq[: pres.level])
     out = {}
     for e in range(0, D + 1):
         dim = Q.dim(pres.dst.twists, e)
@@ -263,11 +263,10 @@ def ext_dimension_counts(F):
     return total_S
 
 
-def formula_suite(F, finite=None, tower=None, steps=None, D=None):
+def formula_suite(F, steps=None, D=None):
     """Every closed-form rank statement compared against built resolutions.
 
-    Returns a list of CheckItem rows; verdicts are PASS/FAIL/N-A.  The
-    caller may pass prebuilt bundles to avoid rebuilding.
+    Returns a list of CheckItem rows; verdicts are PASS/FAIL/N-A.
     """
     from .resolutions import build_finite, build_infinite
 
@@ -278,8 +277,8 @@ def formula_suite(F, finite=None, tower=None, steps=None, D=None):
     if F.is_trivial():
         items.append(CheckItem("trivial factorization", [], [], "PASS"))
         return items
-    finite = finite or build_finite(F)
-    tower = tower or build_infinite(F, steps)
+    finite = build_finite(F)
+    tower = build_infinite(F, steps)
     L = finite.complex
     T = tower.complex
     DL = default_degree_bound(L) if D is None else D

@@ -14,18 +14,18 @@ import random
 
 from .complexes import FreeModule, MatrixMap, lift_through
 from .factorization import HMF, change_of_generators_hmf, validate_hmf
-from .ring import DEFAULT_PRIME, Field, GradedRing
+from .ring import Field, GradedRing
 
 
 class GenerationFailed(ValueError):
     pass
 
 
-def standard_ring(c, char=DEFAULT_PRIME):
+def standard_ring(c):
     names = []
     for p in range(1, c + 1):
         names += [f"u{p}", f"v{p}"]
-    ring = GradedRing(Field(char), [(n, 1) for n in names])
+    ring = GradedRing(Field(), [(n, 1) for n in names])
     ring.set_regseq([ring.var(f"u{p}") * ring.var(f"v{p}") for p in range(1, c + 1)])
     return ring
 
@@ -262,8 +262,7 @@ def random_filtered_conjugation(F, rng):
     return HMF(ring, F.b1, F.b0, d_new.entries, h_new, c=F.c)
 
 
-def gen_random_hmf(seed, c=2, max_rank=3, gamma=None, char=DEFAULT_PRIME,
-                   retries=8):
+def gen_random_hmf(seed, c=2, max_rank=3, gamma=None):
     """A valid factorization over the standard ring for codimension c.
 
     gamma picks the lowest nonzero stage; reachable values are c (square
@@ -287,9 +286,9 @@ def gen_random_hmf(seed, c=2, max_rank=3, gamma=None, char=DEFAULT_PRIME,
         )
     if gamma == c - 1 and max_rank < 2:
         raise GenerationFailed("the coupled pair needs rank bound >= 2")
-    ring = standard_ring(c, char)
+    ring = standard_ring(c)
     last_error = None
-    for _ in range(retries):
+    for _ in range(8):
         placements = []
         if gamma == c:
             placements.append(("top", c, rng.randrange(1, max_rank + 1)))

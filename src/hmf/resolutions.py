@@ -20,7 +20,7 @@ loop `_koszul_cones` (the finite one is its case j = 0), the quotient tower
 builds each stage as shamash over the cone of B(p) onto the stage before,
 and both take B(p) and psi_p from `_head_over`.  The cosyzygy step builds
 V(p-1) and W(p) with one head extension, `_head_extension`.  shamash
-assembles its differential, CI operator and section with
+assembles its differential and CI operator with
 `complexes.divided_power_map`, as `lifting.lifted_comparison_check` does
 its lifted maps.
 """
@@ -57,17 +57,11 @@ from .lifting import (
 @dataclass
 class ResolutionBundle:
     complex: Complex
-    provenance: str
     weights: dict = field(default_factory=dict)
     sigma: object = None
     ci: dict = field(default_factory=dict)
-    ci_section: dict = field(default_factory=dict)
     stages: dict = field(default_factory=dict)
-    layout: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    def ranks(self):
-        return self.complex.betti_list()
 
 
 def _scalar_part(ring, mm):
@@ -117,15 +111,14 @@ def build_finite(F):
 
     Returns a bundle whose complex is the length-c stage; stages[p] holds
     every intermediate resolution (stage p resolves the level-p module).
-    A minimal factorization yields minimal stages, which is checked.
+    A minimal factorization yields minimal stages.
     """
     if F.generalized:
         raise ShapeError(
             "generalized factorizations resolve through build_intermediate"
         )
     top, stages = _koszul_cones(F, _zero_complex(F.ring))
-    return ResolutionBundle(top, "finite", stages=stages,
-                            meta={"minimal": top.is_minimal()})
+    return ResolutionBundle(top, stages=stages)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +131,8 @@ def shamash(G, sigma, steps, weights=None):
 
     Output complex has level+1, modules  T_n = sum_a y^(a) G_{n-2a}  with the
     y-blocks twisted by a deg(f); block (a -> a-i) of the differential is
-    sigma_i.  The structural lifted CI operator (the y-shift) and its
-    section are attached, along with the summand layout and weights.
+    sigma_i.  The structural lifted CI operator (the y-shift) and the
+    weights are attached.
     """
     ring = G.ring
     (f_idx,) = sigma.findices
@@ -169,21 +162,11 @@ def shamash(G, sigma, steps, weights=None):
                                   lambda i, m: sigma.get((i,), m), level)
              for n in range(1, steps + 1)}
     T = Complex(ring, level, modules, diffs, 0, steps)
-    # structural lifted CI operator: project y^(a) to y^(a-1); section shifts up
+    # structural lifted CI operator: project y^(a) to y^(a-1)
     t_op = {n: divided_power_map(G, G, n, -2, q, (1,), ident, level,
                                  shift=-q) for n in range(2, steps + 1)}
-    section = {n: divided_power_map(G, G, n - 2, 2, q, (-1,), ident,
-                                    level, shift=q) for n in range(2, steps + 1)}
-    return ResolutionBundle(
-        T,
-        "divided-power",
-        weights=new_weights,
-        sigma=sigma,
-        ci={f_idx: t_op},
-        ci_section={f_idx: section},
-        layout=layout,
-        meta={"f_idx": f_idx, "base": G},
-    )
+    return ResolutionBundle(T, weights=new_weights, sigma=sigma,
+                            ci={f_idx: t_op})
 
 
 def build_infinite(F, steps, variant=0):
@@ -199,10 +182,12 @@ def build_infinite(F, steps, variant=0):
         raise ShapeError(
             "generalized factorizations resolve through build_intermediate"
         )
+    if steps < 1:
+        raise ShapeError("the quotient tower needs steps >= 1")
     stages = {}
     ustages = {}
     max_total = max(1, steps // 2 + 1)
-    top = ResolutionBundle(_zero_complex(ring), "quotient-tower")
+    top = ResolutionBundle(_zero_complex(ring))
     for p in range(1, F.c + 1):
         B, psi0 = _head_over(F, p, top.complex)
         U = mapping_cone(top.complex, B, {0: psi0})
@@ -215,12 +200,10 @@ def build_infinite(F, steps, variant=0):
         ustages[p] = U
     top.stages = stages
     top.meta["ustages"] = ustages
-    top.meta["minimal"] = top.complex.is_minimal()
-    top.provenance = "quotient-tower"
     return top
 
 
-def special_lifting_and_ci(bundle, upto=None):
+def special_lifting_and_ci(bundle):
     """All lifted CI operators on the top stage.
 
     The operator for the top index is the structural weight shift attached
@@ -231,11 +214,10 @@ def special_lifting_and_ci(bundle, upto=None):
     T = bundle.complex
     ring = T.ring
     p = T.level
-    upto = T.hi if upto is None else upto
     t_top = bundle.ci[p]
     tilde = {j: {} for j in range(1, p + 1)}
     f = ring.regseq[p - 1]
-    for i in range(2, upto + 1):
+    for i in range(2, T.hi + 1):
         fid = MatrixMap.poly_times_identity(ring, f, T.module(i - 2), p)
         rem = MatrixMap.combine(ring, T.module(i), T.module(i - 2), p, 0,
                                 [(-1, fid, t_top[i])], [(1, T.square(i))])
@@ -251,7 +233,7 @@ def special_lifting_and_ci(bundle, upto=None):
     report = []
     for ja in range(1, p + 1):
         for jb in range(ja + 1, p + 1):
-            for i in range(4, upto + 1):
+            for i in range(4, T.hi + 1):
                 A = tilde[ja]
                 Bop = tilde[jb]
                 comm = MatrixMap.combine(
@@ -420,15 +402,14 @@ def build_intermediate(F, j, steps, tower=None):
     if j == F.c:
         return stage
     top, stages = _koszul_cones(F, stage.complex)
-    return ResolutionBundle(top, "intermediate", stages=stages,
-                            meta={"j": j, "minimal": top.is_minimal()})
+    return ResolutionBundle(top, stages=stages)
 
 
 # ---------------------------------------------------------------------------
 # Box complexes
 
 
-def box(Y, f_idx, theta, tau, check=True):
+def box(Y, f_idx, theta, tau):
     """Box complex of a resolution Y with homotopies for one element.
 
     theta[i]: Y_i -> Y_{i+1} (i = 0..3 as available), tau[0]: Y_0 -> Y_3,
@@ -442,41 +423,40 @@ def box(Y, f_idx, theta, tau, check=True):
     q = ring.fdeg(f_idx)
     f = ring.regseq[f_idx - 1]
     failures = []
-    if check:
-        for i in range(0, 4):
-            th = theta.get(i)
-            if th is None:
-                continue
-            terms = [(1, Y.diff(i + 1), th)] if Y.module(i + 1).rank else []
-            if i > 0 and theta.get(i - 1) is not None:
-                terms.append((1, theta[i - 1], Y.diff(i)))
-            fid = MatrixMap.poly_times_identity(ring, f, Y.module(i), Y.level)
-            if terms and not MatrixMap.combine(
-                    ring, Y.module(i), Y.module(i), Y.level, q, terms,
-                    [(-1, fid)]).in_ideal():
-                failures.append(f"homotopy identity fails at degree {i}")
-        if tau.get(0) is not None and theta.get(0) is not None and theta.get(1) is not None:
-            terms = [(1, theta[1], theta[0])]
-            if Y.module(3).rank:
-                terms.append((1, Y.diff(3), tau[0]))
-            if not MatrixMap.combine(ring, Y.module(0), Y.module(2), Y.level,
-                                     theta[1].shift + theta[0].shift,
-                                     terms).in_ideal():
-                failures.append("identity d_3 tau_0 + theta_1 theta_0 = 0 fails")
-        if theta.get(1) is not None and theta.get(2) is not None:
-            terms = [(1, theta[2], theta[1])]
-            if tau.get(0) is not None:
-                terms.append((1, tau[0], Y.diff(1)))
-            if tau.get(1) is not None and Y.module(4).rank:
-                terms.append((1, Y.diff(4), tau[1]))
-            if not MatrixMap.combine(ring, Y.module(1), Y.module(3), Y.level,
-                                     theta[2].shift + theta[1].shift,
-                                     terms).in_ideal():
-                failures.append(
-                    "identity tau_0 d_1 + theta_2 theta_1 + d_4 tau_1 = 0 fails"
-                )
-        if failures:
-            raise ContractViolation("; ".join(failures))
+    for i in range(0, 4):
+        th = theta.get(i)
+        if th is None:
+            continue
+        terms = [(1, Y.diff(i + 1), th)] if Y.module(i + 1).rank else []
+        if i > 0 and theta.get(i - 1) is not None:
+            terms.append((1, theta[i - 1], Y.diff(i)))
+        fid = MatrixMap.poly_times_identity(ring, f, Y.module(i), Y.level)
+        if terms and not MatrixMap.combine(
+                ring, Y.module(i), Y.module(i), Y.level, q, terms,
+                [(-1, fid)]).in_ideal():
+            failures.append(f"homotopy identity fails at degree {i}")
+    if tau.get(0) is not None and theta.get(0) is not None and theta.get(1) is not None:
+        terms = [(1, theta[1], theta[0])]
+        if Y.module(3).rank:
+            terms.append((1, Y.diff(3), tau[0]))
+        if not MatrixMap.combine(ring, Y.module(0), Y.module(2), Y.level,
+                                 theta[1].shift + theta[0].shift,
+                                 terms).in_ideal():
+            failures.append("identity d_3 tau_0 + theta_1 theta_0 = 0 fails")
+    if theta.get(1) is not None and theta.get(2) is not None:
+        terms = [(1, theta[2], theta[1])]
+        if tau.get(0) is not None:
+            terms.append((1, tau[0], Y.diff(1)))
+        if tau.get(1) is not None and Y.module(4).rank:
+            terms.append((1, Y.diff(4), tau[1]))
+        if not MatrixMap.combine(ring, Y.module(1), Y.module(3), Y.level,
+                                 theta[2].shift + theta[1].shift,
+                                 terms).in_ideal():
+            failures.append(
+                "identity tau_0 d_1 + theta_2 theta_1 + d_4 tau_1 = 0 fails"
+            )
+    if failures:
+        raise ContractViolation("; ".join(failures))
     Yhigh = Y.truncate(2, max(Y.hi, 2)).shift(2)
     lowmods = {0: Y.module(0).shifted(q), 1: Y.module(1).shifted(q)}
     lowdiffs = {}
@@ -522,7 +502,6 @@ def box(Y, f_idx, theta, tau, check=True):
             )
     bundle = ResolutionBundle(
         BX,
-        "box",
         meta={
             "f_idx": f_idx,
             "homotopy": hb,
@@ -641,19 +620,17 @@ def _head_extension(head, tail, level, q, d2):
     return Complex(ring, level, mods, diffs, 0, ext.hi)
 
 
-def cosyz_tower(F, steps, tower=None, verify=False, D=None):
+def cosyz_tower(F, steps, tower=None):
     """Two-step right extensions of the quotient-tower stages.
 
-    For each p: V(p-1) (level p-1) extends stage p-1 by B_1(p), B_0(p) with
-    second differential the composite  A_0(p-1) -> A_0(p) -h_p-> A_1(p)
-    -pi_p-> B_1(p);  W(p) (level p) extends stage p by the same head with
-    second differential pi_p h_p on all of A_0(p).  The tail modules are
-    twisted by deg f_p, matching the head's homotopy grading.  Stage 0 has
-    no tail to extend, so V(0) is the head alone.
-
-    The extensions are exact only for pre-stable data; verify=True runs the
-    oracle certificates and attaches them to each bundle's meta (a failed
-    certificate reports the stability violation).
+    Returns {p: (V(p-1), W(p))} as complexes.  V(p-1) (level p-1) extends
+    stage p-1 by B_1(p), B_0(p) with second differential the composite
+    A_0(p-1) -> A_0(p) -h_p-> A_1(p) -pi_p-> B_1(p);  W(p) (level p)
+    extends stage p by the same head with second differential pi_p h_p on
+    all of A_0(p).  The tail modules are twisted by deg f_p, matching the
+    head's homotopy grading.  Stage 0 has no tail to extend, so V(0) is the
+    head alone.  The extensions are exact only for pre-stable data, which
+    the oracle certifies separately.
     """
     ring = F.ring
     tower = tower or build_infinite(F, steps)
@@ -662,11 +639,7 @@ def cosyz_tower(F, steps, tower=None, verify=False, D=None):
     for p in range(1, F.c + 1):
         if F.rank1(p) == 0 and F.rank0(p) == 0:
             empty = Complex(ring, p - 1, {0: ZERO_MODULE}, {}, 0, 0)
-            out[p] = (
-                ResolutionBundle(empty, "cosyzygy-step", meta={"p": p}),
-                ResolutionBundle(empty.reduce_level(p), "cosyzygy-step",
-                                 meta={"p": p}),
-            )
+            out[p] = (empty, empty.reduce_level(p))
             continue
         q = ring.fdeg(p)
         pihp = F.h[p].submatrix(
@@ -676,18 +649,6 @@ def cosyz_tower(F, steps, tower=None, verify=False, D=None):
         d2v = pihp.submatrix(list(range(F.rank1(p))),
                              list(range(F.A0(p - 1).rank)))
         head = F.b_block(p)
-        V = _head_extension(head, tails.get(p - 1), p - 1, q, d2v)
-        W = _head_extension(head, tails[p], p, q, pihp)
-        vb = ResolutionBundle(V, "cosyzygy-step", meta={"p": p})
-        wb = ResolutionBundle(W, "cosyzygy-step", meta={"p": p})
-        if verify:
-            from .oracle import exactness_certificate
-
-            vb.meta["certificate"] = exactness_certificate(
-                V, (1, V.hi - 1), D
-            ).row()
-            wb.meta["certificate"] = exactness_certificate(
-                W, (1, W.hi - 1), D
-            ).row()
-        out[p] = (vb, wb)
+        out[p] = (_head_extension(head, tails.get(p - 1), p - 1, q, d2v),
+                  _head_extension(head, tails[p], p, q, pihp))
     return out

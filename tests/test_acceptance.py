@@ -198,7 +198,7 @@ def test_acceptance_7_extraction(F):
     from hmf.extract import SyzygyInput, check_prestable, extract_hmf
 
     tower = build_infinite(F, 8)
-    W = cosyz_tower(F, 8, tower=tower)[2][1].complex
+    W = cosyz_tower(F, 8, tower=tower)[2][1]
     inp = SyzygyInput(W, 2)
     ok = check_prestable(inp).ok
     out, trace = extract_hmf(inp)

@@ -157,6 +157,25 @@ def test_cli_extract_round_trip(tmp_path, capsys):
     assert validate_hmf(F).ok
 
 
+# sha256 of the `hmf extract --trace` file of each corpus file, recorded
+# before the pre-stability certificate moved from extract_hmf into the CLI
+EXTRACT_TRACE_DIGESTS = {
+    "codim2_xa_yb": "1d9097a06c72f5263131ea2ed790e3f81e67b372ee8c4d43de436be58e292ed1",
+    "codim2_xz_y2": "b35f19467ee7404814a80a29dbdeb972156fa4cb83017837fdc346dfbc456ceb",
+    "codim3_shifted": "3cd312e4437cf3730df2b6d770e596750111f1cdf99ac602486c5cca1000ca4a",
+    "micro_codim1": "c3ded723b2bfcc4c1d720ac2949b904986fa6820b4b257486f664b66906c50c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRACT_TRACE_DIGESTS))
+def test_cli_extract_trace_digest(tmp_path, name):
+    trace = tmp_path / "trace.json"
+    assert main(["extract", golden_path(name), "--trace", str(trace),
+                 "-o", str(tmp_path / "out.json")]) == 0
+    assert (hashlib.sha256(trace.read_bytes()).hexdigest()
+            == EXTRACT_TRACE_DIGESTS[name])
+
+
 def test_cli_strengthen(tmp_path):
     rc = main(["strengthen", golden_path("codim2_xa_yb"),
                "-o", str(tmp_path / "s.json")])
@@ -285,6 +304,7 @@ MALFORMED = [
         ("hmf", ("strong_ext",), {"x": {}}),
         ("hmf", ("strong_ext",), {"2": {"1,2": [["x"]]}}),
         ("hmf", ("strong_ext",), {"2": {"2,1": []}}),
+        ("hmf", ("strong_ext",), {"2": {"1,2": [["a^5 + b", "0", "0"]]}}),
         ("hmf", ("ring", "field"), 4294967311),
         ("hmf", ("ring", "field"), 2.5),
         ("hmf", ("ring", "vars"), [["x"]]),
@@ -385,6 +405,45 @@ def test_cli_builders_validate_first(tmp_path, capsys, command, edit):
     bad = _corpus_copy(tmp_path, "codim2_xa_yb", edit)
     assert main(command + [bad]) == 2
     assert "invalid factorization" in capsys.readouterr().err
+
+
+# a valid factorization with c = 0: one variable, no blocks
+C0_HMF = {"schema": 1, "kind": "hmf", "c": 0, "B": [], "d_blocks": {},
+          "h_blocks": {}, "ring": {"schema": 1, "field": 32003,
+                                   "vars": [["x", 1]], "regseq": []}}
+BAD_ARGUMENTS = (["shamash", "--p", "0"], ["shamash", "--p", "9"],
+                 ["peel", "--p", "0"], ["peel", "--p", "9"],
+                 ["box", "--f-index", "0"], ["box", "--f-index", "9"],
+                 ["intermediate", "--j", "0"], ["intermediate", "--j", "5"],
+                 ["resolve-r", "--steps", "0"], ["resolve-r", "--steps", "-1"],
+                 ["suite", "--steps", "0"], ["resolve-s", "--degree-bound", "-3"],
+                 ["extract", "--syzygy", "1"])
+ARGUMENT_CASES = (
+    [(name, argv) for name in ("codim2_xa_yb", "c0") for argv in BAD_ARGUMENTS]
+    # the level c that peel, box and extract default to is 0 here
+    + [("c0", [command]) for command in ("peel", "box", "extract")]
+    + [(None, ["gen-random", "--seed", "1", flag, "0"])
+       for flag in ("--c", "--max-rank")])
+
+
+@pytest.mark.parametrize("name,argv", ARGUMENT_CASES,
+                         ids=[f"{name}-{' '.join(argv)}"
+                              for name, argv in ARGUMENT_CASES])
+def test_cli_argument_out_of_range_exits_2(tmp_path, capsys, name, argv):
+    # a level outside 1..c or a number below its bound is an input error,
+    # not a traceback, a solver failure or a report on another stage
+    if name == "c0":
+        path = tmp_path / "c0.json"
+        path.write_text(io_json.dumps(C0_HMF))
+        argv = argv[:1] + [str(path)] + argv[1:]
+    elif name is not None:
+        argv = argv[:1] + [golden_path(name)] + argv[1:]
+    try:
+        code = main(argv + ["-o", str(tmp_path / "out.json")])
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _leaves(obj, path=()):
