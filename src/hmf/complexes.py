@@ -178,10 +178,16 @@ class MatrixMap:
                 raise ShapeError(
                     f"entry ({i},{j}) outside {self.dst.rank}x{self.src.rank}"
                 )
-            if not q.is_homogeneous() or q.degree() != self.required_degree(i, j):
+            want = self.required_degree(i, j)
+            if not q.is_homogeneous():
+                raise ContractViolation(
+                    f"entry ({i},{j}) = {q} is not homogeneous, required "
+                    f"degree {want}"
+                )
+            if q.degree() != want:
                 raise ContractViolation(
                     f"entry ({i},{j}) = {q} has degree {q.degree()}, "
-                    f"required {self.required_degree(i, j)}"
+                    f"required {want}"
                 )
 
     # -- algebra
@@ -706,7 +712,7 @@ def divided_power_map(src, dst, n, k, q, orders, block, level, shift=0):
 # Matrix-level graded solves
 
 
-def solve_factorization(A, Cs, level, variant=0):
+def solve_factorization(A, Cs, level):
     """Solve A X + sum_m f_m W_m = C exactly over S (m <= level), for each C
     in Cs.
 
@@ -752,7 +758,7 @@ def solve_factorization(A, Cs, level, variant=0):
     solved = [True] * len(Cs)
     for e, cols in sorted(groups.items()):
         res = graded_solve(ring, dst.twists, e, slots, slot_degs, targets[e],
-                           len(cols), variant=variant)
+                           len(cols))
         for (n, j), coeffs in zip(cols, res):
             if coeffs is None:
                 solved[n] = False
@@ -777,12 +783,6 @@ def solve_factorization(A, Cs, level, variant=0):
               for m in range(1, level + 1)]
         out.append((X, Ws))
     return out
-
-
-def lift_through(A, Cs, level, variant=0):
-    """Per C in Cs, X with A X = C modulo (f_1..f_level), or None."""
-    return [None if got is None else got[0]
-            for got in solve_factorization(A, Cs, level, variant=variant)]
 
 
 # ---------------------------------------------------------------------------

@@ -68,16 +68,16 @@ class ExtractionTrace:
         return {"levels": self.levels}
 
 
-def _descent_step(C, cc, variant=0):
+def _descent_step(C, cc):
     """One descent level: the CI operators of C, peeled with the top one.
 
     Returns (peel result, degree->=2 tail of the kernel, reindexed from 0).
     peel ranks the scalar part of the top operator, so an operator that is
     not surjective fails pre-stability at codimension cc.
     """
-    tilde = ci_from_lifting(C, variant=variant)
+    tilde = ci_from_lifting(C)
     try:
-        pr = peel(C, t=tilde[cc], variant=variant)
+        pr = peel(C, t=tilde[cc])
     except PeelError as exc:
         raise PreStabilityError(cc, str(exc)) from exc
     G = pr.kernel
@@ -92,13 +92,12 @@ class Descent:
     the tail is the degree->=2 tail of the kernel, twisted down by
     deg f_{cc-1} because the next level re-adds its own head twist, and it
     is complex(cc - 1).  check_prestable and extract_hmf accept a Descent
-    in place of their input and then use its variant, so checking and
-    extracting one syzygy peels each level once.
+    in place of their input, so checking and extracting one syzygy peels
+    each level once.
     """
 
-    def __init__(self, inp, variant=0):
+    def __init__(self, inp):
         self.top = inp.normalize() if isinstance(inp, SyzygyInput) else inp
-        self.variant = variant
         self._levels = {}
 
     def complex(self, cc):
@@ -107,24 +106,24 @@ class Descent:
     def level(self, cc):
         if cc not in self._levels:
             C = self.complex(cc)
-            pr, tail = _descent_step(C, cc, self.variant)
+            pr, tail = _descent_step(C, cc)
             if cc > 1:
                 tail = tail.twisted(-C.ring.fdeg(cc - 1))
             self._levels[cc] = (C, pr, tail)
         return self._levels[cc]
 
 
-def _as_descent(inp, variant=0):
-    return inp if isinstance(inp, Descent) else Descent(inp, variant)
+def _as_descent(inp):
+    return inp if isinstance(inp, Descent) else Descent(inp)
 
 
-def check_prestable(inp, variant=0):
+def check_prestable(inp):
     """Recursive recognition: surjective top CI operator, peel, descend.
 
     Returns a Report; failures carry the codimension and condition that
     broke.  The truncation must allow c descent steps (two degrees each).
     """
-    descent = _as_descent(inp, variant)
+    descent = _as_descent(inp)
     failures = []
     items = []
     try:
@@ -173,8 +172,7 @@ def extract_hmf(inp):
         if pr.report:
             raise ExtractionError(f"peel inconsistent: {pr.report[:1]}")
         G = pr.kernel
-        sigma = higher_homotopies(G, (cc,), 2, hom_hi=2,
-                                  variant=descent.variant)
+        sigma = higher_homotopies(G, (cc,), 2, hom_hi=2)
         th0 = sigma.get((1,), 0)
         th1 = sigma.get((1,), 1)
         th2 = sigma.get((1,), 2)

@@ -75,8 +75,7 @@ def piece_matrix(ring, rows, src_twists, dst_twists, shift, e):
     return SparseMatrix((nrows, ncols), out)
 
 
-def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets,
-                 variant=0):
+def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets):
     """Solve sum_s c_s * slot_s = target in the degree-e piece, per target.
 
     The slots are the columns of a map to the free module with twists
@@ -86,9 +85,10 @@ def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets,
     rows of the map whose column t < ntargets is target t.  Returns, per
     target, {s: c_s} over the nonzero coefficients, or None when unsolvable.
 
-    variant = 0 picks the canonical first-pivot solution with zero free
-    variables; any other value adds the first nullspace vector, giving a
-    second deterministic representative whenever the solution is not unique.
+    Each solution is the canonical one: first pivot, free variables zero.
+    Solutions differ by nullspace vectors, so the constructions built from
+    them are unique only up to homotopy; this choice makes them
+    reproducible.
     """
     fld = ring.field
     A = piece_matrix(ring, slots, slot_degs, dst_twists, 0, e)
@@ -108,13 +108,6 @@ def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets,
     for i, row in X.rows.items():
         for j, x in row.items():
             sols[j][i] = x
-    if variant and col_slot:
-        N = fld.nullspace(A)
-        first = {i: row[0] for i, row in N.rows.items() if 0 in row}
-        for j, sol in enumerate(sols):
-            for i, x in first.items():
-                sol[i] = fld.add(sol.get(i, 0), x)
-            sols[j] = {i: sol[i] for i in sorted(sol) if sol[i]}
     # each (slot, monomial) pair is one unknown, so every coefficient is one
     # term dict
     results = []

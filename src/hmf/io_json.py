@@ -268,7 +268,7 @@ def hmf_from_json(obj, where="hmf"):
                 ext[(i, w)] = MatrixMap.from_strings(
                     ring, F.A0(p), F.b0[w], rows, 0,
                     ring.fdeg(p) - ring.fdeg(i))
-            except (ShapeError, ContractViolation, RingError) as exc:
+            except (ShapeError, ContractViolation) as exc:
                 raise SchemaError(f"{at}[{key}]: {exc}") from exc
         ext_all[p] = ext
     if ext_all:

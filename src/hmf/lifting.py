@@ -25,7 +25,6 @@ from .complexes import (
     divided_power_map,
     index_shift,
     koszul_tensor,
-    lift_through,
     multi_indices,
     solve_factorization,
 )
@@ -55,10 +54,12 @@ def _residual_bug(kind, degree, detail, residual, level):
                      f"{degree}{where}, entry {bad}")
 
 
-def _lift_outcomes(d, Cs, level, kind, degree, details, Xs, variant):
+def _lift_outcomes(d, Cs, level, kind, degree, details, Xs):
     """Per right-hand side of lift_step: X, None when d has no source, or
     the Obstruction or SolverBug that right-hand side fails with.  Xs, when
-    given, may prescribe some X, which are then verified, not solved."""
+    given, may prescribe some X, which are then verified, not solved; the
+    others are the X of solve_factorization (its W_m are dropped), and every
+    X is re-substituted."""
     details = details or [""] * len(Cs)
     Xs = list(Xs or [None] * len(Cs))
     out = [None] * len(Cs)
@@ -69,9 +70,9 @@ def _lift_outcomes(d, Cs, level, kind, degree, details, Xs, variant):
                                      if detail else "nothing above")
         return out
     need = [n for n, X in enumerate(Xs) if X is None]
-    solved = lift_through(d, [Cs[n] for n in need], level, variant=variant)
-    for n, X in zip(need, solved):
-        Xs[n] = X
+    solved = solve_factorization(d, [Cs[n] for n in need], level)
+    for n, got in zip(need, solved):
+        Xs[n] = None if got is None else got[0]
     for n, (C, detail, X) in enumerate(zip(Cs, details, Xs)):
         if X is None:
             out[n] = Obstruction(kind, degree, detail)
@@ -83,7 +84,7 @@ def _lift_outcomes(d, Cs, level, kind, degree, details, Xs, variant):
     return out
 
 
-def lift_step(d, Cs, level, kind, degree, details=None, variant=0):
+def lift_step(d, Cs, level, kind, degree, details=None):
     """The degreewise step of every builder: per C in Cs, X with d X = C
     modulo (f_1..f_level).
 
@@ -94,20 +95,20 @@ def lift_step(d, Cs, level, kind, degree, details=None, variant=0):
     side raises Obstruction(kind, degree) when it has no solution and
     SolverBug when d X - C leaves the ideal.
     """
-    out = _lift_outcomes(d, Cs, level, kind, degree, details, None, variant)
+    out = _lift_outcomes(d, Cs, level, kind, degree, details, None)
     for got in out:
         if isinstance(got, Exception):
             raise got
     return out
 
 
-def ideal_decomposition(M, level, kind, degree, what, variant=0):
+def ideal_decomposition(M, level, kind, degree, what):
     """[W_1..W_level] with sum_j f_j W_j = M exactly over S, re-substituted.
 
     Raises Obstruction(kind, degree) when M is not in (f_1..f_level) and
     SolverBug when the re-substituted sum differs from M.
     """
-    got, = solve_factorization(None, [M], level, variant=variant)
+    got, = solve_factorization(None, [M], level)
     if got is None:
         raise Obstruction(kind, degree, f"{what} not in the ideal")
     Ws = got[1]
@@ -151,7 +152,7 @@ def nullhomotopy(W, Y, a, gamma):
     return alpha
 
 
-def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0):
+def higher_homotopies(G, findices, max_total, hom_hi=None, start=None):
     """System of higher homotopies for the f_j, j in findices, on G.
 
     Built by the inductive recursion
@@ -213,7 +214,7 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None, variant=0
             out = _lift_outcomes(
                 G.diff(tgt_deg), [acc for _, acc in batch], G.level,
                 "higher homotopy", m, [f"index {a}" for a, _ in batch],
-                [start.get((a, m)) for a, _ in batch], variant)
+                [start.get((a, m)) for a, _ in batch])
             for (a, _), X in zip(batch, out):
                 if isinstance(X, Exception):
                     failed[a] = X
@@ -274,7 +275,7 @@ def koszul_extension(psi0, B, L, idxs):
     return KB, phi
 
 
-def ci_from_lifting(C, variant=0):
+def ci_from_lifting(C):
     """CI operators from the stored lifting: solve d~^2 = sum f_j t~_j.
 
     Returns tilde: tilde[j][i]: C_i -> C_{i-2} with internal shift -deg f_j
@@ -285,8 +286,7 @@ def ci_from_lifting(C, variant=0):
         raise ShapeError("ci operators need level >= 1")
     tilde = {j: {} for j in range(1, level + 1)}
     for i in range(C.lo + 2, C.hi + 1):
-        Ws = ideal_decomposition(C.square(i), level, "ci decomposition", i, "d^2",
-                                 variant=variant)
+        Ws = ideal_decomposition(C.square(i), level, "ci decomposition", i, "d^2")
         for j, W in enumerate(Ws, 1):
             tilde[j][i] = W
     return tilde

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .complexes import koszul_complex
-from .factorization import signature
-from .graded import QuotientPieces
+from .factorization import presentation, signature, stability_rank_check
+from .graded import QuotientPieces, ideal_membership
 
 
 @dataclass
@@ -252,15 +252,11 @@ def graded_infinite_betti_formula(F, n):
 
 
 def ext_dimension_counts(F):
-    """Total dims of the two standard decompositions:
-
-    over S:  sum_p 2^(p-1) (rank B_1(p) + rank B_0(p));
-    over the full quotient, per degree, the infinite formula.
-    """
-    total_S = sum(
+    """The total rank of the finite resolution over S by the exterior-algebra
+    decomposition: sum_p 2^(p-1) (rank B_1(p) + rank B_0(p))."""
+    return sum(
         (2 ** (p - 1)) * (F.rank1(p) + F.rank0(p)) for p in range(1, F.c + 1)
     )
-    return total_S
 
 
 def formula_suite(F, steps=None, D=None):
@@ -268,7 +264,7 @@ def formula_suite(F, steps=None, D=None):
 
     Returns a list of CheckItem rows; verdicts are PASS/FAIL/N-A.
     """
-    from .resolutions import build_finite, build_infinite
+    from .resolutions import build_finite, build_infinite, build_intermediate
 
     ring = F.ring
     items = []
@@ -284,11 +280,11 @@ def formula_suite(F, steps=None, D=None):
     DL = default_degree_bound(L) if D is None else D
     DT = default_degree_bound(T.truncate(0, min(4, T.hi))) if D is None else D
 
-    minimal_input = F.d.is_minimal() and all(
+    minimal = F.d.is_minimal() and all(
         F.h[p].is_minimal() for p in range(1, c + 1)
     )
     # rank formulas read Betti numbers, which requires minimality
-    if minimal_input:
+    if minimal:
         expect = finite_betti_formula(F)
         got = betti(L) if L.is_minimal() else None
         items.append(
@@ -309,8 +305,6 @@ def formula_suite(F, steps=None, D=None):
                 "PASS" if gotT == expect else "FAIL",
             )
         )
-        from .resolutions import build_intermediate
-
         for j in range(1, c):
             Q = build_intermediate(F, j, steps, tower=tower)
             expect = intermediate_betti_formula(F, j, Q.complex.hi)
@@ -329,21 +323,20 @@ def formula_suite(F, steps=None, D=None):
                       None, None, "N-A")
         )
     # minimality equivalences
-    minimal_F = F.d.is_minimal() and all(F.h[p].is_minimal() for p in range(1, c + 1))
     items.append(
         CheckItem(
             "minimal factorization iff minimal finite resolution",
-            minimal_F,
+            minimal,
             L.is_minimal(),
-            "PASS" if minimal_F == L.is_minimal() else "FAIL",
+            "PASS" if minimal == L.is_minimal() else "FAIL",
         )
     )
     items.append(
         CheckItem(
             "minimal factorization iff minimal quotient tower",
-            minimal_F,
+            minimal,
             T.is_minimal(),
-            "PASS" if minimal_F == T.is_minimal() else "FAIL",
+            "PASS" if minimal == T.is_minimal() else "FAIL",
         )
     )
     # complexity / Betti degree
@@ -359,7 +352,7 @@ def formula_suite(F, steps=None, D=None):
             )
         )
     # Ext dimension decomposition counts
-    if minimal_input:
+    if minimal:
         totalS = ext_dimension_counts(F)
         gotS = sum(betti(L)) if L.is_minimal() else None
         items.append(
@@ -387,7 +380,7 @@ def formula_suite(F, steps=None, D=None):
         )
     # graded series when degrees agree
     degs = {ring.fdeg(p) for p in range(1, c + 1)}
-    if len(degs) == 1 and minimal_input:
+    if len(degs) == 1 and minimal:
         expect = graded_infinite_betti_formula(F, T.hi)
         got = []
         for n in range(0, T.hi + 1):
@@ -426,15 +419,11 @@ def formula_suite(F, steps=None, D=None):
         )
     )
     # no free summands: no zero row in the minimal presentation mod level
-    from .factorization import presentation
-
     free_ok = True
     for p in range(1, c + 1):
         if not any(F.rank1(qq) or F.rank0(qq) for qq in range(1, p + 1)):
             continue
         pres, _ = presentation(F, p)
-        from .graded import ideal_membership
-
         for i in range(pres.dst.rank):
             # an absent row is a zero row
             if all(ideal_membership(q, p) for q in pres.rows.get(i, {}).values()):
@@ -461,8 +450,6 @@ def formula_suite(F, steps=None, D=None):
         )
     )
     # stability rank pattern (reported, not a validity failure)
-    from .factorization import stability_rank_check
-
     stab = stability_rank_check(F)
     items.append(
         CheckItem(

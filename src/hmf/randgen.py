@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 
-from .complexes import FreeModule, MatrixMap, lift_through
+from .complexes import FreeModule, MatrixMap
 from .factorization import HMF, change_of_generators_hmf, validate_hmf
+from .lifting import Obstruction, lift_step
 from .ring import Field, GradedRing
 
 
@@ -195,6 +196,20 @@ def random_lower_triangular(rng, fld, c):
     return alpha
 
 
+def _inverse(g, degree, failure):
+    """The inverse of the basis change g of the module at homological degree
+    degree, solved and re-substituted by lift_step; GenerationFailed with
+    the message failure when g is not invertible."""
+    ident = MatrixMap.identity(g.ring, g.src, 0)
+    try:
+        inv, = lift_step(g, [ident], 0, "randgen basis change", degree)
+    except Obstruction as exc:
+        raise GenerationFailed(failure) from exc
+    # on a module of rank 0 lift_step has nothing to solve for, and the
+    # identity is the inverse
+    return ident if inv is None else inv
+
+
 def random_filtered_conjugation(F, rng):
     """Conjugate by random filtered basis changes of A_1 and A_0.
 
@@ -243,10 +258,7 @@ def random_filtered_conjugation(F, rng):
                                 random_change(mods1, offs1), 0, 0)
     g0 = MatrixMap.from_strings(ring, F.A0(F.c), F.A0(F.c),
                                 random_change(mods0, offs0), 0, 0)
-    ident0 = MatrixMap.identity(ring, F.A0(F.c), 0)
-    g0_inv, = lift_through(g0, [ident0], 0)
-    if g0_inv is None:
-        raise GenerationFailed("basis change not invertible")
+    g0_inv = _inverse(g0, 0, "basis change not invertible")
     d_new = g0_inv.compose(F.d).compose(g1)
     h_new = {}
     for p in range(1, F.c + 1):
@@ -254,10 +266,7 @@ def random_filtered_conjugation(F, rng):
         n0 = F.A0(p).rank
         g1p = g1.submatrix(list(range(n1)), list(range(n1)))
         g0p = g0.submatrix(list(range(n0)), list(range(n0)))
-        identp = MatrixMap.identity(ring, F.A1(p), 0)
-        g1p_inv, = lift_through(g1p, [identp], 0)
-        if g1p_inv is None:
-            raise GenerationFailed("basis change not invertible at a stage")
+        g1p_inv = _inverse(g1p, 1, "basis change not invertible at a stage")
         h_new[p] = g1p_inv.compose(F.h[p]).compose(g0p).entries
     return HMF(ring, F.b1, F.b0, d_new.entries, h_new, c=F.c)
 

@@ -169,7 +169,7 @@ def shamash(G, sigma, steps, weights=None):
                             ci={f_idx: t_op})
 
 
-def build_infinite(F, steps, variant=0):
+def build_infinite(F, steps):
     """Truncated minimal resolution tower over the quotients R(p).
 
     Stage p is the divided-power construction applied to the cone U(p) of
@@ -193,7 +193,7 @@ def build_infinite(F, steps, variant=0):
         U = mapping_cone(top.complex, B, {0: psi0})
         start = {((1,), 0): MatrixMap(ring, U.module(0), U.module(1), F.h[p].rows,
                                       p - 1, ring.fdeg(p), check=False)}
-        sigma = higher_homotopies(U, (p,), max_total, start=start, variant=variant)
+        sigma = higher_homotopies(U, (p,), max_total, start=start)
         uweights = {n: tuple(top.weights.get(n, ())) + (0,) * B.module(n).rank
                     for n in range(U.lo, U.hi + 1)}
         top = stages[p] = shamash(U, sigma, steps, weights=uweights)
@@ -257,7 +257,7 @@ class PeelResult:
     report: list
 
 
-def peel(C, t=None, variant=0):
+def peel(C, t=None):
     """Inverse of the divided-power construction.
 
     C is a complex at level p >= 1 whose lifted CI operator for f_p is
@@ -275,7 +275,7 @@ def peel(C, t=None, variant=0):
         raise ShapeError("peel expects complexes starting at degree 0")
     q = ring.fdeg(p)
     if t is None:
-        t = ci_from_lifting(C, variant=variant)[p]
+        t = ci_from_lifting(C)[p]
     fld = ring.field
     # surjectivity via scalar parts, then sections and kernels
     sections = {}
@@ -299,7 +299,7 @@ def peel(C, t=None, variant=0):
         ident = MatrixMap.identity(ring, C.module(i - 2), p - 1)
         try:
             sections[i], = lift_step(ti.relevel(p - 1), [ident], p - 1,
-                                     "peel section", i, variant=variant)
+                                     "peel section", i)
         except Obstruction as exc:
             raise PeelError(f"no section for the CI operator at degree {i}") from exc
         ncols = N.shape[1]
@@ -348,8 +348,7 @@ def peel(C, t=None, variant=0):
         phi = MatrixMap.from_blocks(ring, [cols], mods, [C.module(i)], p - 1)
         ident = MatrixMap.identity(ring, C.module(i), p - 1)
         try:
-            inv, = lift_step(phi, [ident], p - 1, "peel basis change", i,
-                             variant=variant)
+            inv, = lift_step(phi, [ident], p - 1, "peel basis change", i)
         except Obstruction as exc:
             raise SolverBug("basis change not invertible") from exc
         # kernel-block rows of the inverse

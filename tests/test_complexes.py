@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from second_solution import second_solution
 
 from hmf.complexes import (
     Complex,
@@ -362,6 +363,18 @@ def test_shift_and_truncate(F):
         C.truncate(2, 1)
 
 
+def test_validate_reports_inhomogeneous_entry(F):
+    ring = F.ring
+    d = MatrixMap.from_strings(ring, FreeModule((1,)), FreeModule((0,)),
+                               [["a + a^2"]], check=False)
+    C = Complex(ring, 0, {0: FreeModule((0,)), 1: FreeModule((1,))}, {1: d})
+    assert C.validate() == [
+        "diff 1: entry (0,0) = a^2 + a is not homogeneous, required degree 1"]
+    with pytest.raises(ContractViolation, match="not homogeneous"):
+        MatrixMap.from_strings(ring, FreeModule((1,)), FreeModule((0,)),
+                               [["a + a^2"]])
+
+
 def test_reduce_level(F):
     B1 = two_term_complex(F.ring, F.d_p(1))
     deep = B1.reduce_level(2)
@@ -415,21 +428,22 @@ def _batch_inputs(char):
 
 @pytest.mark.parametrize("char", [DEFAULT_PRIME, 0])
 @pytest.mark.parametrize("variant", [0, 1])
-def test_batched_solve_equals_single_solves(char, variant, monkeypatch):
+def test_batched_solve_equals_single_solves(char, variant):
     import hmf.complexes as complexes
 
     d, Cs = _batch_inputs(char)
     level = 2
-    single = [solve_factorization(d, [C], level, variant=variant)[0] for C in Cs]
-    calls = []
-    solve = complexes.graded_solve
+    with second_solution() if variant else pytest.MonkeyPatch.context() as mp:
+        single = [solve_factorization(d, [C], level)[0] for C in Cs]
+        calls = []
+        solve = complexes.graded_solve
 
-    def counted(ring, dst_twists, e, *args, **kwargs):
-        calls.append(e)
-        return solve(ring, dst_twists, e, *args, **kwargs)
+        def counted(ring, dst_twists, e, *args):
+            calls.append(e)
+            return solve(ring, dst_twists, e, *args)
 
-    monkeypatch.setattr(complexes, "graded_solve", counted)
-    batched = solve_factorization(d, Cs, level, variant=variant)
+        mp.setattr(complexes, "graded_solve", counted)
+        batched = solve_factorization(d, Cs, level)
     # one elimination per degree across the whole list, not per right-hand side
     assert sorted(calls) == [0, 1, 2]
     assert batched[1] is None and single[1] is None

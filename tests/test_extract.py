@@ -1,4 +1,5 @@
 import pytest
+from second_solution import second_solution
 
 from hmf.complexes import Complex, FreeModule, MatrixMap
 from hmf.corpus import codim2_xa_yb, codim2_xz_y2, micro_codim1
@@ -36,8 +37,9 @@ def test_check_prestable_primary(F, W2):
 
 def test_check_prestable_lifting_independent(F, W2):
     # a second deterministic representative gives the same verdict
-    rep0 = check_prestable(SyzygyInput(W2, 2), variant=0)
-    rep1 = check_prestable(SyzygyInput(W2, 2), variant=1)
+    rep0 = check_prestable(SyzygyInput(W2, 2))
+    with second_solution():
+        rep1 = check_prestable(SyzygyInput(W2, 2))
     assert rep0.ok == rep1.ok
 
 
@@ -255,9 +257,9 @@ def test_cli_extract_descends_each_level_once(tmp_path, monkeypatch):
     levels = []
     step = extract._descent_step
 
-    def counted(C, cc, variant=0):
+    def counted(C, cc):
         levels.append(cc)
-        return step(C, cc, variant)
+        return step(C, cc)
 
     monkeypatch.setattr(extract, "_descent_step", counted)
     path = f"{corpus_dir()}/codim3_shifted.json"

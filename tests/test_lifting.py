@@ -1,4 +1,5 @@
 import pytest
+from second_solution import second_solution
 
 from hmf.complexes import (
     ZERO_MODULE,
@@ -224,7 +225,8 @@ def residue_field_systems():
     )
     K = koszul_complex(vars_ring, (1, 2, 3, 4), level=0)
     sig1 = higher_homotopies(K, (5,), 2)
-    sig2 = higher_homotopies(K, (5,), 2, variant=1)
+    with second_solution():
+        sig2 = higher_homotopies(K, (5,), 2)
     phi0 = {v: MatrixMap.identity(vars_ring, K.module(v), 0)
             for v in range(0, 5)}
     return K, sig1, sig2, phi0
@@ -253,6 +255,7 @@ def test_homotopy_comparison_richer_complex(residue_field_systems):
 def solve_calls(F, L, residue_field_systems):
     """One call per builder, on inputs built with the real solvers."""
     from hmf.extract import strengthen
+    from hmf.randgen import gen_random_hmf
     from hmf.resolutions import build_infinite, peel, special_lifting_and_ci
 
     ring = F.ring
@@ -272,30 +275,29 @@ def solve_calls(F, L, residue_field_systems):
         "ci_from_lifting": lambda: ci_from_lifting(tower.complex),
         "special_lifting_and_ci": lambda: special_lifting_and_ci(tower),
         "peel": lambda: peel(tower.complex, t=tower.ci.get(2)),
+        "gen_random_hmf": lambda: gen_random_hmf(3, c=2, max_rank=3),
     }
 
 
 @pytest.mark.parametrize("builder", [
     "nullhomotopy", "higher_homotopies", "koszul_extension",
     "homotopy_comparison", "strengthen", "ci_from_lifting",
-    "special_lifting_and_ci", "peel",
+    "special_lifting_and_ci", "peel", "gen_random_hmf",
 ])
 def test_every_solve_resubstitutes(solve_calls, builder, monkeypatch):
-    # solvers that return twice the true solution: each builder must catch
-    # the wrong answer on re-substitution instead of returning it
+    # a solver that returns twice the true X and W_m: each builder must
+    # catch the wrong answer on re-substitution instead of returning it
     import hmf.lifting as lifting
 
-    lift, factor = lifting.lift_through, lifting.solve_factorization
+    factor = lifting.solve_factorization
 
-    def doubled_lift(*args, **kwargs):
-        return [None if X is None else X.scale(2) for X in lift(*args, **kwargs)]
+    def doubled(*args):
+        return [None if got is None else
+                (None if got[0] is None else got[0].scale(2),
+                 [W.scale(2) for W in got[1]])
+                for got in factor(*args)]
 
-    def doubled_factor(*args, **kwargs):
-        return [None if got is None else (got[0], [W.scale(2) for W in got[1]])
-                for got in factor(*args, **kwargs)]
-
-    monkeypatch.setattr(lifting, "lift_through", doubled_lift)
-    monkeypatch.setattr(lifting, "solve_factorization", doubled_factor)
+    monkeypatch.setattr(lifting, "solve_factorization", doubled)
     with pytest.raises(SolverBug, match="re-substitution fails"):
         solve_calls[builder]()
 

@@ -2,6 +2,7 @@ import hashlib
 import os
 
 import pytest
+from second_solution import second_solution
 
 from hmf.complexes import Complex, ContractViolation, FreeModule, MatrixMap, ShapeError
 from hmf.corpus import codim2_xa_yb, codim2_xz_y2, codim3_shifted, micro_codim1
@@ -413,8 +414,8 @@ BUILDER_DIGESTS = {
 # decomposition, recorded before they were routed through one place:
 # build_finite differentials (Koszul extensions), build_intermediate for
 # each j < c, special_lifting_and_ci, the peel kernel and its homotopies,
-# strengthen's h and strong extension, and the variant-1 homotopy system of
-# the top tower stage
+# strengthen's h and strong extension, and the homotopy system of the top
+# tower stage built from second solutions (tests/second_solution.py)
 LIFTING_DIGESTS = {
     (2, 3): (
         "c70ea664fe628af963829bcce008495e0c41c5bc768e93c07ea34fbf320b6ee7",
@@ -473,7 +474,8 @@ def test_builder_output_lock(c, seed):
     tilde, _ = special_lifting_and_ci(tower)
     pr = peel(tower.complex, t=ci[c])
     S = strengthen(F)
-    sig1 = build_infinite(F, 8, variant=1).sigma
+    with second_solution():
+        sig1 = build_infinite(F, 8).sigma
     got = (
         maps_digest([((p, i), d) for p, C in sorted(fin.stages.items())
                      for i, d in sorted(C.diffs.items())]),
@@ -524,8 +526,8 @@ def lifted_maps_digest(monkeypatch, phis, sigma, sigmap, steps):
 
 # sha256 of every V(p-1) and W(p) of cosyz_tower (complex_digest of each,
 # p ascending), and of the assembled maps of lifted_comparison_check between
-# the variant-0 and variant-1 homotopy systems for f_c on the finite
-# resolution; recorded before the divided-power blocks and the head
+# the homotopy systems for f_c on the finite resolution built from canonical
+# and from second solutions; recorded before the divided-power blocks and the head
 # extension were each given one assembler
 TOWER_DIGESTS = {
     (2, 3): ("e220ab8310476c3a5a768d3e1f617c3466f55399d21c16846ba0d6a4f388581a",
@@ -550,7 +552,8 @@ def test_cosyz_and_lifted_comparison_lock(c, seed, monkeypatch):
         for p, (V, W) in sorted(vw.items())]).encode()).hexdigest()
     L = build_finite(F).complex
     sig0 = higher_homotopies(L, (c,), 3)
-    sig1 = higher_homotopies(L, (c,), 3, variant=1)
+    with second_solution():
+        sig1 = higher_homotopies(L, (c,), 3)
     phi0 = {v: MatrixMap.identity(F.ring, L.module(v), 0)
             for v in range(L.lo, L.hi + 1)}
     phis = homotopy_comparison(phi0, sig0, sig1, 3)
