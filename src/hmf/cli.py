@@ -5,8 +5,9 @@ formats), run one pipeline each, and write deterministic JSON reports.
 Every builder command (resolve-s, resolve-r, intermediate, shamash, box,
 peel, extract, strengthen) validates its factorization first, so invalid
 input exits 2 before any builder runs, as does a level (--p, --j,
---f-index, or the default c) outside 1..c or a numeric argument below its
-bound.
+--f-index, or the default c) outside 1..c, an extract --syzygy index r
+whose degree r - 2 lies above the complex, or a numeric argument below
+its bound.
 Exit codes: 0 success/PASS, 1 validation failure, 2 input error.
 """
 
@@ -50,11 +51,16 @@ def _check_valid(F, path):
     return F
 
 
+def _in_range(value, lo, hi, what):
+    """value, an argument that must lie in lo..hi."""
+    if not lo <= value <= hi:
+        raise SchemaError(f"{what} = {value} outside {lo}..{hi}")
+    return value
+
+
 def _level(value, F, what):
     """value, a level of F's tower, which must lie in 1..c."""
-    if not 1 <= value <= F.c:
-        raise SchemaError(f"{what} = {value} outside 1..{F.c}")
-    return value
+    return _in_range(value, 1, F.c, what)
 
 
 def _at_least(lo):
@@ -223,9 +229,10 @@ def cmd_extract(args):
         _check_valid(obj, args.file)
         c = _level(obj.c, obj, "c")
         _, W = cosyz_tower(obj, args.steps or (2 * c + 4))[c]
-        inp = SyzygyInput(W, args.syzygy)
     else:
-        inp = SyzygyInput(obj, args.syzygy)
+        W = obj
+    # the syzygy Im(delta_r) needs degree r - 2 of the complex
+    inp = SyzygyInput(W, _in_range(args.syzygy, 2, W.hi + 2, "--syzygy"))
     descent = Descent(inp)
     rep = check_prestable(descent)
     if not rep.ok:

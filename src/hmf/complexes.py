@@ -10,8 +10,9 @@ A polynomial matrix is a MatrixMap whose rows hold its nonzero entries only,
 as {row: {column: Poly}}, the layout of the scalar _kernels.SparseMatrix.
 Rows are never changed once a map is built, so a change of level, shift or
 twists shares them.  MatrixMap.from_strings is the one constructor from a
-dense grid and MatrixMap.entries the one dense view; parsing, the writers
-and HMF's constructor use them, and the algebra never does.
+dense grid and MatrixMap.entries the one dense view; only io_json (parsing
+and the JSON/TeX writers) and str_rows use them.  HMF and every builder
+pass rows.
 
 The identities the builders solve and check are sums of products, and
 MatrixMap.combine evaluates sum +-L o R + sum +-M in one term dict per
@@ -100,8 +101,8 @@ class MatrixMap:
 
     A map never changes its rows once built, so maps that differ only in
     level, shift or twists share them.  from_strings builds a map from a
-    dense grid and entries is the dense view; both are for the boundary
-    (parsing, the writers and tests).
+    dense grid and entries is the dense view; both are for the JSON
+    boundary (io_json, str_rows) and the tests.
     """
 
     __slots__ = ("ring", "src", "dst", "rows", "level", "shift")

@@ -220,8 +220,8 @@ def extract_hmf(inp):
         return {"b1": b1, "b0": b0, "d": d, "h": h}
 
     data = rec(cc0)
-    out = HMF(ring, data["b1"], data["b0"], data["d"].entries,
-              {p: h.entries for p, h in data["h"].items()}, c=cc0)
+    out = HMF(ring, data["b1"], data["b0"], data["d"].rows,
+              {p: h.rows for p, h in data["h"].items()}, c=cc0)
     rep = validate_hmf(out)
     if not rep.ok:
         raise ExtractionError(f"extracted data fails validation: {rep.failures[:2]}")
@@ -276,10 +276,8 @@ def prestable_certificate(F, D=None):
         if F.rank1(p) == 0:
             items.append(CheckItem(f"p={p}: empty stage", None, None, "N-A"))
             continue
-        hp = F.h[p]
-        rows = list(range(F.off1(p), F.off1(p) + F.rank1(p)))
-        cols = list(range(F.A0(p - 1).rank))
-        comp = hp.submatrix(rows, cols).relevel(p - 1)
+        comp = F.pi_h(p).submatrix(list(range(F.rank1(p))),
+                                   list(range(F.A0(p - 1).rank))).relevel(p - 1)
         Dp = D
         if Dp is None:
             tw = list(F.b1[p].twists) + [0]
@@ -323,7 +321,7 @@ def strengthen(F):
     for p in range(1, F.c + 1):
         L = fin.stages[p]
         if L.module(0).rank == 0:
-            new_h[p] = F.h[p].entries
+            new_h[p] = F.h[p].rows
             ext_all[p] = {}
             continue
         fid = MatrixMap.poly_times_identity(
@@ -347,7 +345,7 @@ def strengthen(F):
             raise ShapeError(f"unrecognized finite-resolution label {lab!r}")
         cols = list(range(X.src.rank))
         new_h[p] = X.submatrix([a1_rows[(qlev, k)] for qlev in range(0, p + 1)
-                                for k in range(F.rank1(qlev))], cols).entries
+                                for k in range(F.rank1(qlev))], cols).rows
         ext = {}
         for (i, w), rowmap in sorted(ext_rows.items()):
             rows = X.submatrix([rowmap[k] for k in range(F.rank0(w))], cols).rows
@@ -365,7 +363,7 @@ def strengthen(F):
         F.ring,
         F.b1,
         F.b0,
-        F.d.entries,
+        F.d.rows,
         new_h,
         generalized=F.generalized,
         strong_ext=ext_all,

@@ -45,11 +45,12 @@ class HMF:
     """Split-form higher matrix factorization over a graded ring.
 
     b1[p], b0[p] (p = 0..c; slot 0 is zero unless generalized) give the
-    twists of B_1(p), B_0(p).  d is a single matrix A_1 -> A_0 in the
-    concatenated bases ordered by p; h[p] is the block map A_0(p) -> A_1(p).
+    twists of B_1(p), B_0(p).  d holds the rows of a single matrix
+    A_1 -> A_0 in the concatenated bases ordered by p, and h[p] those of the
+    block map A_0(p) -> A_1(p), in the layout of MatrixMap.rows.
     """
 
-    def __init__(self, ring, b1, b0, d_entries, h_entries, generalized=False,
+    def __init__(self, ring, b1, b0, d, h, generalized=False,
                  strong_ext=None, c=None):
         self.ring = ring
         self.c = ring.codim if c is None else c
@@ -71,16 +72,13 @@ class HMF:
             self.b0[p] = FreeModule(
                 m0.twists, tuple(_block_label(0, p, k) for k in range(m0.rank))
             )
-        self.d = MatrixMap.from_strings(ring, self.A1(self.c), self.A0(self.c),
-                                        d_entries, 0, 0)
+        self.d = MatrixMap(ring, self.A1(self.c), self.A0(self.c), d, 0, 0)
         self.h = {}
         for p in range(1, self.c + 1):
-            ent = h_entries.get(p)
-            if ent is None:
+            if p not in h:
                 raise ShapeError(f"missing homotopy block h_{p}")
-            self.h[p] = MatrixMap.from_strings(
-                ring, self.A0(p), self.A1(p), ent, 0, ring.fdeg(p)
-            )
+            self.h[p] = MatrixMap(ring, self.A0(p), self.A1(p), h[p], 0,
+                                  ring.fdeg(p))
         self.strong_ext = strong_ext or {}
 
     # -- module bookkeeping
@@ -116,15 +114,24 @@ class HMF:
         cols = range(0, self.off1(p) + self.rank1(p))
         return self.d.submatrix(list(rows), list(cols))
 
-    def b_block(self, p):
-        rows = range(self.off0(p), self.off0(p) + self.rank0(p))
-        cols = range(self.off1(p), self.off1(p) + self.rank1(p))
+    def block(self, q, qp):
+        """The block of d from B_1(q) to B_0(qp)."""
+        rows = range(self.off0(qp), self.off0(qp) + self.rank0(qp))
+        cols = range(self.off1(q), self.off1(q) + self.rank1(q))
         return self.d.submatrix(list(rows), list(cols))
+
+    def b_block(self, p):
+        return self.block(p, p)
 
     def psi_block(self, p):
         rows = range(0, self.off0(p))
         cols = range(self.off1(p), self.off1(p) + self.rank1(p))
         return self.d.submatrix(list(rows), list(cols))
+
+    def pi_h(self, p):
+        """pi_p h_p: A_0(p) -> B_1(p), the rows of h_p in B_1(p)."""
+        rows = range(self.off1(p), self.off1(p) + self.rank1(p))
+        return self.h[p].submatrix(list(rows), list(range(self.A0(p).rank)))
 
     def pi(self, p):
         """Block projection A_1(p) -> B_1(p)."""
@@ -160,13 +167,7 @@ def validate_hmf(F):
     # filtration: block of d from B_1(q) to B_0(q') must vanish for q' > q
     for q in F.levels():
         for qp in F.levels():
-            if qp <= q:
-                continue
-            blk = F.d.submatrix(
-                list(range(F.off0(qp), F.off0(qp) + F.rank0(qp))),
-                list(range(F.off1(q), F.off1(q) + F.rank1(q))),
-            )
-            if not blk.is_zero():
+            if qp > q and not F.block(q, qp).is_zero():
                 failures.append(f"filtration: d maps B_1({q}) into B_0({qp})")
     # axioms
     for p in range(1, F.c + 1):
@@ -215,8 +216,8 @@ def truncate_hmf(F, p):
         F.ring,
         b1,
         b0,
-        F.d_p(p).entries,
-        {q: F.h[q].entries for q in range(1, p + 1)},
+        F.d_p(p).rows,
+        {q: F.h[q].rows for q in range(1, p + 1)},
         generalized=F.generalized,
         c=p,
     )
@@ -405,8 +406,8 @@ def change_of_generators_hmf(F, alpha):
             acc = acc + ring.regseq[j].scale(alpha[i][j])
         new_regseq.append(acc)
     ring2 = clone_ring_with_regseq(ring, new_regseq)
-    d2 = migrate_map(ring2, F.d).entries
-    h2 = {p: migrate_map(ring2, F.h[p].scale(alpha[p - 1][p - 1])).entries
+    d2 = migrate_map(ring2, F.d).rows
+    h2 = {p: migrate_map(ring2, F.h[p].scale(alpha[p - 1][p - 1])).rows
           for p in range(1, c + 1)}
     return HMF(ring2, F.b1, F.b0, d2, h2, generalized=F.generalized, c=c)
 

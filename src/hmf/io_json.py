@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 
-from .complexes import Complex, ContractViolation, FreeModule, MatrixMap, ShapeError
+from .complexes import (Complex, ContractViolation, FreeModule, MatrixMap,
+                         ShapeError, ZERO_MODULE)
 from .factorization import HMF
 from .ring import Field, GradedRing, RingError
 
@@ -168,10 +169,7 @@ def hmf_to_json(F):
     d_blocks = {}
     for q in range(0 if F.generalized else 1, F.c + 1):
         for qp in range(0 if F.generalized else 1, q + 1):
-            blk = F.d.submatrix(
-                list(range(F.off0(qp), F.off0(qp) + F.rank0(qp))),
-                list(range(F.off1(q), F.off1(q) + F.rank1(q))),
-            )
+            blk = F.block(q, qp)
             if blk.src.rank and blk.dst.rank:
                 d_blocks[f"{q}->{qp}"] = matrix_to_rows(blk)
     h_blocks = {
@@ -224,33 +222,41 @@ def hmf_from_json(obj, where="hmf"):
         _require(p not in b1, at, f"second entry for p={p}")
         b1[p] = FreeModule(_twists(rec, "B1", at))
         b0[p] = FreeModule(_twists(rec, "B0", at))
-    rank1 = {p: b1.get(p, FreeModule(())).rank for p in range(0, c + 1)}
-    rank0 = {p: b0.get(p, FreeModule(())).rank for p in range(0, c + 1)}
-    off1 = {p: sum(rank1[q] for q in range(0, p)) for p in range(0, c + 2)}
-    off0 = {p: sum(rank0[q] for q in range(0, p)) for p in range(0, c + 2)}
-    n1 = sum(rank1.values())
-    n0 = sum(rank0.values())
-    d = [[ring.zero() for _ in range(n1)] for _ in range(n0)]
+    mods1 = [b1.get(p, ZERO_MODULE) for p in range(0, c + 1)]
+    mods0 = [b0.get(p, ZERO_MODULE) for p in range(0, c + 1)]
+    # blocks[qp][q]: the block of d from B_1(q) to B_0(qp)
+    blocks = [[None] * (c + 1) for _ in range(c + 1)]
     for key, blk in _key(obj, "d_blocks", dict, where, {}).items():
         at = f"{where}.d_blocks[{key}]"
         q, qp = _ints(key, 2, "->", at)
         _require(0 <= qp <= q <= c, at, "filtration violated")
         blk = _poly_rows(ring, blk, at)
         _require(
-            len(blk) == rank0[qp] and all(len(r) == rank1[q] for r in blk),
+            len(blk) == mods0[qp].rank
+            and all(len(r) == mods1[q].rank for r in blk),
             at,
             "block shape mismatch",
         )
-        for i, r in enumerate(blk):
-            for j, x in enumerate(r):
-                d[off0[qp] + i][off1[q] + j] = x
+        blocks[qp][q] = MatrixMap.from_strings(ring, mods1[q], mods0[qp], blk,
+                                               check=False)
+    d = MatrixMap.from_blocks(ring, blocks, mods1, mods0)
     h_blocks = _key(obj, "h_blocks", dict, where, {})
+    stages = [str(p) for p in range(1, c + 1)]
+    for key in h_blocks:
+        _require(key in stages, where, f"h block {key!r} outside 1..{c}")
     h = {}
     for p in range(1, c + 1):
+        at = f"{where}.h_blocks[{p}]"
         _require(str(p) in h_blocks, where, f"missing h block {p}")
-        h[p] = _poly_rows(ring, h_blocks[str(p)], f"{where}.h_blocks[{p}]")
+        try:
+            h[p] = MatrixMap.from_strings(
+                ring, FreeModule.concat(mods0[:p + 1]),
+                FreeModule.concat(mods1[:p + 1]),
+                _poly_rows(ring, h_blocks[str(p)], at), check=False).rows
+        except ShapeError as exc:
+            raise SchemaError(f"{at}: {exc}") from exc
     try:
-        F = HMF(ring, b1, b0, d, h, generalized=generalized, c=c)
+        F = HMF(ring, b1, b0, d.rows, h, generalized=generalized, c=c)
     except Exception as exc:
         raise SchemaError(f"{where}: {exc}") from exc
     ext_all = {}

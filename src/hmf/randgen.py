@@ -37,153 +37,90 @@ def _unit(rng, fld):
 
 def _top_block(ring, rng, level, size):
     """Square factorization pieces of f_level: 1x1 (u | v) and 2x2 with unit
-    determinant f, giving d h = h d = f Id exactly."""
+    determinant f, giving d h = h d = f Id exactly.  Returns the rows of d
+    and h."""
     u = ring.var(f"u{level}")
     v = ring.var(f"v{level}")
     fld = ring.field
-    pieces = []
-    left = size
-    while left > 0:
-        if left >= 2 and rng.random() < 0.5:
+    d, h = {}, {}
+    k = 0
+    while k < size:
+        if size - k >= 2 and rng.random() < 0.5:
             # det = f, so the adjugate is the matching homotopy
             w = ring.var(ring.var_names[rng.randrange(ring.nvars)])
             a = _unit(rng, fld)
-            d = [[u.scale(a), w], [ring.zero(), v.scale(fld.inv(a))]]
-            h = [[v.scale(fld.inv(a)), w.scale(fld.neg(1))],
-                 [ring.zero(), u.scale(a)]]
-            pieces.append((2, d, h))
-            left -= 2
+            d[k] = {k: u.scale(a), k + 1: w}
+            d[k + 1] = {k + 1: v.scale(fld.inv(a))}
+            h[k] = {k: v.scale(fld.inv(a)), k + 1: w.scale(fld.neg(1))}
+            h[k + 1] = {k + 1: u.scale(a)}
+            k += 2
         else:
             a = _unit(rng, fld)
-            d = [[u.scale(a)]]
-            h = [[v.scale(fld.inv(a))]]
-            pieces.append((1, d, h))
-            left -= 1
-    n = size
-    z = ring.zero()
-    dd = [[z] * n for _ in range(n)]
-    hh = [[z] * n for _ in range(n)]
-    off = 0
-    for k, d, h in pieces:
-        for i in range(k):
-            for j in range(k):
-                dd[off + i][off + j] = d[i][j]
-                hh[off + i][off + j] = h[i][j]
-        off += k
-    return dd, hh
+            d[k] = {k: u.scale(a)}
+            h[k] = {k: v.scale(fld.inv(a))}
+            k += 1
+    return d, h
 
 
 def _coupled_pair(ring, i, j):
     """The four-variable coupling at levels (i, j): B(i) square of size 2,
-    B(j) of shape (2, 1), with the off-diagonal block tying the levels."""
+    B(j) of shape (2, 1), with the off-diagonal block tying the levels.
+    Returns the rows of d and {i: h_i, j: h_j} over the generators
+    (B_1(i), B_1(j)) -> (B_0(i), B_0(j))."""
     u = ring.var(f"u{i}")
     v = ring.var(f"v{i}")
     w = ring.var(f"u{j}")
     z = ring.var(f"v{j}")
-    zero = ring.zero()
-    d_i = [[v, zero], [w, u]]
-    h_i = [[u, zero], [-w, v]]
-    psi_j = [[zero, -z], [zero, zero]]
-    b_j = [[w, u]]
-    h_j = [
-        [zero, z, zero],
-        [zero, zero, zero],
-        [u, zero, z],
-        [-w, v, zero],
-    ]
-    return d_i, h_i, psi_j, b_j, h_j
+    d = {0: {0: v, 3: -z}, 1: {0: w, 1: u}, 2: {2: w, 3: u}}
+    h_i = {0: {0: u}, 1: {0: -w, 1: v}}
+    h_j = {0: {1: z}, 2: {0: u, 2: z}, 3: {0: -w, 1: v}}
+    return d, {i: h_i, j: h_j}
+
+
+def _put(rows, block, at_row, at_col):
+    """Copy the rows of block into rows, its row a to at_row[a] and its
+    column b to at_col[b]."""
+    for a, row in block.items():
+        rows.setdefault(at_row[a], {}).update(
+            (at_col[b], q) for b, q in row.items())
 
 
 def _assemble(ring, c, placements, rng):
     """placements: list of ('top', level, size) and ('pair', i, j) pieces.
-    Returns the block data summed per level."""
-    z = ring.zero()
-    rank1 = {p: 0 for p in range(0, c + 1)}
-    rank0 = {p: 0 for p in range(0, c + 1)}
-    piece_data = []
-    for pl in placements:
+    Returns their direct sum, each level holding its pieces' generators in
+    placement order."""
+    pieces = []
+    for n, pl in enumerate(placements):
         if pl[0] == "top":
             _, lev, size = pl
             d, h = _top_block(ring, rng, lev, size)
-            piece_data.append(
-                {"levels": {lev: (size, size)}, "kind": "top", "lev": lev,
-                 "d": d, "h": h}
-            )
-            rank1[lev] += size
-            rank0[lev] += size
+            levels1 = levels0 = [lev] * size
+            h = {lev: h}
         else:
             _, i, j = pl
-            d_i, h_i, psi_j, b_j, h_j = _coupled_pair(ring, i, j)
-            piece_data.append(
-                {"levels": {i: (2, 2), j: (2, 1)}, "kind": "pair",
-                 "i": i, "j": j, "d_i": d_i, "h_i": h_i, "psi_j": psi_j,
-                 "b_j": b_j, "h_j": h_j}
-            )
-            rank1[i] += 2
-            rank0[i] += 2
-            rank1[j] += 2
-            rank0[j] += 1
-    b1 = {p: FreeModule((1,) * rank1[p]) for p in range(0, c + 1)}
-    b0 = {p: FreeModule((0,) * rank0[p]) for p in range(0, c + 1)}
-    off1 = {p: sum(rank1[q] for q in range(0, p)) for p in range(0, c + 2)}
-    off0 = {p: sum(rank0[q] for q in range(0, p)) for p in range(0, c + 2)}
-    n1 = sum(rank1.values())
-    n0 = sum(rank0.values())
-    d = [[z] * n1 for _ in range(n0)]
-    h = {p: [[z] * (off0[p] + rank0[p]) for _ in range(off1[p] + rank1[p])]
-         for p in range(1, c + 1)}
-    used1 = {p: 0 for p in range(0, c + 1)}
-    used0 = {p: 0 for p in range(0, c + 1)}
-
-    def put_d(rows, row_level, col_level, block):
-        r0 = off0[row_level] + rows[0]
-        c0 = off1[col_level] + rows[1]
-        for a, rr in enumerate(block):
-            for b, val in enumerate(rr):
-                d[r0 + a][c0 + b] = val
-
-    for pc in piece_data:
-        if pc["kind"] == "top":
-            lev = pc["lev"]
-            put_d((used0[lev], used1[lev]), lev, lev, pc["d"])
-            # h_q for q >= lev gets the square homotopy on this block
-            for q in range(lev, c + 1):
-                hr = off1[lev] + used1[lev]
-                hc = off0[lev] + used0[lev]
-                if q == lev:
-                    for a, rr in enumerate(pc["h"]):
-                        for b, val in enumerate(rr):
-                            h[q][hr + a][hc + b] = val
-            used1[lev] += len(pc["d"][0])
-            used0[lev] += len(pc["d"])
-        else:
-            i, j = pc["i"], pc["j"]
-            ri0, ri1 = used0[i], used1[i]
-            rj0, rj1 = used0[j], used1[j]
-            put_d((ri0, ri1), i, i, pc["d_i"])
-            put_d((rj0, rj1), j, j, pc["b_j"])
-            # psi: columns B_1(j), rows B_0(i)
-            r0 = off0[i] + ri0
-            c0 = off1[j] + rj1
-            for a, rr in enumerate(pc["psi_j"]):
-                for b, val in enumerate(rr):
-                    d[r0 + a][c0 + b] = val
-            # h_i block
-            for a, rr in enumerate(pc["h_i"]):
-                for b, val in enumerate(rr):
-                    h[i][off1[i] + ri1 + a][off0[i] + ri0 + b] = val
-            # h_j block: rows A_1-slots (B_1(i) then B_1(j)), cols A_0-slots
-            rows_map = [off1[i] + ri1, off1[i] + ri1 + 1,
-                        off1[j] + rj1, off1[j] + rj1 + 1]
-            cols_map = [off0[i] + ri0, off0[i] + ri0 + 1, off0[j] + rj0]
-            for a, rr in enumerate(pc["h_j"]):
-                for b, val in enumerate(rr):
-                    h[j][rows_map[a]][cols_map[b]] = val
-            used1[i] += 2
-            used0[i] += 2
-            used1[j] += 2
-            used0[j] += 1
-    return HMF(ring, b1, b0, d, {p: h[p] for p in range(1, c + 1)})
+            d, h = _coupled_pair(ring, i, j)
+            levels1, levels0 = [i, i, j, j], [i, i, j]
+        # a generator is (level, piece, index in piece); sorted, these are
+        # the concatenated bases ordered by level
+        pieces.append(([(p, n, k) for k, p in enumerate(levels1)],
+                       [(p, n, k) for k, p in enumerate(levels0)], d, h))
+    gens1 = sorted(g for pc in pieces for g in pc[0])
+    gens0 = sorted(g for pc in pieces for g in pc[1])
+    at1 = {g: k for k, g in enumerate(gens1)}
+    at0 = {g: k for k, g in enumerate(gens0)}
+    d = {}
+    h = {p: {} for p in range(1, c + 1)}
+    for g1, g0, dp, hp in pieces:
+        col1 = [at1[g] for g in g1]
+        col0 = [at0[g] for g in g0]
+        _put(d, dp, col0, col1)
+        for q, block in hp.items():
+            _put(h[q], block, col1, col0)
+    b1 = {p: FreeModule((1,) * sum(g[0] == p for g in gens1))
+          for p in range(c + 1)}
+    b0 = {p: FreeModule((0,) * sum(g[0] == p for g in gens0))
+          for p in range(c + 1)}
+    return HMF(ring, b1, b0, d, h)
 
 
 def random_lower_triangular(rng, fld, c):
@@ -220,20 +157,22 @@ def random_filtered_conjugation(F, rng):
     ring = F.ring
     fld = ring.field
 
-    def random_change(modules, offs):
-        n = sum(m.rank for m in modules.values())
-        z = ring.zero()
-        g = [[z] * n for _ in range(n)]
+    def random_change(modules, off):
+        rows = {}
+
+        def put(i, j, q):
+            if q.terms:
+                rows.setdefault(i, {})[j] = q
+
         for p, mod in modules.items():
             for a in range(mod.rank):
-                col = offs[p] + a
-                g[col][col] = ring.const(_unit(rng, fld))
+                col = off(p) + a
+                put(col, col, ring.const(_unit(rng, fld)))
                 # same level, same twist mixing (strictly below the diagonal)
                 for b in range(a):
                     if mod.twists[b] == mod.twists[a] and rng.random() < 0.4:
-                        g[offs[p] + b][col] = ring.const(
-                            rng.randrange(0, fld.char if fld.char else 13)
-                        )
+                        put(off(p) + b, col, ring.const(
+                            rng.randrange(0, fld.char if fld.char else 13)))
                 for pp, mod2 in modules.items():
                     if pp >= p:
                         continue
@@ -245,19 +184,12 @@ def random_filtered_conjugation(F, rng):
                         if not mons:
                             continue
                         mon = mons[rng.randrange(len(mons))]
-                        g[offs[pp] + b][col] = ring.monomial(
-                            mon, rng.randrange(0, fld.char if fld.char else 13)
-                        )
-        return g
+                        put(off(pp) + b, col, ring.monomial(
+                            mon, rng.randrange(0, fld.char if fld.char else 13)))
+        return rows
 
-    mods1 = {p: F.b1[p] for p in F.levels()}
-    mods0 = {p: F.b0[p] for p in F.levels()}
-    offs1 = {p: F.off1(p) for p in F.levels()}
-    offs0 = {p: F.off0(p) for p in F.levels()}
-    g1 = MatrixMap.from_strings(ring, F.A1(F.c), F.A1(F.c),
-                                random_change(mods1, offs1), 0, 0)
-    g0 = MatrixMap.from_strings(ring, F.A0(F.c), F.A0(F.c),
-                                random_change(mods0, offs0), 0, 0)
+    g1 = MatrixMap(ring, F.A1(F.c), F.A1(F.c), random_change(F.b1, F.off1))
+    g0 = MatrixMap(ring, F.A0(F.c), F.A0(F.c), random_change(F.b0, F.off0))
     g0_inv = _inverse(g0, 0, "basis change not invertible")
     d_new = g0_inv.compose(F.d).compose(g1)
     h_new = {}
@@ -267,8 +199,8 @@ def random_filtered_conjugation(F, rng):
         g1p = g1.submatrix(list(range(n1)), list(range(n1)))
         g0p = g0.submatrix(list(range(n0)), list(range(n0)))
         g1p_inv = _inverse(g1p, 1, "basis change not invertible at a stage")
-        h_new[p] = g1p_inv.compose(F.h[p]).compose(g0p).entries
-    return HMF(ring, F.b1, F.b0, d_new.entries, h_new, c=F.c)
+        h_new[p] = g1p_inv.compose(F.h[p]).compose(g0p).rows
+    return HMF(ring, F.b1, F.b0, d_new.rows, h_new, c=F.c)
 
 
 def gen_random_hmf(seed, c=2, max_rank=3, gamma=None):

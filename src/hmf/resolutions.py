@@ -641,10 +641,7 @@ def cosyz_tower(F, steps, tower=None):
             out[p] = (empty, empty.reduce_level(p))
             continue
         q = ring.fdeg(p)
-        pihp = F.h[p].submatrix(
-            list(range(F.off1(p), F.off1(p) + F.rank1(p))),
-            list(range(F.A0(p).rank)),
-        )
+        pihp = F.pi_h(p)
         d2v = pihp.submatrix(list(range(F.rank1(p))),
                              list(range(F.A0(p - 1).rank)))
         head = F.b_block(p)

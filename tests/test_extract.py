@@ -212,7 +212,7 @@ def test_strengthen_examples(F):
     ring = GradedRing.make(Field(), [("x", 1), ("y", 1)], ["x^2", "y^2"])
     from hmf.factorization import HMF
 
-    triv = HMF(ring, {}, {}, [], {1: [], 2: []})
+    triv = HMF(ring, {}, {}, {}, {1: {}, 2: {}})
     assert validate_strong(strengthen(triv)).ok
 
 

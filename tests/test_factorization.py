@@ -22,7 +22,7 @@ def F():
 
 def trivial_hmf():
     ring = GradedRing.make(Field(), [("x", 1), ("y", 1)], ["x^2", "y^2"])
-    return HMF(ring, {}, {}, [], {1: [], 2: []})
+    return HMF(ring, {}, {}, {}, {1: {}, 2: {}})
 
 
 def test_validate_examples(F):
@@ -37,9 +37,9 @@ def test_validate_examples(F):
 
 def test_validate_rejects_broken_axiom(F):
     ring = F.ring
-    h2 = [list(r) for r in F.h[2].entries]
-    h2[0][0] = ring.poly("x")  # breaks axiom (a) at p=2
-    bad = HMF(ring, F.b1, F.b0, F.d.entries, {1: F.h[1].entries, 2: h2})
+    h2 = {i: dict(row) for i, row in F.h[2].rows.items()}
+    h2.setdefault(0, {})[0] = ring.poly("x")  # breaks axiom (a) at p=2
+    bad = HMF(ring, F.b1, F.b0, F.d.rows, {1: F.h[1].rows, 2: h2})
     rep = validate_hmf(bad)
     assert not rep.ok
     assert any("p=2" in msg for msg in rep.failures)
@@ -47,9 +47,9 @@ def test_validate_rejects_broken_axiom(F):
 
 def test_filtration_enforced(F):
     ring = F.ring
-    d = [list(r) for r in F.d.entries]
-    d[2][0] = ring.poly("y")  # block from B_1(1) into B_0(2)
-    bad = HMF(ring, F.b1, F.b0, d, {1: F.h[1].entries, 2: F.h[2].entries})
+    d = {i: dict(row) for i, row in F.d.rows.items()}
+    d.setdefault(2, {})[0] = ring.poly("y")  # block from B_1(1) into B_0(2)
+    bad = HMF(ring, F.b1, F.b0, d, {1: F.h[1].rows, 2: F.h[2].rows})
     rep = validate_hmf(bad)
     assert any("filtration" in msg for msg in rep.failures)
 
@@ -132,7 +132,7 @@ def test_change_of_generators_unequal_degrees():
     P = ring.poly
     b1 = {2: FreeModule((2,))}
     b0 = {2: FreeModule((0,))}
-    F_top = HMF(ring, b1, b0, [[P("y^2")]], {1: [], 2: [[P("y")]]})
+    F_top = HMF(ring, b1, b0, {0: {0: P("y^2")}}, {1: {}, 2: {0: {0: P("y")}}})
     assert validate_hmf(F_top).ok
     with pytest.raises(RingError):
         change_of_generators_hmf(F_top, [[1, 0], [1, 1]])
@@ -150,8 +150,8 @@ def test_generalized_variant():
     P = ring.poly
     b1 = {0: FreeModule((1,)), 1: FreeModule((1,))}
     b0 = {0: FreeModule((0,)), 1: FreeModule((0,))}
-    d = [[P("x"), P("0")], [P("0"), P("x")]]
-    h = {1: [[P("x"), P("0")], [P("0"), P("x")]]}
+    d = {0: {0: P("x")}, 1: {1: P("x")}}
+    h = {1: {0: {0: P("x")}, 1: {1: P("x")}}}
     G = HMF(ring, b1, b0, d, h, generalized=True)
     rep = validate_hmf(G)
     assert rep.ok, rep.failures
@@ -195,7 +195,8 @@ def test_cor_312_warning():
     P = ring.poly
     b1 = {1: FreeModule((1,)), 2: FreeModule(())}
     b0 = {1: FreeModule((0,)), 2: FreeModule(())}
-    bad = HMF(ring, b1, b0, [[P("a")]], {1: [[P("x")]], 2: [[P("x")]]})
+    bad = HMF(ring, b1, b0, {0: {0: P("a")}},
+              {1: {0: {0: P("x")}}, 2: {0: {0: P("x")}}})
     rep = validate_hmf(bad)
     assert rep.warnings  # impossible rank pattern flagged
     assert not rep.ok  # and axiom (a) at p=2 indeed fails

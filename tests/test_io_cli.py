@@ -76,6 +76,31 @@ def test_goldens_self_check():
         assert validate_hmf(F).ok, name
 
 
+# sha256 of dumps(hmf_to_json(builder(char))) for each corpus builder,
+# recorded while the builders still spelled their matrices out in Python
+GOLDEN_DIGESTS = {
+    ("codim2_xa_yb", 32003): "7444ee5a67dbb636e55c16b3378e29179ba43f46e647880b71c7c5112399306f",
+    ("codim2_xa_yb", 3): "cb5eb52fe036d95b6a9f2b01475b9d0059e0a74c59b7cd767034eff283764e08",
+    ("codim2_xa_yb", 0): "7cc5727ec1e3e3a9325d920ae21eab3ed11e84f5294bca52724948df56618add",
+    ("codim2_xz_y2", 32003): "0f452c152867bed4a65a2e9526db74004be7905a9f8c22ab6ce8010065079459",
+    ("codim2_xz_y2", 3): "dab931906ceca52abe0ccaf32fa75529b63c85b992fe5c33573b4fb0d1ea7cd4",
+    ("codim2_xz_y2", 0): "44b926886d710cdcb46c7612facf23433b5db0be749841df1f4b1bcabde2258a",
+    ("codim3_shifted", 32003): "00903ef273faea6300573a16c48bfb55d833b52c5ba423618b82638148ae20b5",
+    ("codim3_shifted", 3): "8789c4904db456e82158631ce6390aafa44d20a7b3b2b2d521b5c10037664e24",
+    ("codim3_shifted", 0): "c77189d16fbd8a28fdcd50dfcf934fb2ffc7ea7fd1d3a476569f7f4e5a55781a",
+    ("micro_codim1", 32003): "6f2c9e507d5a14fcc477b1de811146bfec664cfbdf1ab5e2f7be159d689c46da",
+    ("micro_codim1", 3): "7554b64945aca33807c44915d7109138777697fb328ff30ed3974ee546d12c3d",
+    ("micro_codim1", 0): "e691721ae83b7049938bfd7ea80d988232ab0e85d5be4111ad1ff9253ae25a51",
+}
+
+
+@pytest.mark.parametrize("name,char", sorted(GOLDEN_DIGESTS))
+def test_golden_builder_digest(name, char):
+    F = GOLDEN_BUILDERS[name](char)
+    text = io_json.dumps(io_json.hmf_to_json(F))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name, char]
+
+
 def test_tex_emitter():
     F = codim2_xa_yb()
     L = build_finite(F).complex
@@ -298,6 +323,10 @@ MALFORMED = [
         ("hmf", ("h_blocks",), [["1"]]),
         ("hmf", ("flags",), [["1"]]),
         ("hmf", ("h_blocks", "1", 0, 0), "x^^2"),
+        # a stage outside 1..c, and grids short of their block's shape
+        ("hmf", ("h_blocks", "7"), [["x"]]),
+        ("hmf", ("h_blocks", "2"), [["x"]]),
+        ("hmf", ("d_blocks", "1->1"), [["a"]]),
         ("hmf", ("d_blocks", "2->1", 0, 0), 7),
         ("hmf", ("c",), -1),
         ("hmf", ("B", 0, "p"), 9),
@@ -423,7 +452,11 @@ ARGUMENT_CASES = (
     # the level c that peel, box and extract default to is 0 here
     + [("c0", [command]) for command in ("peel", "box", "extract")]
     + [(None, ["gen-random", "--seed", "1", flag, "0"])
-       for flag in ("--c", "--max-rank")])
+       for flag in ("--c", "--max-rank")]
+    # a syzygy index r whose degree r - 2 lies above the complex: the
+    # cosyzygy extension of a factorization, and a finite resolution on [0, 2]
+    + [("codim2_xa_yb", ["extract", "--syzygy", "30"]),
+       ("finite", ["extract", "--syzygy", "9"])])
 
 
 @pytest.mark.parametrize("name,argv", ARGUMENT_CASES,
@@ -435,6 +468,11 @@ def test_cli_argument_out_of_range_exits_2(tmp_path, capsys, name, argv):
     if name == "c0":
         path = tmp_path / "c0.json"
         path.write_text(io_json.dumps(C0_HMF))
+        argv = argv[:1] + [str(path)] + argv[1:]
+    elif name == "finite":
+        path = tmp_path / "finite.json"
+        finite = build_finite(load_golden("codim2_xz_y2")).complex
+        path.write_text(io_json.dumps(io_json.complex_to_json(finite)))
         argv = argv[:1] + [str(path)] + argv[1:]
     elif name is not None:
         argv = argv[:1] + [golden_path(name)] + argv[1:]

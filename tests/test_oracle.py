@@ -121,7 +121,7 @@ def test_formula_suite_trivial():
     ring = GradedRing.make(Field(), [("x", 1), ("y", 1)], ["x^2", "y^2"])
     from hmf.factorization import HMF
 
-    triv = HMF(ring, {}, {}, [], {1: [], 2: []})
+    triv = HMF(ring, {}, {}, {}, {1: {}, 2: {}})
     rows = formula_suite(triv)
     assert all(r.verdict == "PASS" for r in rows)
 

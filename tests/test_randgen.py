@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hmf.factorization import signature, validate_hmf
@@ -29,6 +31,33 @@ def test_deterministic():
     a = gen_random_hmf(11, c=2)
     b = gen_random_hmf(11, c=2)
     assert dumps(hmf_to_json(a)) == dumps(hmf_to_json(b))
+
+
+# sha256 over seeds 0..39 at each c of gen_random_hmf, and of strengthen and
+# truncate_hmf(., c - 1) of every fourth instance, as hmf_to_json dumps;
+# perfbench's inputs are drawn from this generator, so its output must not
+# drift between commits
+RANDGEN_DIGESTS = {
+    1: "041004c2fa0d166180860b42080a0f5a7cd4eea5034fcb75dbe7a9a03da64cc9",
+    2: "73831d96ed1bbae3c26845858e8145c9609f3d62a7d3020bfd8c5884c578a601",
+    3: "cd9d537289ae0b6a008acebd092674da97d777e065813e7db4c1fb7ee8dccbc5",
+    4: "cca8fdd327ee9138125c7ab2c10a06cd65536620356186ab1c1d66ff670ba507",
+}
+
+
+@pytest.mark.parametrize("c", sorted(RANDGEN_DIGESTS))
+def test_randgen_digest(c):
+    from hmf.extract import strengthen
+    from hmf.factorization import truncate_hmf
+
+    h = hashlib.sha256()
+    for seed in range(40):
+        F = gen_random_hmf(seed, c=c)
+        h.update(dumps(hmf_to_json(F)).encode())
+        if seed % 4 == 0:
+            h.update(dumps(hmf_to_json(strengthen(F))).encode())
+            h.update(dumps(hmf_to_json(truncate_hmf(F, c - 1))).encode())
+    assert h.hexdigest() == RANDGEN_DIGESTS[c]
 
 
 def test_gamma_control():

@@ -62,7 +62,7 @@ def test_finite_trivial():
     ring = GradedRing.make(Field(), [("x", 1), ("y", 1)], ["x^2", "y^2"])
     from hmf.factorization import HMF
 
-    triv = HMF(ring, {}, {}, [], {1: [], 2: []})
+    triv = HMF(ring, {}, {}, {}, {1: {}, 2: {}})
     L = build_finite(triv).complex
     assert all(L.module(i).rank == 0 for i in range(L.lo, L.hi + 1))
 
@@ -355,6 +355,25 @@ def test_builders_do_not_import_the_verifier():
             else:
                 continue
             assert "oracle" not in {n.split(".")[-1] for n in names}, name
+
+
+def test_dense_grids_stay_at_the_boundary():
+    # a polynomial matrix is built from a dense grid only by parsing
+    # (io_json), and read as one only by the writers (io_json and
+    # MatrixMap.str_rows); everything else passes MatrixMap rows
+    import ast
+    import hmf
+
+    allowed = {"from_strings": {"io_json"}, "entries": {"io_json", "complexes"}}
+    pkg = os.path.dirname(hmf.__file__)
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in allowed:
+                assert fname[:-3] in allowed[node.attr], (fname, node.lineno)
 
 
 def test_cosyz_tower_verify_reports_violation():
