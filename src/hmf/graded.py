@@ -13,16 +13,19 @@ found by adding their keys and looking the sum up.  All solvers here pick
 the first-pivot solution with free variables set to zero, so results are
 reproducible bit for bit.
 
-A degree piece of a free module over a quotient S/I has one representation,
-QuotientPieces (coordinates on standard monomials, via normal forms against
-the pivot rows of the RREF of I_d), shared by the verifier, extraction and
-ideal membership.
+piece_matrix assembles the S-pieces of the builders' systems.  A degree
+piece of a free module over a quotient S/I has one representation,
+QuotientPieces (coordinates on standard monomials, the non-pivot monomials
+of the RREF of I_d), shared by the verifier, extraction and ideal
+membership.  It induces a map over S/I on the standard source monomials
+alone, replacing each pivot monomial of a product by its normal form, so it
+never assembles an S-piece; piece_matrix there builds only the rows of I_d.
 """
 
 from __future__ import annotations
 
 from . import _kernels
-from ._kernels import SparseMatrix, _subtract
+from ._kernels import SparseMatrix
 from .ring import Poly, RingError
 
 
@@ -150,109 +153,128 @@ def graded_piece_solve(targets, gens):
 
 
 # ---------------------------------------------------------------------------
-# Degree pieces over the quotient S/(gens), in normal form.
+# Degree pieces over the quotient S/(gens), on standard monomials.
 
 
 class QuotientPieces:
-    """Degree pieces of free modules over S/I, I = (gens), in normal form.
+    """Degree pieces of free modules over S/I, I = (gens), on standard
+    monomials.
 
     In degree d the RREF of I_d (rows g_i * m) has pivot monomials; the
-    others, the standard monomials, index a basis of (S/I)_d.  The
-    normal form of a vector clears its pivot coordinates with the RREF rows
-    and keeps its standard coordinates, so it is 0 iff the vector lies in
-    I_d, and it is the identity on standard monomials.  Over a monomial
-    ideal each RREF row is its pivot monomial alone, and the normal form
-    drops the pivot coordinates.  The RREF is taken once per degree, and a
-    free module's piece is laid out from those of its twists.
+    others, the standard monomials, are a basis of (S/I)_d.  A pivot
+    monomial is congruent mod I_d to its normal form, the negated rest of
+    its RREF row, a combination of standard monomials; over a monomial
+    ideal every RREF row is its pivot alone, and the normal form is 0.  The
+    RREF is taken once per degree, and a free module's piece is the
+    concatenation of the pieces of its twists.  No S-piece is assembled: a
+    map is induced from the images of the standard source monomials only.
     """
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(gens)
         self._pieces = {}
-        self._layouts = {}
 
     def _piece(self, d):
-        """({pivot monomial: rest of its RREF row}, {standard monomial:
-        position}) of I_d, monomials by their index in ring.monomial_basis(d)."""
-        if d in self._pieces:
-            return self._pieces[d]
-        n = len(self.ring.monomial_basis(d)[0])
-        pivots = {}
-        if self.gens and n:
-            # rows of A span I_d: the transpose of the row map [g_1 ... g_r]
-            A = piece_matrix(self.ring, {0: dict(enumerate(self.gens))},
-                             [g.degree() for g in self.gens], (0,), 0, d).T
-            R, piv = _kernels.rref(A, self.ring.field.char)
+        """(standard keys in position order, {standard key: position},
+        {pivot key: its normal form {position: coefficient}}) in degree d,
+        the pivots of normal form 0 left out.  Where I_d = 0, the first two
+        are ring.monomial_basis(d) itself."""
+        got = self._pieces.get(d)
+        if got is not None:
+            return got
+        keys, pos = self.ring.monomial_basis(d)
+        nf = {}
+        # rows of A span I_d: the transpose of the row map [g_1 ... g_r]
+        A = piece_matrix(self.ring, {0: dict(enumerate(self.gens))},
+                         [g.degree() for g in self.gens], (0,), 0, d).T
+        if A.rows:
+            p = self.ring.field.char
+            R, piv = _kernels.rref(A, p)
+            pivots = set(piv)
+            std = tuple(k for c, k in enumerate(keys) if c not in pivots)
+            pos = {k: s for s, k in enumerate(std)}
             for i, c in enumerate(piv):
-                pivots[c] = {k: x for k, x in R.rows[i].items() if k != c}
-        std = [k for k in range(n) if k not in pivots]
-        self._pieces[d] = pivots, {k: s for s, k in enumerate(std)}
-        return self._pieces[d]
-
-    def _layout(self, twists, e):
-        """The degree-e piece of the free module with these twists, rows
-        laid out by piece_layout: ({pivot row: {standard index: its RREF
-        coefficient}}, {standard row: standard index})."""
-        key = (tuple(twists), e)
-        if key in self._layouts:
-            return self._layouts[key]
-        piv = {}
-        std = {}
-        off = 0
-        for t in twists:
-            pivots, pos = self._piece(e - t)
-            base = len(std)
-            for c, row in pivots.items():
-                piv[off + c] = {base + pos[k]: x for k, x in row.items()}
-            for k, s in pos.items():
-                std[off + k] = base + s
-            off += len(pivots) + len(pos)
-        self._layouts[key] = piv, std
-        return piv, std
-
-    def _normal_form(self, A, twists, e, cols):
-        """The rows of A, a matrix on the degree-e piece of the free module
-        with these twists, in normal form, keeping the columns in cols (a
-        map to new column indices)."""
-        piv, std = self._layout(twists, e)
-        out = {}
-        rest = []
-        for r, row in A.rows.items():
-            row = {cols[j]: x for j, x in row.items() if j in cols}
-            if row:
-                if r in std:
-                    out[std[r]] = row
-                else:
-                    rest.append((piv[r], row))
-        p = self.ring.field.char
-        for coeffs, row in rest:
-            for s, x in coeffs.items():
-                _subtract(out.setdefault(s, {}), x, row, p)
-        return SparseMatrix((len(std), len(cols)),
-                            {s: row for s, row in out.items() if row})
+                if len(R.rows[i]) > 1:
+                    nf[keys[c]] = {pos[keys[j]]: -x % p if p else -x
+                                   for j, x in R.rows[i].items() if j != c}
+            keys = std
+        got = self._pieces[d] = keys, pos, nf
+        return got
 
     def dim(self, twists, e):
         """Dimension of the degree-e piece of the free module over S/I."""
-        return len(self._layout(twists, e)[1])
+        return sum(len(self._piece(e - t)[0]) for t in twists)
 
     def induced(self, mm, e):
         """Matrix of the map that the MatrixMap mm induces over S/I, from
         the degree-(e - shift) piece to the degree-e piece, in the bases of
-        standard monomials.  mm sends I * src into I * dst, so the normal
-        form of its piece matrix factors through that of the source, and
-        its standard columns are the induced map.
+        standard monomials.  mm sends I * src into I * dst, so column m, a
+        standard source monomial, is its image with every pivot monomial
+        replaced by its normal form.  An entry with a term of the wrong
+        degree raises SolveError.
         """
-        A = piece_matrix(self.ring, mm.rows, mm.src.twists, mm.dst.twists,
-                         mm.shift, e)
-        cols = self._layout(mm.src.twists, e - mm.shift)[1]
-        return self._normal_form(A, mm.dst.twists, e, cols)
+        return self._walk(mm.rows, mm.src.twists, mm.dst.twists, mm.shift, e)
 
     def contains(self, g):
-        """Is the nonzero homogeneous polynomial g in I?"""
+        """Is the nonzero homogeneous polynomial g in I?  The 1x1 case of
+        induced: g as a map from S(-deg g), at its generator."""
         e = g.degree()
-        b = piece_matrix(self.ring, {0: {0: g}}, (e,), (0,), 0, e)
-        return not self._normal_form(b, (0,), e, {0: 0}).rows
+        return not self._walk({0: {0: g}}, (e,), (0,), 0, e).rows
+
+    def _walk(self, rows, src_twists, dst_twists, shift, e):
+        """induced, on the rows {i: {j: Poly}} of a map between free
+        modules with these twists that raises degree by shift."""
+        p = self.ring.field.char
+        ds = self.ring.deg_shift
+        cols = []
+        ncols = 0
+        for t in src_twists:
+            std = self._piece(e - shift - t)[0]
+            cols.append((ncols, std))
+            ncols += len(std)
+        blocks = []
+        nrows = 0
+        for t in dst_twists:
+            std, pos, nf = self._piece(e - t)
+            blocks.append((nrows, pos, nf))
+            nrows += len(std)
+        out = {}
+        for i, row in rows.items():
+            r0, pos, nf = blocks[i]
+            for j, q in row.items():
+                # the keys of least and greatest degree are the extremes
+                want = src_twists[j] + shift - dst_twists[i]
+                lo, hi = min(q.terms) >> ds, max(q.terms) >> ds
+                if lo != want or hi != want:
+                    raise SolveError(f"entry ({i}, {j}) has a term of degree "
+                                     f"{hi if lo == want else lo}, expected {want}")
+                c0, mons = cols[j]
+                # the products with one source monomial are distinct keys,
+                # so a standard one fills its own cell; normal forms overlap
+                # and are summed apart, then added to those cells
+                folded = {}
+                for k, c in q.terms.items():
+                    for col, mon in enumerate(mons, c0):
+                        m = k + mon
+                        r = pos.get(m)
+                        if r is not None:
+                            out.setdefault(r0 + r, {})[col] = c
+                        elif m in nf:
+                            for r, x in nf[m].items():
+                                folded[r, col] = folded.get((r, col), 0) + c * x
+                for (r, col), x in folded.items():
+                    cells = out.setdefault(r0 + r, {})
+                    x += cells.get(col, 0)
+                    if p:
+                        x %= p
+                    if x:
+                        cells[col] = x
+                    else:
+                        cells.pop(col, None)
+                        if not cells:
+                            del out[r0 + r]
+        return SparseMatrix((nrows, ncols), out)
 
 
 def ideal_membership(g, level):

@@ -53,12 +53,14 @@ def _twists(obj, key, where):
 
 
 def _ints(key, n, sep, where):
-    """The n integers of a key such as "1->2" or "1,2"."""
+    """The n integers of a key such as "1->2" or "1,2", in that spelling
+    only: "01->1" would name the block of "1->1" a second time."""
     try:
         vals = tuple(int(x) for x in key.split(sep))
     except ValueError:
         vals = ()
-    _require(len(vals) == n, where, f"bad key {key!r}")
+    _require(len(vals) == n and sep.join(map(str, vals)) == key, where,
+             f"bad key {key!r}")
     return vals
 
 

@@ -1,13 +1,15 @@
 """Independent verification by plain graded linear algebra.
 
 Homology tables are computed from raw matrices: a degree-e piece of a free
-module over S/(f_1..f_p) is the span of its standard monomials, every
-S-piece is brought to normal form against the RREF of the ideal piece
-(graded.QuotientPieces), and dimensions reduce to ranks of the induced
-scalar matrices, sparse rows assembled from the polynomial maps.  A
-composite d_i d_{i+1} is composed as a polynomial map and induced like any
-other, never multiplied out as scalar matrices.  Nothing here calls the lifting solvers; formula checks
-compare closed-form rank data against the built resolutions.
+module over S/(f_1..f_p) is the span of its standard monomials, a map is
+induced on them by reducing the images of the standard source monomials
+against the RREF of the ideal piece (graded.QuotientPieces), and dimensions
+reduce to ranks of the induced scalar matrices.  A composite d_i d_{i+1} is
+composed as a polynomial map, never multiplied out as scalar matrices; when
+its entries lie in the ideal, as in a complex, its rank is 0 in every
+degree, and otherwise it is induced and ranked like any other map.  Nothing
+here calls the lifting solvers; formula checks compare closed-form rank
+data against the built resolutions.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def graded_homology(C, hom_range=None, D=None, extra_gens=()):
     """Exact dims of H_i(C)_e for i in hom_range and e <= D.
 
     Over the quotient by (f_1..f_level) + extra_gens, with dbar_i the
-    differential induced on normal forms,
+    differential induced on standard monomials,
         h(i, e) = dim P_i,e - rank dbar_i - rank dbar_{i+1}
                   + rank(dbar_i dbar_{i+1}),
     and each dbar_i is assembled and ranked once per degree.
@@ -79,11 +81,16 @@ def graded_homology(C, hom_range=None, D=None, extra_gens=()):
         if C.lo < i < C.hi:
             # the image need not lie in the kernel when the input is broken;
             # measure the composite so mutations are detected, not masked.
-            # The map induced by d_i d_{i+1} is dbar_i dbar_{i+1}:
-            # N_{i-1} A_i = dbar_i N_i because A_i maps I P_i into I P_{i-1}.
+            # The map induced by d_i d_{i+1} is dbar_i dbar_{i+1}, since d_i
+            # maps I P_i into I P_{i-1}; it is zero in every degree when
+            # every entry of d_i d_{i+1} lies in I, as in a complex.
             if i not in composites:
-                composites[i] = C.diff(i).compose(C.diff(i + 1))
-            h += fld.rank(Q.induced(composites[i], e))
+                AB = C.diff(i).compose(C.diff(i + 1))
+                inside = all(Q.contains(q) for row in AB.rows.values()
+                             for q in row.values())
+                composites[i] = None if inside else AB
+            if composites[i] is not None:
+                h += fld.rank(Q.induced(composites[i], e))
         return h
 
     return {(i, e): cell(i, e) for i in range(lo, hi + 1) for e in range(0, D + 1)}
@@ -126,19 +133,6 @@ def betti(C):
     if not C.is_minimal():
         raise ValueError("betti numbers require a minimal complex")
     return C.betti_list()
-
-
-def graded_betti(C):
-    """Twist multiplicities per homological degree of a minimal complex."""
-    if not C.is_minimal():
-        raise ValueError("graded betti numbers require a minimal complex")
-    out = {}
-    for i in range(C.lo, C.hi + 1):
-        tws = {}
-        for t in C.module(i).twists:
-            tws[t] = tws.get(t, 0) + 1
-        out[i] = tws
-    return out
 
 
 def check_regular_sequence(ring, D=None):

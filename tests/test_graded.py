@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmf.graded import SolveError, graded_piece_solve, ideal_membership
-from hmf.ring import Field, GradedRing
+from hmf.complexes import FreeModule, MatrixMap
+from hmf.graded import (QuotientPieces, SolveError, graded_piece_solve,
+                        ideal_membership)
+from hmf.ring import Field, GradedRing, Poly
 
 
 @pytest.fixture
@@ -102,3 +104,102 @@ def test_solution_resubstitutes(spec):
         res = graded_piece_solve([t], [(ring.poly("x*a"), 2)])
         assert res[0] is not None
         assert res[0][0] * ring.poly("x*a") == t
+
+
+FIELDS = (32003, 3, 0)
+
+
+@st.composite
+def quotient_maps(draw, char, monomial):
+    """(ring, gens, map): an ideal of 0-3 generators, monomial or not, and a
+    random homogeneous map of free modules with a shift of -1..2."""
+    # a variable of degree 2 leaves some pieces of the modules thin
+    ring = GradedRing.make(Field(char), [("x", 1), ("y", 1), ("z", 2)], [])
+
+    def poly(d, min_terms, max_terms):
+        keys = ring.monomial_basis(d)[0]
+        if not keys:
+            return ring.zero()
+        picks = draw(st.lists(st.sampled_from(keys), unique=True,
+                              min_size=min(min_terms, len(keys)),
+                              max_size=max_terms))
+        coeffs = (ring.field.canon(draw(st.integers(-4, 4))) for _ in picks)
+        return Poly(ring, {k: c for k, c in zip(picks, coeffs) if c})
+
+    # a generator of two or more terms has RREF rows beyond their pivots
+    gens = [poly(draw(st.integers(1, 3)), *((1, 1) if monomial else (2, 3)))
+            for _ in range(draw(st.integers(0, 3)))]
+    gens = [g for g in gens if g.terms]
+    src = draw(st.lists(st.integers(0, 3), max_size=3))
+    dst = draw(st.lists(st.integers(0, 3), max_size=3))
+    shift = draw(st.integers(-1, 2))
+    rows = {}
+    for i, ti in enumerate(dst):
+        for j, tj in enumerate(src):
+            d = tj + shift - ti
+            if d >= 0 and draw(st.booleans()):
+                q = poly(d, 1, 3)
+                if q.terms:
+                    rows.setdefault(i, {})[j] = q
+    mm = MatrixMap(ring, FreeModule(tuple(src)), FreeModule(tuple(dst)), rows,
+                   0, shift)
+    return ring, gens, mm
+
+
+@pytest.mark.parametrize("monomial", [True, False], ids=["monomial", "binomial"])
+@pytest.mark.parametrize("char", FIELDS)
+@given(data=st.data(), e=st.integers(0, 6))
+@settings(max_examples=25, deadline=None)
+def test_quotient_pieces_match_reference(char, monomial, data, e):
+    # the standard-monomial walk gives the matrices of the whole-S-piece
+    # normal form, entry for entry, and the same membership verdicts
+    from quotient_reference import ReferencePieces
+
+    ring, gens, mm = data.draw(quotient_maps(char, monomial))
+    Q = QuotientPieces(ring, gens)
+    ref = ReferencePieces(ring, gens)
+    assert Q.induced(mm, e) == ref.induced(mm, e)
+    assert Q.dim(mm.dst.twists, e) == ref.dim(mm.dst.twists, e)
+    assert Q.dim(mm.src.twists, e - mm.shift) == ref.dim(mm.src.twists, e - mm.shift)
+    for row in mm.rows.values():
+        for q in row.values():
+            assert Q.contains(q) == ref.contains(q)
+            for g in gens:
+                assert Q.contains(q * g)
+                k = q.degree() - g.degree()
+                if k >= 0:
+                    r = q + g * ring.monomial((k, 0, 0))
+                    assert not r.terms or Q.contains(r) == ref.contains(r)
+
+
+def test_induced_rejects_a_term_of_the_wrong_degree():
+    # x sits where a degree-0 entry belongs; (x, y)^2 leaves no standard
+    # monomial in degree 2, so at e = 2 no product of x is ever formed
+    ring = GradedRing.make(Field(), [("x", 1), ("y", 1)], [])
+    Q = QuotientPieces(ring, [ring.poly(s) for s in ("x^2", "x*y", "y^2")])
+    one = FreeModule((0,))
+    mm = MatrixMap(ring, one, one, {0: {0: ring.poly("x")}}, check=False)
+    assert Q.dim((0,), 2) == 0
+    for e in (0, 1, 2):
+        with pytest.raises(SolveError, match="degree 1, expected 0"):
+            Q.induced(mm, e)
+
+
+def test_quotient_pieces_build_no_s_piece():
+    # the verifier never assembles an S-piece it would discard: hmf.oracle
+    # does not call piece_matrix, and in QuotientPieces only _piece does,
+    # for the generator rows of I_d
+    import ast
+    import inspect
+
+    import hmf.graded
+    import hmf.oracle
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    assert "piece_matrix" not in names(ast.parse(inspect.getsource(hmf.oracle)))
+    cls = ast.parse(inspect.getsource(hmf.graded.QuotientPieces)).body[0]
+    users = [f.name for f in cls.body if isinstance(f, ast.FunctionDef)
+             and "piece_matrix" in names(f)]
+    assert users == ["_piece"]

@@ -328,6 +328,13 @@ MALFORMED = [
         ("hmf", ("h_blocks", "2"), [["x"]]),
         ("hmf", ("d_blocks", "1->1"), [["a"]]),
         ("hmf", ("d_blocks", "2->1", 0, 0), 7),
+        # keys that name a block in a non-canonical spelling
+        ("hmf", ("d_blocks", "01->1"), [["b", "0"], ["0", "0"]]),
+        ("hmf", ("d_blocks", " 1->1"), [["b", "0"], ["0", "0"]]),
+        ("hmf", ("d_blocks", "+1->1"), [["b", "0"], ["0", "0"]]),
+        ("hmf", ("strong_ext",), {"02": {"1,2": [["0", "-1", "0"]]}}),
+        ("hmf", ("strong_ext",), {"2": {"01,2": [["0", "-1", "0"]]}}),
+        ("hmf", ("strong_ext",), {"2": {"1, 2": [["0", "-1", "0"]]}}),
         ("hmf", ("c",), -1),
         ("hmf", ("B", 0, "p"), 9),
         ("hmf", ("strong_ext",), {"x": {}}),

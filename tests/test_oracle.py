@@ -7,7 +7,6 @@ from hmf.oracle import (
     check_regular_sequence,
     exactness_certificate,
     formula_suite,
-    graded_betti,
     graded_homology,
     hilbert_function,
     homology_is_zero,
@@ -55,6 +54,19 @@ def test_mutation_detected():
     )
     table = graded_homology(broken, (1, 2), 8)
     assert homology_is_zero(table, (1, 2), 8), "mutation must be detected"
+
+
+def graded_betti(C):
+    """Twist multiplicities per homological degree of a minimal complex."""
+    if not C.is_minimal():
+        raise ValueError("graded betti numbers require a minimal complex")
+    out = {}
+    for i in range(C.lo, C.hi + 1):
+        tws = {}
+        for t in C.module(i).twists:
+            tws[t] = tws.get(t, 0) + 1
+        out[i] = tws
+    return out
 
 
 def test_betti_requires_minimal():
@@ -127,10 +139,14 @@ def test_formula_suite_trivial():
 
 
 def _flip_sign(L):
-    rows = [list(r) for r in L.diff(2).entries]
-    rows[0][1] = -rows[0][1]
+    """L with the first nonzero entry of d_2, in row-major order, negated."""
+    d = L.diff(2)
+    rows = {i: dict(row) for i, row in d.rows.items()}
+    i = min(rows)
+    j = min(rows[i])
+    rows[i][j] = -rows[i][j]
     diffs = dict(L.diffs)
-    diffs[2] = MatrixMap.from_strings(L.ring, L.module(2), L.module(1), rows, 0, 0)
+    diffs[2] = MatrixMap(L.ring, d.src, d.dst, rows, d.level, d.shift)
     return Complex(L.ring, L.level, dict(L.modules), diffs, L.lo, L.hi)
 
 
@@ -203,3 +219,58 @@ def test_homology_ranks_each_matrix_once(monkeypatch):
     monkeypatch.setattr(_kernels, "rank", recording_rank)
     graded_homology(L)
     assert seen and len(seen) == len(set(seen))
+
+
+def _homology_stream(seed, c, D=6):
+    """The verifier's output on gen_random_hmf(seed, c), as one string."""
+    from hmf.extract import multiplication_injective_on_coker, prestable_certificate
+    from hmf.factorization import presentation
+    from hmf.randgen import gen_random_hmf
+    from hmf.resolutions import build_infinite
+
+    F = gen_random_hmf(seed, c=c)
+    out = []
+    for C in (build_finite(F).complex, build_infinite(F, 5).complex):
+        out.append(sorted(graded_homology(C, None, D).items()))
+        if C.hi >= 2 and C.diff(2).rows:
+            # a broken complex: its d_1 d_2 leaves the ideal, so the
+            # composite is ranked
+            out.append(sorted(graded_homology(_flip_sign(C), None, D).items()))
+    for p in range(1, c + 1):
+        pres = presentation(F, p)[0]
+        out.append(sorted(hilbert_function(pres, D).items()))
+        out.append(multiplication_injective_on_coker(
+            pres.relevel(p - 1), F.ring.regseq[p - 1], D))
+    out.append([r.row() for r in prestable_certificate(F, D)])
+    return repr(out)
+
+
+# sha256 of the verifier's output: per c, over gen_random_hmf seeds 0-7, the
+# graded_homology tables of the finite resolution (level 0) and of the tower
+# (level c), each also with a sign of d_2 flipped, and hilbert_function and
+# multiplication_injective_on_coker of every stage presentation, and
+# prestable_certificate; "cases", the tables of HOMOLOGY_CASES and of the
+# binomial Koszul complex over F_3
+HOMOLOGY_DIGESTS = {
+    1: "4e4ae904e3ab220446abc597096852d6a2ed64bbc6df6e8508ec4fcde7d102cc",
+    2: "99f6969577f97ef449a3fb541ec2392a6aa8fd652c44e0e396a3e0d893251df6",
+    3: "a16e0c31b9ca25edbd073027e4a1ebe3e28569ef70c4d7771427b12b801ec0c9",
+    "cases": "98be0f2f7d017568a8fbf168c890b72339ff4354f4a38e156513c77acf3433f2",
+}
+
+
+@pytest.mark.parametrize("key", sorted(HOMOLOGY_DIGESTS, key=str))
+def test_homology_digest(key):
+    import hashlib
+
+    h = hashlib.sha256()
+    if key == "cases":
+        cases = dict(HOMOLOGY_CASES, **{"binomial-f3": lambda: _binomial_koszul(3)})
+        for name in sorted(cases):
+            C, extra = cases[name]()
+            table = graded_homology(C, None, 6, extra)
+            h.update(repr((name, sorted(table.items()))).encode())
+    else:
+        for seed in range(8):
+            h.update(_homology_stream(seed, key).encode())
+    assert h.hexdigest() == HOMOLOGY_DIGESTS[key]
