@@ -93,10 +93,24 @@ def _maybe_tex(args, C):
             fh.write(io_json.complex_to_tex(C))
 
 
+def _resolution_report(args, C, hom_hi, provenance, weights):
+    """The tail of the resolution commands: certify H_1..H_hom_hi of C, print
+    its Betti numbers, write the TeX and the report; the exit code."""
+    cert = exactness_certificate(C, (1, hom_hi), args.degree_bound)
+    print("betti:", " ".join(str(r) for r in C.betti_list()))
+    _maybe_tex(args, C)
+    payload = io_json.complex_to_json(C, provenance=provenance,
+                                      weights=weights)
+    payload["exactness"] = cert.row()
+    _emit(args, payload)
+    return 0 if cert.verdict == "PASS" else 1
+
+
 def cmd_validate(args):
     F = _load_hmf(args.file)
     rep = validate_hmf(F)
     ok_reg, reg_item = check_regular_sequence(F.ring, D=args.degree_bound)
+    sig = signature(F)
     payload = {
         "schema": 1,
         "kind": "report",
@@ -105,10 +119,10 @@ def cmd_validate(args):
         "warnings": rep.warnings,
         "items": rep.items + [reg_item.row()],
         "signature": {
-            "ranks": signature(F).ranks,
-            "gamma": signature(F).gamma,
-            "complexity": signature(F).complexity,
-            "betti_degree": signature(F).betti_degree,
+            "ranks": sig.ranks,
+            "gamma": sig.gamma,
+            "complexity": sig.complexity,
+            "betti_degree": sig.betti_degree,
         },
     }
     _emit(args, payload)
@@ -119,15 +133,8 @@ def cmd_resolve_s(args):
     from .resolutions import build_finite
 
     F = _check_valid(_load_hmf(args.file), args.file)
-    bundle = build_finite(F)
-    L = bundle.complex
-    cert = exactness_certificate(L, (1, L.hi), args.degree_bound)
-    print("betti:", " ".join(str(r) for r in L.betti_list()))
-    _maybe_tex(args, L)
-    payload = io_json.complex_to_json(L, provenance="finite")
-    payload["exactness"] = cert.row()
-    _emit(args, payload)
-    return 0 if cert.verdict == "PASS" else 1
+    L = build_finite(F).complex
+    return _resolution_report(args, L, L.hi, "finite", None)
 
 
 def cmd_resolve_r(args):
@@ -136,29 +143,16 @@ def cmd_resolve_r(args):
     F = _check_valid(_load_hmf(args.file), args.file)
     bundle = build_infinite(F, args.steps)
     T = bundle.complex
-    cert = exactness_certificate(T, (1, T.hi - 1), args.degree_bound)
-    print("betti:", " ".join(str(r) for r in T.betti_list()))
-    _maybe_tex(args, T)
-    payload = io_json.complex_to_json(T, provenance="quotient-tower",
-                                      weights=bundle.weights)
-    payload["exactness"] = cert.row()
-    _emit(args, payload)
-    return 0 if cert.verdict == "PASS" else 1
+    return _resolution_report(args, T, T.hi - 1, "quotient-tower",
+                              bundle.weights)
 
 
 def cmd_intermediate(args):
     from .resolutions import build_intermediate
 
     F = _check_valid(_load_hmf(args.file), args.file)
-    bundle = build_intermediate(F, _level(args.j, F, "--j"), args.steps)
-    Q = bundle.complex
-    cert = exactness_certificate(Q, (1, Q.hi - 1), args.degree_bound)
-    print("betti:", " ".join(str(r) for r in Q.betti_list()))
-    _maybe_tex(args, Q)
-    payload = io_json.complex_to_json(Q, provenance="intermediate")
-    payload["exactness"] = cert.row()
-    _emit(args, payload)
-    return 0 if cert.verdict == "PASS" else 1
+    Q = build_intermediate(F, _level(args.j, F, "--j"), args.steps).complex
+    return _resolution_report(args, Q, Q.hi - 1, "intermediate", None)
 
 
 def cmd_shamash(args):

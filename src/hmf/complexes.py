@@ -199,10 +199,10 @@ class MatrixMap:
         if self.level != other.level:
             raise ShapeError(f"level mismatch {self.level} != {other.level}")
 
-    def _like(self, rows, shift=None):
-        """A map with self's modules and level and the given rows."""
+    def _like(self, rows):
+        """A map with self's modules, level and shift and the given rows."""
         return MatrixMap(self.ring, self.src, self.dst, rows, self.level,
-                         self.shift if shift is None else shift, check=False)
+                         self.shift, check=False)
 
     def compose(self, other):
         """self o other (other applied first): combine of the one product."""
@@ -295,14 +295,6 @@ class MatrixMap:
         c = self.ring.field.canon(c)
         return self._like({i: {j: a.scale(c) for j, a in row.items()}
                            for i, row in self.rows.items()} if c else {})
-
-    def scale_poly(self, g):
-        gid = MatrixMap.poly_times_identity(self.ring, g, self.dst, self.level)
-        return MatrixMap.combine(self.ring, self.src, self.dst, self.level,
-                                 gid.shift + self.shift, [(1, gid, self)])
-
-    def with_shift(self, shift):
-        return self._like(self.rows, shift)
 
     def with_level(self, level):
         if level < self.level:
@@ -504,25 +496,6 @@ class Complex:
     def __repr__(self):
         rk = " ".join(str(self.rank(i)) for i in range(self.lo, self.hi + 1))
         return f"Complex(level={self.level}, range=[{self.lo},{self.hi}], ranks {rk})"
-
-
-def direct_sum(C1, C2):
-    if C1.ring is not C2.ring or C1.level != C2.level:
-        raise ShapeError("direct sum needs matching ring and level")
-    lo, hi = min(C1.lo, C2.lo), max(C1.hi, C2.hi)
-    modules = {}
-    diffs = {}
-    for i in range(lo, hi + 1):
-        modules[i] = FreeModule.concat([C1.module(i), C2.module(i)])
-    for i in range(lo + 1, hi + 1):
-        diffs[i] = MatrixMap.from_blocks(
-            C1.ring,
-            [[C1.diff(i), None], [None, C2.diff(i)]],
-            [C1.module(i), C2.module(i)],
-            [C1.module(i - 1), C2.module(i - 1)],
-            C1.level,
-        )
-    return Complex(C1.ring, C1.level, modules, diffs, lo, hi)
 
 
 def mapping_cone(Y, W, phi, check=True):

@@ -7,19 +7,20 @@ congruence  sum_i c_i g_i = target (mod ideal)  into one sparse linear
 system over the coefficient field, held as the nonzero rows of a
 _kernels.SparseMatrix.  Polynomial matrices come in as the nonzero rows of
 a MatrixMap ({row: {column: Poly}}), and solutions go out as their nonzero
-coefficients only.  The bases are the ring's packed monomial bases
-(GradedRing.monomial_basis), so the cell of a term and a basis monomial is
-found by adding their keys and looking the sum up.  All solvers here pick
-the first-pivot solution with free variables set to zero, so results are
-reproducible bit for bit.
+coefficients only.  All solvers here pick the first-pivot solution with
+free variables set to zero, so results are reproducible bit for bit.
 
-piece_matrix assembles the S-pieces of the builders' systems.  A degree
-piece of a free module over a quotient S/I has one representation,
-QuotientPieces (coordinates on standard monomials, the non-pivot monomials
-of the RREF of I_d), shared by the verifier, extraction and ideal
-membership.  It induces a map over S/I on the standard source monomials
-alone, replacing each pivot monomial of a product by its normal form, so it
-never assembles an S-piece; piece_matrix there builds only the rows of I_d.
+QuotientPieces is the one layout of a degree piece and the one assembler
+of scalar matrices, over S/I for every ideal I, S itself (I = 0) included.
+Its coordinates are the standard monomials, the non-pivot monomials of the
+RREF of I_d, and basis inverts the layout: position -> (generator, packed
+monomial).  A map is induced on the standard source monomials alone, each
+pivot monomial of a product replaced by its normal form, so no S-piece is
+assembled for a quotient; over S the standard monomials are the ring's
+packed monomial bases (GradedRing.monomial_basis), and the cell of a term
+and a basis monomial is found by adding their keys and looking the sum up.
+pieces(ring, level) keeps one QuotientPieces per level of the ring, shared
+by the builders' solves (level 0) and ideal membership.
 """
 
 from __future__ import annotations
@@ -33,49 +34,13 @@ class SolveError(ValueError):
     pass
 
 
-def piece_layout(ring, twists, e):
-    """Row layout of the degree-e piece: (offsets, total_dim)."""
-    offsets = []
-    total = 0
-    for tw in twists:
-        offsets.append(total)
-        total += len(ring.monomial_basis(e - tw)[0])
-    return offsets, total
-
-
-def piece_matrix(ring, rows, src_twists, dst_twists, shift, e):
-    """Scalar matrix of a map between degree pieces of free modules.
-
-    rows[i][j] (a Poly; absent entries are zero, as in MatrixMap.rows) sends
-    source generator j, of twist src_twists[j], to target generator i, of
-    twist dst_twists[i], and the map raises degree by shift.  Columns are
-    the degree-(e - shift) piece of the source and rows the degree-e piece
-    of the target, each laid out by piece_layout.  A term that lands outside
-    the target piece (a term of the wrong degree) raises SolveError.
-    """
-    src_off, ncols = piece_layout(ring, src_twists, e - shift)
-    dst_off, nrows = piece_layout(ring, dst_twists, e)
-    out = {}
-    for i, row in rows.items():
-        idx = ring.monomial_basis(e - dst_twists[i])[1]
-        row0 = dst_off[i]
-        for j, q in row.items():
-            tj = src_twists[j]
-            mons = ring.monomial_basis(e - shift - tj)[0]
-            for expo, c in q.terms.items():
-                for col, mon in enumerate(mons, src_off[j]):
-                    # packed keys: the product monomial is the sum, and a
-                    # key of the wrong degree is in no basis of degree e
-                    r = idx.get(expo + mon)
-                    if r is None:
-                        raise SolveError(
-                            f"entry ({i}, {j}) has a term of degree "
-                            f"{expo >> ring.deg_shift}, expected "
-                            f"{shift + tj - dst_twists[i]}"
-                        )
-                    # each (term, monomial) pair hits its own cell
-                    out.setdefault(row0 + r, {})[col] = c
-    return SparseMatrix((nrows, ncols), out)
+def pieces(ring, level):
+    """The QuotientPieces of S/(f_1, ..., f_level), kept on the ring; level
+    0 is S itself."""
+    Q = ring._level_pieces.get(level)
+    if Q is None:
+        Q = ring._level_pieces[level] = QuotientPieces(ring, ring.regseq[:level])
+    return Q
 
 
 def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets):
@@ -93,19 +58,13 @@ def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets):
     them are unique only up to homotopy; this choice makes them
     reproducible.
     """
-    fld = ring.field
-    A = piece_matrix(ring, slots, slot_degs, dst_twists, 0, e)
-    B = piece_matrix(ring, targets, [e] * ntargets, dst_twists, 0, e)
+    S = pieces(ring, 0)
+    A = S._walk(slots, slot_degs, dst_twists, 0, e)
+    B = S._walk(targets, [e] * ntargets, dst_twists, 0, e)
     if A.shape[0] == 0:
         # B has no rows either, so every target was zero
         return [{} for _ in range(ntargets)]
-    col_slot = []
-    col_mono = []
-    for si, sdeg in enumerate(slot_degs):
-        for m in ring.monomial_basis(e - sdeg)[0]:
-            col_slot.append(si)
-            col_mono.append(m)
-    ok, X = fld.solve_many(A, B)
+    ok, X = ring.field.solve_many(A, B)
     # per target, its solution column: {unknown: value}, unknowns ascending
     sols = [{} for _ in range(ntargets)]
     for i, row in X.rows.items():
@@ -113,6 +72,7 @@ def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets):
             sols[j][i] = x
     # each (slot, monomial) pair is one unknown, so every coefficient is one
     # term dict
+    unknowns = S.basis(slot_degs, e)
     results = []
     for j, sol in enumerate(sols):
         if not ok[j]:
@@ -120,36 +80,10 @@ def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets):
             continue
         terms = {}
         for col, c in sol.items():
-            terms.setdefault(col_slot[col], {})[col_mono[col]] = c
+            si, m = unknowns[col]
+            terms.setdefault(si, {})[m] = c
         results.append({si: Poly(ring, t) for si, t in terms.items()})
     return results
-
-
-def graded_piece_solve(targets, gens):
-    """Spec surface: targets are homogeneous Polys of one degree e, gens are
-    (Poly g_i, slot degree e_i); returns coefficient lists or None per target.
-    """
-    if not targets:
-        return []
-    ring = targets[0].ring
-    for t in targets:
-        if not t.is_homogeneous():
-            raise SolveError("inhomogeneous target")
-    for g, _ in gens:
-        if not g.is_homogeneous():
-            raise SolveError("inhomogeneous generator")
-    degs = {t.degree() for t in targets if not t.is_zero()}
-    if len(degs) > 1:
-        raise SolveError("targets of mixed degrees")
-    if not degs:
-        return [[ring.zero() for _ in gens] for _ in targets]
-    e = degs.pop()
-    res = graded_solve(ring, (0,), e, {0: dict(enumerate(g for g, _ in gens))},
-                       [ed for _, ed in gens], {0: dict(enumerate(targets))},
-                       len(targets))
-    z = ring.zero()
-    return [None if r is None else [r.get(i, z) for i in range(len(gens))]
-            for r in res]
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +119,13 @@ class QuotientPieces:
             return got
         keys, pos = self.ring.monomial_basis(d)
         nf = {}
-        # rows of A span I_d: the transpose of the row map [g_1 ... g_r]
-        A = piece_matrix(self.ring, {0: dict(enumerate(self.gens))},
-                         [g.degree() for g in self.gens], (0,), 0, d).T
-        if A.rows:
+        # the rows g * m span I_d
+        rows = [{pos[k + m]: c for k, c in g.terms.items()} for g in self.gens
+                for m in self.ring.monomial_basis(d - g.degree())[0]]
+        if rows:
             p = self.ring.field.char
-            R, piv = _kernels.rref(A, p)
+            R, piv = _kernels.rref(SparseMatrix((len(rows), len(keys)),
+                                                dict(enumerate(rows))), p)
             pivots = set(piv)
             std = tuple(k for c, k in enumerate(keys) if c not in pivots)
             pos = {k: s for s, k in enumerate(std)}
@@ -205,6 +140,12 @@ class QuotientPieces:
     def dim(self, twists, e):
         """Dimension of the degree-e piece of the free module over S/I."""
         return sum(len(self._piece(e - t)[0]) for t in twists)
+
+    def basis(self, twists, e):
+        """The inverse of the layout of the degree-e piece: per position, in
+        position order, its (generator, standard packed monomial)."""
+        return [(j, k) for j, t in enumerate(twists)
+                for k in self._piece(e - t)[0]]
 
     def induced(self, mm, e):
         """Matrix of the map that the MatrixMap mm induces over S/I, from
@@ -224,7 +165,8 @@ class QuotientPieces:
 
     def _walk(self, rows, src_twists, dst_twists, shift, e):
         """induced, on the rows {i: {j: Poly}} of a map between free
-        modules with these twists that raises degree by shift."""
+        modules with these twists that raises degree by shift: the one
+        assembler, also of graded_solve's systems over S."""
         p = self.ring.field.char
         ds = self.ring.deg_shift
         cols = []
@@ -286,8 +228,5 @@ def ideal_membership(g, level):
         raise RingError(f"ideal level {level} out of range 0..{ring.codim}")
     if not g.terms or level == 0:
         return not g.terms
-    Q = ring._membership_pieces.get(level)
-    if Q is None:
-        Q = QuotientPieces(ring, ring.regseq[:level])
-        ring._membership_pieces[level] = Q
+    Q = pieces(ring, level)
     return all(Q.contains(part) for part in g.homogeneous_parts().values())

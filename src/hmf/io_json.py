@@ -25,7 +25,8 @@ def _require(cond, where, msg):
         raise SchemaError(f"{where}: {msg}")
 
 
-_KIND_NAMES = {int: "an integer", list: "a list", dict: "an object"}
+_KIND_NAMES = {int: "an integer", list: "a list", dict: "an object",
+               bool: "a boolean"}
 
 
 def _is_int(x):
@@ -214,7 +215,8 @@ def hmf_from_json(obj, where="hmf"):
     ring = ring_from_json(_key(obj, "ring", dict, where), where + ".ring")
     c = _key(obj, "c", int, where)
     _require(c >= 0, where, "'c' must be nonnegative")
-    generalized = bool(_key(obj, "flags", dict, where, {}).get("generalized"))
+    generalized = _key(_key(obj, "flags", dict, where, {}), "generalized",
+                       bool, where + ".flags", False)
     b1 = {}
     b0 = {}
     for k, rec in enumerate(_key(obj, "B", list, where)):

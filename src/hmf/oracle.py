@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .complexes import koszul_complex
 from .factorization import presentation, signature, stability_rank_check
-from .graded import QuotientPieces, ideal_membership
+from .graded import QuotientPieces, ideal_membership, pieces
 
 
 @dataclass
@@ -468,7 +468,7 @@ def formula_suite(F, steps=None, D=None):
             for t in L.module(i).twists:
                 kpoly[t] = kpoly.get(t, 0) + sign
             sign = -sign
-        ring_hf = [len(ring.monomial_basis(e)[0]) for e in range(0, DL + 1)]
+        ring_hf = [pieces(ring, 0).dim((0,), e) for e in range(0, DL + 1)]
         predicted = []
         for e in range(0, DL + 1):
             acc = 0

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._kernels import SparseMatrix
 from .complexes import (
     Complex,
     ContractViolation,
@@ -42,7 +43,6 @@ from .complexes import (
     mapping_cone,
     two_term_complex,
 )
-from .graded import piece_matrix
 from .lifting import (
     Obstruction,
     SolverBug,
@@ -64,14 +64,17 @@ class ResolutionBundle:
     meta: dict = field(default_factory=dict)
 
 
-def _scalar_part(ring, mm):
+def _scalar_part(mm):
     """Constant coefficients of entries at required degree 0 (reduction of a
-    map modulo the graded maximal ideal): the degree-0 piece of the map with
-    every twist set to 0 and the other entries dropped."""
-    rows = {i: {j: q for j, q in row.items() if mm.required_degree(i, j) == 0}
-            for i, row in mm.rows.items()}
-    return piece_matrix(ring, rows, (0,) * mm.src.rank,
-                        (0,) * mm.dst.rank, 0, 0)
+    map modulo the graded maximal ideal), the other entries dropped.  An
+    entry of required degree 0 is a constant, at the packed key 0."""
+    out = {}
+    for i, row in mm.rows.items():
+        consts = {j: q.terms[0] for j, q in row.items()
+                  if mm.required_degree(i, j) == 0}
+        if consts:
+            out[i] = consts
+    return SparseMatrix((mm.dst.rank, mm.src.rank), out)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +292,7 @@ def peel(C, t=None):
             kernels[i] = MatrixMap.identity(ring, C.module(i), p - 1)
             kernel_mods[i] = C.module(i)
             continue
-        bar = _scalar_part(ring, ti)
+        bar = _scalar_part(ti)
         # one elimination gives the kernel and, by rank-nullity, the rank
         N = fld.nullspace(bar)
         if bar.shape[1] - N.shape[1] < C.module(i - 2).rank:

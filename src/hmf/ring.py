@@ -133,14 +133,15 @@ class GradedRing:
 
     def __init__(self, field, variables):
         names = tuple(n for n, _ in variables)
-        degs = tuple(int(d) for _, d in variables)
+        degs = tuple(d for _, d in variables)
         if len(set(names)) != len(names):
             raise RingError("duplicate variable names")
         for n in names:
             if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", n):
                 raise RingError(f"bad variable name {n!r}")
-        if any(d < 1 for d in degs):
-            raise RingError("variable degrees must be >= 1")
+        # int() would take 1.5, "1" and True from a JSON file
+        if not all(type(d) is int and d >= 1 for d in degs):
+            raise RingError(f"variable degrees must be integers >= 1, got {degs}")
         self.field = field
         self.var_names = names
         self.var_degs = degs
@@ -157,7 +158,8 @@ class GradedRing:
         # the bases depend on the variable degrees only, so rings with the
         # same degrees (a fresh one per change of generators) share them
         self._mon_cache = _MON_CACHES.setdefault(degs, {})
-        self._membership_pieces = {}
+        # level -> graded.QuotientPieces of S/(f_1..f_level), see graded.pieces
+        self._level_pieces = {}
 
     @classmethod
     def make(cls, field, variables, regseq):
@@ -180,7 +182,7 @@ class GradedRing:
             polys.append(g)
         self.regseq = tuple(polys)
         self._fdegs = tuple(g.degree() for g in polys)
-        self._membership_pieces.clear()
+        self._level_pieces.clear()
         return self
 
     @property

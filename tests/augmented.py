@@ -8,7 +8,7 @@ these tests compare it against this formula and a dense product of pieces.
 """
 
 from dense import dense, sparse
-from hmf.graded import piece_layout, piece_matrix
+from piece_reference import piece_layout, piece_matrix
 
 
 def ideal_piece(ring, twists, gens, e):

@@ -8,9 +8,10 @@ the standard source monomials instead; the tests check that both give the
 same matrices, entry for entry.
 """
 
+from piece_reference import piece_matrix
+
 from hmf import _kernels
 from hmf._kernels import SparseMatrix, _subtract
-from hmf.graded import piece_matrix
 
 
 class ReferencePieces:
@@ -37,7 +38,7 @@ class ReferencePieces:
     def _layout(self, twists, e):
         """({pivot row: {standard index: its RREF coefficient}}, {standard
         row: standard index}) of the degree-e piece, laid out as
-        graded.piece_layout lays out the S-piece."""
+        piece_reference.piece_layout lays out the S-piece."""
         piv = {}
         std = {}
         off = 0

@@ -12,9 +12,10 @@ compare the two systems.
 import contextlib
 
 import pytest
+from piece_reference import piece_matrix
 
 import hmf.complexes as complexes
-from hmf.graded import graded_solve, piece_matrix
+from hmf.graded import graded_solve
 from hmf.ring import Poly
 
 

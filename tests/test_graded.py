@@ -2,9 +2,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmf.complexes import FreeModule, MatrixMap
-from hmf.graded import (QuotientPieces, SolveError, graded_piece_solve,
-                        ideal_membership)
+from hmf.graded import QuotientPieces, SolveError, graded_solve, ideal_membership
 from hmf.ring import Field, GradedRing, Poly
+
+
+def graded_piece_solve(targets, gens):
+    """graded_solve on polynomials: targets are homogeneous Polys of one
+    degree e, gens are (Poly g_i, slot degree e_i); returns coefficient
+    lists or None per target.
+    """
+    if not targets:
+        return []
+    ring = targets[0].ring
+    for t in targets:
+        if not t.is_homogeneous():
+            raise SolveError("inhomogeneous target")
+    for g, _ in gens:
+        if not g.is_homogeneous():
+            raise SolveError("inhomogeneous generator")
+    degs = {t.degree() for t in targets if not t.is_zero()}
+    if len(degs) > 1:
+        raise SolveError("targets of mixed degrees")
+    if not degs:
+        return [[ring.zero() for _ in gens] for _ in targets]
+    e = degs.pop()
+    res = graded_solve(ring, (0,), e, {0: dict(enumerate(g for g, _ in gens))},
+                       [ed for _, ed in gens], {0: dict(enumerate(targets))},
+                       len(targets))
+    z = ring.zero()
+    return [None if r is None else [r.get(i, z) for i in range(len(gens))]
+            for r in res]
 
 
 @pytest.fixture
@@ -152,24 +179,52 @@ def quotient_maps(draw, char, monomial):
 @settings(max_examples=25, deadline=None)
 def test_quotient_pieces_match_reference(char, monomial, data, e):
     # the standard-monomial walk gives the matrices of the whole-S-piece
-    # normal form, entry for entry, and the same membership verdicts
+    # normal form, entry for entry, and the same membership verdicts; S
+    # itself (no generators) is the builders' level 0, checked every time
     from quotient_reference import ReferencePieces
 
     ring, gens, mm = data.draw(quotient_maps(char, monomial))
+    for ideal in (gens, []):
+        Q = QuotientPieces(ring, ideal)
+        ref = ReferencePieces(ring, ideal)
+        assert Q.induced(mm, e) == ref.induced(mm, e)
+        assert Q.dim(mm.dst.twists, e) == ref.dim(mm.dst.twists, e)
+        assert Q.dim(mm.src.twists, e - mm.shift) == ref.dim(mm.src.twists, e - mm.shift)
+        for row in mm.rows.values():
+            for q in row.values():
+                assert Q.contains(q) == ref.contains(q)
+                for g in ideal:
+                    assert Q.contains(q * g)
+                    k = q.degree() - g.degree()
+                    if k >= 0:
+                        r = q + g * ring.monomial((k, 0, 0))
+                        assert not r.terms or Q.contains(r) == ref.contains(r)
+
+
+@pytest.mark.parametrize("char", FIELDS)
+@given(data=st.data(), e=st.integers(0, 6))
+@settings(max_examples=25, deadline=None)
+def test_basis_inverts_the_layout(char, data, e):
+    # position k of the source piece is (generator j, standard monomial m),
+    # and column k of the induced matrix is the image of m at generator j,
+    # a one-column map induced by the reference
+    from quotient_reference import ReferencePieces
+
+    ring, gens, mm = data.draw(quotient_maps(char, False))
     Q = QuotientPieces(ring, gens)
     ref = ReferencePieces(ring, gens)
-    assert Q.induced(mm, e) == ref.induced(mm, e)
-    assert Q.dim(mm.dst.twists, e) == ref.dim(mm.dst.twists, e)
-    assert Q.dim(mm.src.twists, e - mm.shift) == ref.dim(mm.src.twists, e - mm.shift)
-    for row in mm.rows.values():
-        for q in row.values():
-            assert Q.contains(q) == ref.contains(q)
-            for g in gens:
-                assert Q.contains(q * g)
-                k = q.degree() - g.degree()
-                if k >= 0:
-                    r = q + g * ring.monomial((k, 0, 0))
-                    assert not r.terms or Q.contains(r) == ref.contains(r)
+    src = mm.src.twists
+    basis = Q.basis(src, e - mm.shift)
+    assert len(basis) == Q.dim(src, e - mm.shift)
+    M = Q.induced(mm, e)
+    for k, (j, m) in enumerate(basis):
+        assert m >> ring.deg_shift == e - mm.shift - src[j]
+        mono = Poly(ring, {m: 1})
+        image = {i: {0: row[j] * mono} for i, row in mm.rows.items() if j in row}
+        col = MatrixMap(ring, FreeModule((e,)), mm.dst, image, check=False)
+        want = ref.induced(col, e)
+        assert {r: row[k] for r, row in M.rows.items() if k in row} == \
+            {r: row[0] for r, row in want.rows.items()}
 
 
 def test_induced_rejects_a_term_of_the_wrong_degree():
@@ -185,21 +240,27 @@ def test_induced_rejects_a_term_of_the_wrong_degree():
             Q.induced(mm, e)
 
 
-def test_quotient_pieces_build_no_s_piece():
-    # the verifier never assembles an S-piece it would discard: hmf.oracle
-    # does not call piece_matrix, and in QuotientPieces only _piece does,
-    # for the generator rows of I_d
+def test_only_quotient_pieces_lay_out_a_piece():
+    # one assembler at every level: outside ring.py only QuotientPieces
+    # reads the monomial bases, and the S-piece assembler that the tests
+    # keep as their reference (piece_reference.py) is not in the package
     import ast
-    import inspect
+    import os
 
-    import hmf.graded
-    import hmf.oracle
+    import hmf
 
-    def names(node):
-        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-    assert "piece_matrix" not in names(ast.parse(inspect.getsource(hmf.oracle)))
-    cls = ast.parse(inspect.getsource(hmf.graded.QuotientPieces)).body[0]
-    users = [f.name for f in cls.body if isinstance(f, ast.FunctionDef)
-             and "piece_matrix" in names(f)]
-    assert users == ["_piece"]
+    pkg = os.path.dirname(hmf.__file__)
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "QuotientPieces":
+                inside.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if getattr(node, "attr", None) == "monomial_basis":
+                assert fname == "ring.py" or id(node) in inside, (fname, node.lineno)
+            names = {getattr(node, k, None) for k in ("id", "attr", "name")}
+            assert not names & {"piece_matrix", "piece_layout"}, (fname, node.lineno)

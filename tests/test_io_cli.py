@@ -344,6 +344,12 @@ MALFORMED = [
         ("hmf", ("ring", "field"), 4294967311),
         ("hmf", ("ring", "field"), 2.5),
         ("hmf", ("ring", "vars"), [["x"]]),
+        # a degree or a flag that int() or bool() would have taken
+        ("hmf", ("ring", "vars", 0, 1), 1.5),
+        ("hmf", ("ring", "vars", 0, 1), "1"),
+        ("hmf", ("ring", "vars", 0, 1), True),
+        ("hmf", ("flags", "generalized"), "no"),
+        ("hmf", ("flags", "generalized"), 0),
         ("hmf", ("ring", "regseq", 0), 5),
         ("complex", ("modules", 0, "labels"), 5),
         ("complex", ("modules", 0, "labels"), ["g0"]),

@@ -1,4 +1,5 @@
 import pytest
+from map_ops import scale_poly
 from second_solution import second_solution
 
 from hmf.complexes import (
@@ -187,7 +188,7 @@ def test_ci_from_lifting_resubstitutes(F):
         sq = T.diff(i - 1).compose(T.diff(i))
         acc = None
         for j in (1, 2):
-            term = tilde[j][i].scale_poly(ring.regseq[j - 1])
+            term = scale_poly(tilde[j][i], ring.regseq[j - 1])
             acc = term if acc is None else acc + term
         assert (acc - sq).is_zero()
 
