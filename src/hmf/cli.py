@@ -7,7 +7,8 @@ peel, extract, strengthen) validates its factorization first, so invalid
 input exits 2 before any builder runs, as does a level (--p, --j,
 --f-index, or the default c) outside 1..c, an extract --syzygy index r
 whose degree r - 2 lies above the complex, or a numeric argument below
-its bound.
+its bound.  A gen-random profile (--c, --max-rank, --gamma) that no
+generated instance has exits 2 as well; running out of retries exits 1.
 Exit codes: 0 success/PASS, 1 validation failure, 2 input error.
 """
 
@@ -179,7 +180,7 @@ def cmd_box(args):
                    "--f-index")
     L = build_finite(F).complex
     sigma = higher_homotopies(L, (f_idx,), 2)
-    theta = {i: sigma.get((1,), i) for i in range(0, 4)}
+    theta = {i: sigma.get((1,), i) for i in range(0, L.hi + 1)}
     tau = {i: sigma.get((2,), i) for i in range(0, 2)}
     bundle = box(L, f_idx, theta, tau)
     fails = box_homotopy_failures(bundle)
@@ -288,10 +289,13 @@ def cmd_suite(args):
 
 
 def cmd_gen_random(args):
-    from .randgen import gen_random_hmf
+    from .randgen import UnreachableProfile, gen_random_hmf
 
-    F = gen_random_hmf(args.seed, c=args.c, max_rank=args.max_rank,
-                       gamma=args.gamma)
+    try:
+        F = gen_random_hmf(args.seed, c=args.c, max_rank=args.max_rank,
+                           gamma=args.gamma)
+    except UnreachableProfile as exc:
+        raise SchemaError(str(exc)) from exc
     _emit(args, io_json.hmf_to_json(F))
     return 0
 

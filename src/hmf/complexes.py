@@ -388,7 +388,8 @@ class Complex:
 
     A complex never changes its modules or diffs once built, as a MatrixMap
     never changes its rows, so square(i) = d_{i-1} d_i is composed once per
-    complex and shared by validate and the CI-operator builders.
+    complex and shared by validate, the CI-operator builders and the
+    verifier's homology tables.
     """
 
     def __init__(self, ring, level, modules, diffs, lo=None, hi=None):
@@ -563,7 +564,9 @@ def koszul_tensor(idxs, B, level=None):
 
     Components of degree n are e_J tensor B_s with |J| + s = n; the Koszul
     part of the differential carries the sign (-1)^s, matching the fixed
-    tensor convention.  Basis labels expose the exterior monomials.
+    tensor convention.  Basis labels expose the exterior monomials.  This
+    is the one writer of the Koszul signs; koszul_complex is its case
+    B = [0 -> S].
     """
     ring = B.ring
     level = B.level if level is None else level
@@ -618,29 +621,11 @@ def koszul_tensor(idxs, B, level=None):
 
 
 def koszul_complex(ring, idxs, level=0):
-    """Full Koszul complex on f_{i1},...,f_{im} (rank-one top in degree m)."""
-    idxs = tuple(idxs)
-    m = len(idxs)
-    modules = {}
-    diffs = {}
-    bases = {}
-    for n in range(0, m + 1):
-        Js = list(itertools.combinations(idxs, n))
-        bases[n] = Js
-        tws = tuple(sum(ring.fdeg(j) for j in J) for J in Js)
-        labels = tuple("e" + "".join(str(j) for j in J) if J else "1" for J in Js)
-        modules[n] = FreeModule(tws, labels)
-    for n in range(1, m + 1):
-        src = bases[n]
-        dst = {J: k for k, J in enumerate(bases[n - 1])}
-        rows = {}
-        for jcol, J in enumerate(src):
-            for r, fj in enumerate(J):
-                J2 = tuple(x for x in J if x != fj)
-                sign = 1 if (r % 2 == 0) else -1
-                rows.setdefault(dst[J2], {})[jcol] = ring.regseq[fj - 1].scale(sign)
-        diffs[n] = MatrixMap(ring, modules[n], modules[n - 1], rows, level, check=False)
-    return Complex(ring, level, modules, diffs, 0, m)
+    """Full Koszul complex on f_{i1},...,f_{im} (rank-one top in degree m):
+    koszul_tensor over the complex 0 -> S, truncated to [0, m]."""
+    S = two_term_complex(
+        ring, MatrixMap.zero(ring, ZERO_MODULE, FreeModule((0,)), level), level)
+    return koszul_tensor(idxs, S, level).truncate(0, len(idxs))
 
 
 class MissingBlock(ShapeError):
@@ -795,10 +780,6 @@ class HomotopySystem:
         self.complex = complex_
         self.findices = tuple(findices)
         self.maps = maps if maps is not None else {}
-
-    @property
-    def ring(self):
-        return self.complex.ring
 
     def get(self, a, m):
         """sigma_a at source homological degree m (zero map when absent but

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .complexes import Complex, FreeModule, MatrixMap, ShapeError, ZERO_MODULE
 from .factorization import HMF, Report, validate_hmf
-from .graded import QuotientPieces
 from .lifting import Obstruction, ci_from_lifting, higher_homotopies, lift_step
 from .resolutions import PeelError, peel
 
@@ -231,33 +230,24 @@ def extract_hmf(inp):
 def multiplication_injective_on_coker(comp, f, D):
     """Is multiplication by f injective on Coker(comp) in degrees <= D?
 
-    comp is a MatrixMap at some level; the cokernel is taken over the
-    quotient at that level.  Returns (ok, first failing degree or None).
+    comp is a MatrixMap at some level; the cokernel M is taken over the
+    quotient at that level.  With q = deg f, dim f M_e is
+    HF(comp)(e + q) - HF([f Id | comp])(e + q), and f is injective on M_e
+    iff that is dim M_e = HF(comp)(e).  Returns (ok, first failing degree
+    or None).
     """
-    ring = comp.ring
-    fld = ring.field
-    Q = QuotientPieces(ring, ring.regseq[: comp.level])
+    from .oracle import hilbert_function
+
     q = f.degree()
     tgt = comp.dst
-    mult = MatrixMap.poly_times_identity(ring, f, tgt)
-    images = {}
-
-    def image(e):
-        if e not in images:
-            M = Q.induced(comp, e)
-            images[e] = (M, fld.rank(M))
-        return images[e]
-
+    mult = MatrixMap.poly_times_identity(comp.ring, f, tgt)
+    both = MatrixMap.from_blocks(
+        comp.ring, [[mult, comp]], [tgt.shifted(q), comp.src.shifted(comp.shift)],
+        [tgt], comp.level)
+    hf = hilbert_function(comp, D + q)
+    hf_both = hilbert_function(both, D + q)
     for e in range(0, D + 1):
-        cdim = Q.dim(tgt.twists, e)
-        if cdim:
-            cdim -= image(e)[1]
-        if cdim == 0:
-            continue
-        im_eq, rk_eq = image(e + q)
-        M = Q.induced(mult, e + q)
-        img_dim = fld.rank(M.hstack(im_eq)) - rk_eq
-        if img_dim < cdim:
+        if hf[e] and hf[e + q] - hf_both[e + q] < hf[e]:
             return False, e
     return True, None
 

@@ -22,6 +22,10 @@ class GenerationFailed(ValueError):
     pass
 
 
+class UnreachableProfile(GenerationFailed):
+    """No valid instance of this generator has the requested profile."""
+
+
 def standard_ring(c):
     names = []
     for p in range(1, c + 1):
@@ -208,25 +212,25 @@ def gen_random_hmf(seed, c=2, max_rank=3, gamma=None):
 
     gamma picks the lowest nonzero stage; reachable values are c (square
     top only) and c-1 (the coupled pair at (c-1, c)); anything else has no
-    valid instance in this generator and raises GenerationFailed with a
-    diagnostic.  Ranks are bounded by max_rank.
+    valid instance in this generator and raises UnreachableProfile with a
+    diagnostic, as does a coupled pair under max_rank < 2.  Ranks are bounded by max_rank.
     """
     rng = random.Random(f"hmf:{seed}:{c}:{max_rank}:{gamma}")
     if c < 1:
-        raise GenerationFailed("codimension must be >= 1")
+        raise UnreachableProfile("codimension must be >= 1")
     if max_rank < 1:
-        raise GenerationFailed("max_rank must be >= 1")
+        raise UnreachableProfile("max_rank must be >= 1")
     reachable = {c} if c == 1 else {c, c - 1}
     if gamma is None:
         choices = sorted(g for g in reachable if (g == c or max_rank >= 2))
         gamma = choices[rng.randrange(len(choices))]
     if gamma not in reachable:
-        raise GenerationFailed(
+        raise UnreachableProfile(
             f"no valid instance with gamma={gamma} at codimension {c}: "
             "interaction blocks below the top pair require cosyzygy data"
         )
     if gamma == c - 1 and max_rank < 2:
-        raise GenerationFailed("the coupled pair needs rank bound >= 2")
+        raise UnreachableProfile("the coupled pair needs rank bound >= 2")
     ring = standard_ring(c)
     last_error = None
     for _ in range(8):

@@ -414,12 +414,14 @@ def build_intermediate(F, j, steps, tower=None):
 def box(Y, f_idx, theta, tau):
     """Box complex of a resolution Y with homotopies for one element.
 
-    theta[i]: Y_i -> Y_{i+1} (i = 0..3 as available), tau[0]: Y_0 -> Y_3,
-    tau[1]: Y_1 -> Y_4; the identities
+    theta[i]: Y_i -> Y_{i+1} for every degree i = 0..Y.hi of Y, tau[0]:
+    Y_0 -> Y_3, tau[1]: Y_1 -> Y_4; the homotopy identities of theta_0..3
+    and
         d_3 tau_0 + theta_1 theta_0 = 0,
         tau_0 d_1 + theta_2 theta_1 + d_4 tau_1 = 0
     are checked at Y's level.  The result is the cone of theta_1 with the
-    low head twisted by deg f, carrying the block homotopy for f.
+    low head twisted by deg f, carrying the block homotopy for f, whose
+    component hb_i in box degree i >= 2 is theta_{i+2}.
     """
     ring = Y.ring
     q = ring.fdeg(f_idx)

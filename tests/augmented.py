@@ -10,6 +10,19 @@ these tests compare it against this formula and a dense product of pieces.
 from dense import dense, sparse
 from piece_reference import piece_layout, piece_matrix
 
+from hmf.complexes import Complex
+from hmf.factorization import clone_ring_with_regseq, migrate_map
+
+
+def with_extra_gens(C, extra):
+    """C over (f_1..f_level) + extra: the same matrices over a copy of the
+    ring whose regular sequence is f_1..f_level, then extra, read at level
+    level + len(extra)."""
+    ring = clone_ring_with_regseq(C.ring, C.ring.regseq[: C.level] + tuple(extra))
+    level = C.level + len(extra)
+    diffs = {i: migrate_map(ring, d).relevel(level) for i, d in C.diffs.items()}
+    return Complex(ring, level, C.modules, diffs, C.lo, C.hi)
+
 
 def ideal_piece(ring, twists, gens, e):
     """Columns spanning (gens) * P in degree e, P free with the given twists:
@@ -37,12 +50,12 @@ def map_piece(d, e):
     return piece_matrix(d.ring, d.rows, d.src.twists, d.dst.twists, d.shift, e)
 
 
-def augmented_homology(C, hom_range, D, extra_gens=()):
+def augmented_homology(C, hom_range, D):
     """dim H_i(C)_e by augmented ranks, with the composite d_i d_{i+1}
     counted so that a broken complex does not cancel out."""
     ring = C.ring
     p = ring.field.char
-    gens = tuple(ring.regseq[: C.level]) + tuple(extra_gens)
+    gens = ring.regseq[: C.level]
     table = {}
     for i in range(hom_range[0], hom_range[1] + 1):
         for e in range(0, D + 1):

@@ -243,13 +243,16 @@ def test_induced_rejects_a_term_of_the_wrong_degree():
 def test_only_quotient_pieces_lay_out_a_piece():
     # one assembler at every level: outside ring.py only QuotientPieces
     # reads the monomial bases, and the S-piece assembler that the tests
-    # keep as their reference (piece_reference.py) is not in the package
+    # keep as their reference (piece_reference.py) is not in the package.
+    # Pieces are made in two places only: the ring's per-level store and
+    # one per homology table, which also counts every cokernel
     import ast
     import os
 
     import hmf
 
     pkg = os.path.dirname(hmf.__file__)
+    makers = set()
     for fname in sorted(os.listdir(pkg)):
         if not fname.endswith(".py"):
             continue
@@ -264,3 +267,9 @@ def test_only_quotient_pieces_lay_out_a_piece():
                 assert fname == "ring.py" or id(node) in inside, (fname, node.lineno)
             names = {getattr(node, k, None) for k in ("id", "attr", "name")}
             assert not names & {"piece_matrix", "piece_layout"}, (fname, node.lineno)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "QuotientPieces" in {
+                        getattr(node.func, k, None) for k in ("id", "attr")}:
+                    makers.add((fname, getattr(top, "name", None)))
+    assert makers == {("graded.py", "pieces"), ("oracle.py", "graded_homology")}

@@ -218,6 +218,31 @@ def test_cli_box_and_peel(tmp_path):
     assert rc == 0
 
 
+def test_cli_box_at_codim5(tmp_path):
+    # at c = 5 the box runs to degree c - 2 = 3, and its homotopy hb_2 is
+    # theta_4, so box needs theta on every degree of the finite resolution
+    from hmf.lifting import higher_homotopies
+    from hmf.randgen import gen_random_hmf
+    from hmf.resolutions import box, box_unroll
+
+    F = gen_random_hmf(1, c=5)
+    path = tmp_path / "c5.json"
+    path.write_text(io_json.dumps(io_json.hmf_to_json(F)))
+    rc = main(["box", str(path), "--degree-bound", "4",
+               "-o", str(tmp_path / "box.json")])
+    payload = json.loads((tmp_path / "box.json").read_text())
+    assert payload["homotopy_failures"] == []
+    assert payload["exactness"]["verdict"] == "PASS"
+    assert rc == 0
+    L = build_finite(F).complex
+    sigma = higher_homotopies(L, (5,), 2)
+    bundle = box(L, 5, {i: sigma.get((1,), i) for i in range(0, L.hi + 1)},
+                 {i: sigma.get((2,), i) for i in range(0, 2)})
+    assert 2 in bundle.meta["homotopy"]
+    un, failures = box_unroll(bundle)
+    assert not failures and un.hi == bundle.complex.hi + 2 >= 5
+
+
 def test_cli_reports_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -466,6 +491,10 @@ ARGUMENT_CASES = (
     + [("c0", [command]) for command in ("peel", "box", "extract")]
     + [(None, ["gen-random", "--seed", "1", flag, "0"])
        for flag in ("--c", "--max-rank")]
+    # a gamma that no generated instance has
+    + [(None, ["gen-random", "--seed", "1", "--c", "2", "--gamma", "5"]),
+       (None, ["gen-random", "--seed", "1", "--c", "2", "--max-rank", "1",
+               "--gamma", "1"])]
     # a syzygy index r whose degree r - 2 lies above the complex: the
     # cosyzygy extension of a factorization, and a finite resolution on [0, 2]
     + [("codim2_xa_yb", ["extract", "--syzygy", "30"]),

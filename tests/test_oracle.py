@@ -1,4 +1,5 @@
 import pytest
+from augmented import with_extra_gens
 
 from hmf.complexes import Complex, MatrixMap, koszul_complex
 from hmf.corpus import codim2_xa_yb, codim2_xz_y2, micro_codim1
@@ -96,6 +97,10 @@ def test_regular_sequence_certificates():
     ring = codim2_xa_yb().ring
     ok, item = check_regular_sequence(ring, D=8)
     assert ok and item.verdict == "PASS"
+    # a window below the top Koszul twist deg f_1 + deg f_2 = 4 is too small
+    # to certify, and the item says so
+    ok, item = check_regular_sequence(ring, D=2)
+    assert ok and item.item.endswith("(degree bound 2 below top Koszul twist 4)")
     bad = GradedRing.make(Field(), [("x", 1), ("y", 1)], ["x", "x"])
     ok, item = check_regular_sequence(bad, D=4)
     assert not ok
@@ -153,19 +158,19 @@ def _flip_sign(L):
 def _random_finite(seed, c):
     from hmf.randgen import gen_random_hmf
 
-    return build_finite(gen_random_hmf(seed, c=c)).complex, ()
+    return build_finite(gen_random_hmf(seed, c=c)).complex
 
 
 def _random_tower(seed, c):
     from hmf.randgen import gen_random_hmf
     from hmf.resolutions import build_infinite
 
-    return build_infinite(gen_random_hmf(seed, c=c), 4).complex, ()
+    return build_infinite(gen_random_hmf(seed, c=c), 4).complex
 
 
 def _with_extra_gen():
     L = build_finite(codim2_xa_yb()).complex
-    return L, (L.ring.regseq[1],)
+    return with_extra_gens(L, (L.ring.regseq[1],))
 
 
 def _binomial_koszul(char):
@@ -173,7 +178,8 @@ def _binomial_koszul(char):
     # standard coordinates
     ring = GradedRing.make(Field(char), [("x", 1), ("y", 1), ("z", 1)],
                            ["x^2 + y*z", "y^2 - 2*x*z"])
-    return koszul_complex(ring, (2,), level=1), (ring.poly("x*y + 3*z^2"),)
+    return with_extra_gens(koszul_complex(ring, (2,), level=1),
+                           (ring.poly("x*y + 3*z^2"),))
 
 
 HOMOLOGY_CASES = {
@@ -183,8 +189,8 @@ HOMOLOGY_CASES = {
     "random-tower-c1": lambda: _random_tower(21, 1),
     "random-tower-c2": lambda: _random_tower(22, 2),
     "extra-gens": _with_extra_gen,
-    "sign-flipped": lambda: (_flip_sign(build_finite(codim2_xa_yb()).complex), ()),
-    "rationals": lambda: (build_finite(codim2_xz_y2(char=0)).complex, ()),
+    "sign-flipped": lambda: _flip_sign(build_finite(codim2_xa_yb()).complex),
+    "rationals": lambda: build_finite(codim2_xz_y2(char=0)).complex,
     "binomial": lambda: _binomial_koszul(32003),
     "binomial-rationals": lambda: _binomial_koszul(0),
 }
@@ -194,9 +200,9 @@ HOMOLOGY_CASES = {
 def test_homology_matches_augmented_reference(case):
     from augmented import augmented_homology
 
-    C, extra = HOMOLOGY_CASES[case]()
-    table = graded_homology(C, None, 6, extra)
-    assert table == augmented_homology(C, (C.lo, C.hi), 6, extra)
+    C = HOMOLOGY_CASES[case]()
+    table = graded_homology(C, None, 6)
+    assert table == augmented_homology(C, (C.lo, C.hi), 6)
     if case == "sign-flipped":
         # d_1 d_2 != 0 shows as homology in positive degrees
         assert homology_is_zero(table, (1, C.hi), 6)
@@ -267,8 +273,7 @@ def test_homology_digest(key):
     if key == "cases":
         cases = dict(HOMOLOGY_CASES, **{"binomial-f3": lambda: _binomial_koszul(3)})
         for name in sorted(cases):
-            C, extra = cases[name]()
-            table = graded_homology(C, None, 6, extra)
+            table = graded_homology(cases[name](), None, 6)
             h.update(repr((name, sorted(table.items()))).encode())
     else:
         for seed in range(8):

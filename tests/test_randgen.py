@@ -4,7 +4,7 @@ import pytest
 
 from hmf.factorization import signature, validate_hmf
 from hmf.io_json import dumps, hmf_to_json
-from hmf.randgen import GenerationFailed, gen_random_hmf
+from hmf.randgen import UnreachableProfile, gen_random_hmf
 
 
 def test_codim1_square_identity():
@@ -68,11 +68,11 @@ def test_gamma_control():
 
 
 def test_impossible_profiles():
-    with pytest.raises(GenerationFailed):
+    with pytest.raises(UnreachableProfile):
         gen_random_hmf(0, c=3, gamma=1)
-    with pytest.raises(GenerationFailed):
+    with pytest.raises(UnreachableProfile):
         gen_random_hmf(0, c=2, gamma=1, max_rank=1)
-    with pytest.raises(GenerationFailed):
+    with pytest.raises(UnreachableProfile):
         gen_random_hmf(0, c=0)
 
 

@@ -301,7 +301,7 @@ def test_box_precondition_checked(F, fin):
 def test_box_second_syzygy_hilbert(F, fin):
     # H_0(Box) has the Hilbert function of the second syzygy over the
     # hypersurface by the single element, computed independently
-    from augmented import image_dim, map_piece, quotient_dim
+    from augmented import image_dim, map_piece, quotient_dim, with_extra_gens
 
     L = fin.complex
     ring = F.ring
@@ -311,7 +311,7 @@ def test_box_second_syzygy_hilbert(F, fin):
     tau = {i: sigma.get((2,), i) for i in range(0, 2)}
     bundle = box(L, 2, theta, tau)
     BX = bundle.complex
-    table = graded_homology(BX, (0, 0), 8, extra_gens=(f2,))
+    table = graded_homology(with_extra_gens(BX, (f2,)), (0, 0), 8)
     # independent: dim Ker(d1 over S/(f2)) per degree
     for e in range(0, 9):
         A = map_piece(L.diff(1), e)
