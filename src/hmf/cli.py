@@ -172,18 +172,15 @@ def cmd_shamash(args):
 
 
 def cmd_box(args):
+    from .complexes import validate_homotopy_system
     from .lifting import higher_homotopies
-    from .resolutions import box, box_homotopy_failures, build_finite
+    from .resolutions import box, build_finite
 
     F = _check_valid(_load_hmf(args.file), args.file)
     f_idx = _level(F.c if args.f_index is None else args.f_index, F,
                    "--f-index")
-    L = build_finite(F).complex
-    sigma = higher_homotopies(L, (f_idx,), 2)
-    theta = {i: sigma.get((1,), i) for i in range(0, L.hi + 1)}
-    tau = {i: sigma.get((2,), i) for i in range(0, 2)}
-    bundle = box(L, f_idx, theta, tau)
-    fails = box_homotopy_failures(bundle)
+    bundle = box(higher_homotopies(build_finite(F).complex, (f_idx,), 2))
+    fails = validate_homotopy_system(bundle.complex, bundle.sigma)
     cert = exactness_certificate(bundle.complex, (1, bundle.complex.hi),
                                  args.degree_bound)
     payload = io_json.complex_to_json(bundle.complex, provenance="box")

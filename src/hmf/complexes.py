@@ -819,6 +819,10 @@ def validate_homotopy_system(C, sigma, max_total=None):
     (2) sigma_0 sigma_{e_i} + sigma_{e_i} sigma_0 = f_i.
     (3) sum_{b+s=a} sigma_b sigma_s = 0 for |a| >= 2.
 
+    This is the one checker of every system of higher homotopies, the
+    box's included: box checks its precondition with max_total=2 on the
+    resolution it is built from, and `hmf box` checks the system box
+    returns.  Every source degree of C is checked, the top one included.
     Returns a list of failure strings (empty means valid for everything
     checkable in range).
     """

@@ -159,8 +159,9 @@ class QuotientPieces:
 
     def contains(self, g):
         """Is the nonzero homogeneous polynomial g in I?  The 1x1 case of
-        induced: g as a map from S(-deg g), at its generator."""
-        e = g.degree()
+        induced: g as a map from S(-e), at its generator, e the degree of
+        its greatest key, so a term of another degree raises SolveError."""
+        e = max(g.terms) >> self.ring.deg_shift
         return not self._walk({0: {0: g}}, (e,), (0,), 0, e).rows
 
     def _walk(self, rows, src_twists, dst_twists, shift, e):

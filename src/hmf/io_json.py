@@ -100,10 +100,6 @@ def ring_from_json(obj, where="ring"):
     return ring
 
 
-def matrix_to_rows(mm):
-    return [[str(q) for q in row] for row in mm.entries]
-
-
 def complex_to_json(C, provenance=None, weights=None):
     obj = {
         "schema": 1,
@@ -119,7 +115,7 @@ def complex_to_json(C, provenance=None, weights=None):
             for i in range(C.lo, C.hi + 1)
         ],
         "diffs": [
-            matrix_to_rows(C.diff(i)) for i in range(C.lo + 1, C.hi + 1)
+            C.diff(i).str_rows() for i in range(C.lo + 1, C.hi + 1)
         ],
     }
     if provenance:
@@ -174,9 +170,9 @@ def hmf_to_json(F):
         for qp in range(0 if F.generalized else 1, q + 1):
             blk = F.block(q, qp)
             if blk.src.rank and blk.dst.rank:
-                d_blocks[f"{q}->{qp}"] = matrix_to_rows(blk)
+                d_blocks[f"{q}->{qp}"] = blk.str_rows()
     h_blocks = {
-        str(p): matrix_to_rows(F.h[p]) for p in range(1, F.c + 1)
+        str(p): F.h[p].str_rows() for p in range(1, F.c + 1)
     }
     obj = {
         "schema": 1,
@@ -202,7 +198,7 @@ def hmf_to_json(F):
         ext = {}
         for p, blocks in F.strong_ext.items():
             ext[str(p)] = {
-                f"{i},{w}": matrix_to_rows(blk) for (i, w), blk in blocks.items()
+                f"{i},{w}": blk.str_rows() for (i, w), blk in blocks.items()
             }
         obj["strong_ext"] = ext
     return obj

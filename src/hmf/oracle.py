@@ -8,11 +8,12 @@ reduce to ranks of the induced scalar matrices.  graded_homology is the one
 cokernel count: a Hilbert function of a presentation is H_0 of its
 two-term complex.  A composite d_i d_{i+1} is the complex's own square,
 composed as a polynomial map, never multiplied out as scalar matrices; when
-its entries lie in the ideal, as in a complex, its rank is 0 in every
-degree, and otherwise it is induced and ranked like any other map.  Nothing
-here calls the lifting solvers; formula checks compare closed-form rank
-data against the built resolutions, every Betti formula read off the one
-statement for S/(f_1..f_j), intermediate_betti_formula.
+its entries lie in the ideal, as in a complex (tested entry by entry on the
+table's own QuotientPieces), its rank is 0 in every degree, and otherwise
+it is induced and ranked like any other map.  Nothing here calls the
+lifting solvers; formula checks compare closed-form rank data against the
+built resolutions, every Betti formula read off the one statement for
+S/(f_1..f_j), intermediate_betti_formula.
 """
 
 from __future__ import annotations
@@ -86,10 +87,13 @@ def graded_homology(C, hom_range=None, D=None):
             # measure the composite so mutations are detected, not masked.
             # The map induced by d_i d_{i+1} is dbar_i dbar_{i+1}, since d_i
             # maps I P_i into I P_{i-1}; it is zero in every degree when
-            # every entry of d_i d_{i+1} lies in I, as in a complex.
+            # every entry of d_i d_{i+1} lies in I, as in a complex, which
+            # is tested on the same pieces.
             if i not in composites:
                 AB = C.square(i + 1)
-                composites[i] = None if AB.in_ideal(C.level) else AB
+                composites[i] = None if all(
+                    Q.contains(q) for row in AB.rows.values()
+                    for q in row.values()) else AB
             if composites[i] is not None:
                 h += fld.rank(Q.induced(composites[i], e))
         return h

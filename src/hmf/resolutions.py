@@ -7,7 +7,9 @@ From a valid higher matrix factorization this module constructs:
   cone-then-divided-power constructions with a distinguished lifting whose
   top CI operator is the weight shift,
 * intermediate resolutions over S/(f_1..f_j),
-* box complexes with their attached homotopy,
+* box complexes: box takes the HomotopySystem of one element on a
+  resolution and returns the box with its own HomotopySystem, so both are
+  checked by the one checker, complexes.validate_homotopy_system,
 * the two-step cosyzygy extensions (the V/W tower),
 
 together with the inverse `peel` of the divided-power construction.  All
@@ -42,6 +44,7 @@ from .complexes import (
     divided_power_map,
     mapping_cone,
     two_term_complex,
+    validate_homotopy_system,
 )
 from .lifting import (
     Obstruction,
@@ -177,7 +180,8 @@ def build_infinite(F, steps):
 
     Stage p is the divided-power construction applied to the cone U(p) of
     the two-term head over stage p-1, with a homotopy system for f_p that
-    begins with the factorization's own blocks d_p and h_p.  The second
+    begins with the factorization's own blocks d_p and h_p; that system is
+    the stage's sigma, so stages[p].sigma.complex is U(p).  The second
     differential of the top stage is the concatenated h-block map, exactly.
     """
     ring = F.ring
@@ -188,7 +192,6 @@ def build_infinite(F, steps):
     if steps < 1:
         raise ShapeError("the quotient tower needs steps >= 1")
     stages = {}
-    ustages = {}
     max_total = max(1, steps // 2 + 1)
     top = ResolutionBundle(_zero_complex(ring))
     for p in range(1, F.c + 1):
@@ -200,9 +203,7 @@ def build_infinite(F, steps):
         uweights = {n: tuple(top.weights.get(n, ())) + (0,) * B.module(n).rank
                     for n in range(U.lo, U.hi + 1)}
         top = stages[p] = shamash(U, sigma, steps, weights=uweights)
-        ustages[p] = U
     top.stages = stages
-    top.meta["ustages"] = ustages
     return top
 
 
@@ -411,56 +412,32 @@ def build_intermediate(F, j, steps, tower=None):
 # Box complexes
 
 
-def box(Y, f_idx, theta, tau):
-    """Box complex of a resolution Y with homotopies for one element.
+def box(sigma):
+    """Box complex of a resolution Y with a homotopy system for one element.
 
-    theta[i]: Y_i -> Y_{i+1} for every degree i = 0..Y.hi of Y, tau[0]:
-    Y_0 -> Y_3, tau[1]: Y_1 -> Y_4; the homotopy identities of theta_0..3
-    and
-        d_3 tau_0 + theta_1 theta_0 = 0,
-        tau_0 d_1 + theta_2 theta_1 + d_4 tau_1 = 0
-    are checked at Y's level.  The result is the cone of theta_1 with the
-    low head twisted by deg f, carrying the block homotopy for f, whose
-    component hb_i in box degree i >= 2 is theta_{i+2}.
+    sigma is a system for f on Y = sigma.complex, as
+    higher_homotopies(Y, (f,), 2) returns it: theta_i = sigma_(1) and
+    tau_i = sigma_(2) at source degree i.  The precondition is
+    validate_homotopy_system(Y, sigma, max_total=2) on every degree of Y, so
+    it covers every map the box reads.  The result is the cone of theta_1
+    with the low head twisted by deg f; its sigma is the box's homotopy
+    system for f, whose component hb_i in box degree i >= 2 is
+    theta_{i+2}.
     """
+    Y = sigma.complex
     ring = Y.ring
+    (f_idx,) = sigma.findices
     q = ring.fdeg(f_idx)
-    f = ring.regseq[f_idx - 1]
-    failures = []
-    for i in range(0, 4):
-        th = theta.get(i)
-        if th is None:
-            continue
-        terms = [(1, Y.diff(i + 1), th)] if Y.module(i + 1).rank else []
-        if i > 0 and theta.get(i - 1) is not None:
-            terms.append((1, theta[i - 1], Y.diff(i)))
-        fid = MatrixMap.poly_times_identity(ring, f, Y.module(i), Y.level)
-        if terms and not MatrixMap.combine(
-                ring, Y.module(i), Y.module(i), Y.level, q, terms,
-                [(-1, fid)]).in_ideal():
-            failures.append(f"homotopy identity fails at degree {i}")
-    if tau.get(0) is not None and theta.get(0) is not None and theta.get(1) is not None:
-        terms = [(1, theta[1], theta[0])]
-        if Y.module(3).rank:
-            terms.append((1, Y.diff(3), tau[0]))
-        if not MatrixMap.combine(ring, Y.module(0), Y.module(2), Y.level,
-                                 theta[1].shift + theta[0].shift,
-                                 terms).in_ideal():
-            failures.append("identity d_3 tau_0 + theta_1 theta_0 = 0 fails")
-    if theta.get(1) is not None and theta.get(2) is not None:
-        terms = [(1, theta[2], theta[1])]
-        if tau.get(0) is not None:
-            terms.append((1, tau[0], Y.diff(1)))
-        if tau.get(1) is not None and Y.module(4).rank:
-            terms.append((1, Y.diff(4), tau[1]))
-        if not MatrixMap.combine(ring, Y.module(1), Y.module(3), Y.level,
-                                 theta[2].shift + theta[1].shift,
-                                 terms).in_ideal():
-            failures.append(
-                "identity tau_0 d_1 + theta_2 theta_1 + d_4 tau_1 = 0 fails"
-            )
+    failures = validate_homotopy_system(Y, sigma, max_total=2)
     if failures:
         raise ContractViolation("; ".join(failures))
+
+    def theta(i):
+        return sigma.get((1,), i)
+
+    def tau(i):
+        return sigma.get((2,), i)
+
     Yhigh = Y.truncate(2, max(Y.hi, 2)).shift(2)
     lowmods = {0: Y.module(0).shifted(q), 1: Y.module(1).shifted(q)}
     lowdiffs = {}
@@ -469,16 +446,15 @@ def box(Y, f_idx, theta, tau):
             ring, lowmods[1], lowmods[0], Y.diff(1).rows, Y.level, 0, check=False
         )
     Ylow = Complex(ring, Y.level, lowmods, lowdiffs, 0, 1)
-    th1 = theta[1]
     phi0 = MatrixMap(
-        ring, lowmods[1], Yhigh.module(0), th1.rows, Y.level, 0, check=False
+        ring, lowmods[1], Yhigh.module(0), theta(1).rows, Y.level, 0, check=False
     )
     BX = mapping_cone(Yhigh, Ylow, {0: phi0}, check=False)
     # attached homotopy for f on the box
     hb = {}
     blocks0 = [
-        [theta.get(2), tau.get(0)],
-        [Y.diff(2) if Y.module(2).rank else None, theta.get(0)],
+        [theta(2), tau(0)],
+        [Y.diff(2) if Y.module(2).rank else None, theta(0)],
     ]
     hb[0] = MatrixMap.from_blocks(
         ring,
@@ -491,55 +467,23 @@ def box(Y, f_idx, theta, tau):
     if Y.module(4).rank or Y.module(1).rank:
         hb[1] = MatrixMap.from_blocks(
             ring,
-            [[theta.get(3), tau.get(1)]],
+            [[theta(3), tau(1)]],
             [Y.module(3), lowmods[1]],
             [Y.module(4)],
             Y.level,
             shift=q,
         )
     for i in range(2, BX.hi):
-        th = theta.get(i + 2)
+        th = theta(i + 2)
         if th is not None:
             hb[i] = MatrixMap(
                 ring, BX.module(i), BX.module(i + 1), th.rows, Y.level, q,
                 check=False,
             )
-    bundle = ResolutionBundle(
-        BX,
-        meta={
-            "f_idx": f_idx,
-            "homotopy": hb,
-            "head": (
-                Y.module(2).rank,
-                Y.module(0).rank,
-                Y.module(3).rank,
-                Y.module(1).rank,
-            ),
-        },
-    )
-    return bundle
-
-
-def box_homotopy_failures(bundle):
-    """Exact check of d hb + hb d = f on the box, where maps are available."""
-    BX = bundle.complex
-    ring = BX.ring
-    f = ring.regseq[bundle.meta["f_idx"] - 1]
-    hb = bundle.meta["homotopy"]
-    failures = []
-    for i in range(0, BX.hi):
-        if BX.module(i).rank == 0:
-            continue
-        terms = [(1, BX.diff(i + 1), hb[i])] if i in hb else []
-        if i >= 1 and (i - 1) in hb:
-            terms.append((1, hb[i - 1], BX.diff(i)))
-        if not terms:
-            continue
-        fid = MatrixMap.poly_times_identity(ring, f, BX.module(i), BX.level)
-        if not MatrixMap.combine(ring, BX.module(i), BX.module(i), BX.level,
-                                 f.degree(), terms, [(-1, fid)]).in_ideal():
-            failures.append(f"box homotopy identity fails at degree {i}")
-    return failures
+    head = (Y.module(2).rank, Y.module(0).rank, Y.module(3).rank,
+            Y.module(1).rank)
+    return ResolutionBundle(BX, sigma=HomotopySystem(BX, (f_idx,), {(1,): hb}),
+                            meta={"head": head})
 
 
 def box_unroll(bundle):
@@ -554,8 +498,8 @@ def box_unroll(bundle):
     BX = bundle.complex
     ring = BX.ring
     r2, r0, r3, r1 = bundle.meta["head"]
-    hb = bundle.meta["homotopy"]
-    q = ring.fdeg(bundle.meta["f_idx"])
+    (f_idx,) = bundle.sigma.findices
+    q = ring.fdeg(f_idx)
     Y2 = FreeModule(BX.module(0).twists[:r2], BX.module(0).all_labels()[:r2])
     Y0s = FreeModule(BX.module(0).twists[r2:], BX.module(0).all_labels()[r2:])
     Y3 = FreeModule(BX.module(1).twists[:r3], BX.module(1).all_labels()[:r3])
@@ -566,7 +510,7 @@ def box_unroll(bundle):
         list(range(r2, BX.module(0).rank)), list(range(r3, BX.module(1).rank))
     )
     d3 = BX.diff(1).submatrix(list(range(0, r2)), list(range(0, r3)))
-    d2 = hb[0].submatrix(
+    d2 = bundle.sigma.get((1,), 0).submatrix(
         list(range(r3, BX.module(1).rank)), list(range(0, r2))
     )
     modules = {

@@ -11,7 +11,7 @@ import time
 import pytest
 from second_solution import second_solution
 
-from hmf.complexes import MatrixMap, two_term_complex
+from hmf.complexes import MatrixMap, two_term_complex, validate_homotopy_system
 from hmf.corpus import codim2_xa_yb, codim2_xz_y2, micro_codim1
 from hmf.factorization import (
     presentation,
@@ -35,7 +35,6 @@ from hmf.oracle import (
 )
 from hmf.resolutions import (
     box,
-    box_homotopy_failures,
     box_unroll,
     build_finite,
     build_infinite,
@@ -164,7 +163,7 @@ def test_acceptance_5_round_trip(F, tower):
     ok = ok and pr.sigma.get((1,), 0).entries == sigma.get((1,), 0).entries
     # cone stage of the primary example
     pr2 = peel(tower.complex, t=tower.ci[2])
-    U = tower.meta["ustages"][2]
+    U = tower.stages[2].sigma.complex
     ok = ok and pr2.kernel.betti_list() == U.betti_list()
     ok = ok and all(
         pr2.kernel.diff(i).entries == U.diff(i).entries for i in range(1, 10)
@@ -176,11 +175,8 @@ def test_acceptance_5_round_trip(F, tower):
 def test_acceptance_6_box(F, fin):
     L = fin.complex
     ring = F.ring
-    sigma = higher_homotopies(L, (2,), 2)
-    theta = {i: sigma.get((1,), i) for i in range(0, 4)}
-    tau = {i: sigma.get((2,), i) for i in range(0, 2)}
-    bundle = box(L, 2, theta, tau)  # preconditions checked exactly (level 0)
-    ok = not box_homotopy_failures(bundle)
+    bundle = box(higher_homotopies(L, (2,), 2))  # precondition checked exactly
+    ok = not validate_homotopy_system(bundle.complex, bundle.sigma)
     cert = exactness_certificate(bundle.complex, (1, bundle.complex.hi), 8)
     ok = ok and cert.verdict == "PASS"
     # converse: unrolled complex is exact, given torsion-free cokernels

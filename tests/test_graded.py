@@ -240,6 +240,18 @@ def test_induced_rejects_a_term_of_the_wrong_degree():
             Q.induced(mm, e)
 
 
+
+def test_contains_rejects_terms_of_two_degrees():
+    # graded_homology tests a composite entry by entry with contains: a
+    # term of another degree raises as in induced, even where every
+    # homogeneous part lies in I
+    ring = GradedRing.make(Field(), [("x", 1), ("y", 1)], [])
+    Q = QuotientPieces(ring, [ring.poly("x")])
+    assert Q.contains(ring.poly("x^2")) and Q.contains(ring.poly("x"))
+    for g in ("x^2 + x", "y^2 + x", "x*y + y"):
+        with pytest.raises(SolveError):
+            Q.contains(ring.poly(g))
+
 def test_only_quotient_pieces_lay_out_a_piece():
     # one assembler at every level: outside ring.py only QuotientPieces
     # reads the monomial bases, and the S-piece assembler that the tests

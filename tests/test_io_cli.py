@@ -234,13 +234,23 @@ def test_cli_box_at_codim5(tmp_path):
     assert payload["homotopy_failures"] == []
     assert payload["exactness"]["verdict"] == "PASS"
     assert rc == 0
-    L = build_finite(F).complex
-    sigma = higher_homotopies(L, (5,), 2)
-    bundle = box(L, 5, {i: sigma.get((1,), i) for i in range(0, L.hi + 1)},
-                 {i: sigma.get((2,), i) for i in range(0, 2)})
-    assert 2 in bundle.meta["homotopy"]
+    bundle = box(higher_homotopies(build_finite(F).complex, (5,), 2))
+    assert 2 in bundle.sigma.maps[(1,)]
     un, failures = box_unroll(bundle)
     assert not failures and un.hi == bundle.complex.hi + 2 >= 5
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDERS))
+def test_cli_box_every_f_index(name, tmp_path):
+    # the shared checker also covers the box's top degree, which holds on
+    # a box built from a finite resolution
+    c = load_golden(name).c
+    for f_idx in range(1, c + 1):
+        out = tmp_path / f"box{f_idx}.json"
+        rc = main(["box", golden_path(name), "--f-index", str(f_idx),
+                   "-o", str(out)])
+        assert json.loads(out.read_text())["homotopy_failures"] == []
+        assert rc == 0
 
 
 def test_cli_reports_byte_identical(tmp_path):

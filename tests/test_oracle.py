@@ -3,6 +3,7 @@ from augmented import with_extra_gens
 
 from hmf.complexes import Complex, MatrixMap, koszul_complex
 from hmf.corpus import codim2_xa_yb, codim2_xz_y2, micro_codim1
+from hmf.graded import SolveError
 from hmf.oracle import (
     betti,
     check_regular_sequence,
@@ -56,6 +57,22 @@ def test_mutation_detected():
     table = graded_homology(broken, (1, 2), 8)
     assert homology_is_zero(table, (1, 2), 8), "mutation must be detected"
 
+
+
+def test_homology_rejects_a_stray_term():
+    # an entry of d_2 with a term of the wrong degree raises SolveError, as
+    # the composite d_1 d_2 it enters would
+    F = codim2_xa_yb()
+    L = build_finite(F).complex
+    rows = {i: dict(row) for i, row in L.diff(2).rows.items()}
+    i, j = min((i, j) for i, row in rows.items() for j in row)
+    rows[i][j] = rows[i][j] + F.ring.poly("x")
+    broken = Complex(F.ring, 0, dict(L.modules),
+                     {1: L.diff(1), 2: MatrixMap(F.ring, L.module(2), L.module(1),
+                                                 rows, 0, 0, check=False)},
+                     0, 2)
+    with pytest.raises(SolveError):
+        graded_homology(broken, (1, 2), 8)
 
 def graded_betti(C):
     """Twist multiplicities per homological degree of a minimal complex."""

@@ -4,7 +4,16 @@ import os
 import pytest
 from second_solution import second_solution
 
-from hmf.complexes import Complex, ContractViolation, FreeModule, MatrixMap, ShapeError
+from hmf.complexes import (
+    Complex,
+    ContractViolation,
+    FreeModule,
+    HomotopySystem,
+    MatrixMap,
+    ShapeError,
+    koszul_complex,
+    validate_homotopy_system,
+)
 from hmf.corpus import codim2_xa_yb, codim2_xz_y2, codim3_shifted, micro_codim1
 from hmf.factorization import validate_hmf
 from hmf.lifting import higher_homotopies
@@ -21,7 +30,6 @@ from hmf.randgen import gen_random_hmf
 from hmf.resolutions import (
     PeelError,
     box,
-    box_homotopy_failures,
     box_unroll,
     build_finite,
     build_infinite,
@@ -90,7 +98,7 @@ def test_shamash_micro_periodic():
 
 
 def test_shamash_rank_formula(F, tower):
-    U = tower.meta["ustages"][2]
+    U = tower.stages[2].sigma.complex
     T = tower.complex
     for j in range(0, 10):
         expect = sum(U.module(j - 2 * i).rank for i in range(0, j // 2 + 1))
@@ -202,7 +210,7 @@ def test_peel_round_trip_micro():
 
 def test_peel_recovers_cone_stage(F, tower):
     pr = peel(tower.complex, t=tower.ci[2])
-    U = tower.meta["ustages"][2]
+    U = tower.stages[2].sigma.complex
     assert pr.kernel.betti_list() == U.betti_list()
     for i in range(1, 9):
         assert pr.kernel.diff(i).entries == U.diff(i).entries
@@ -212,7 +220,7 @@ def test_peel_recovers_cone_stage(F, tower):
 def test_peel_solved_operator(F, tower):
     # without the structural operator the peel recovers the same ranks
     pr = peel(tower.complex.truncate(0, 7))
-    U = tower.meta["ustages"][2]
+    U = tower.stages[2].sigma.complex
     assert pr.kernel.betti_list() == U.truncate(0, 7).betti_list()
 
 
@@ -270,32 +278,59 @@ def test_box_degenerate_two_term(F):
     from hmf.complexes import two_term_complex
 
     Y = two_term_complex(Fm.ring, Fm.d_p(1))
-    sigma = higher_homotopies(Y, (1,), 2)
-    theta = {i: sigma.get((1,), i) for i in range(0, 2)}
-    tau = {0: sigma.get((2,), 0)}
-    bundle = box(Y, 1, theta, tau)
+    bundle = box(higher_homotopies(Y, (1,), 2))
     # collapses to the double of the pair: same matrix, same homotopy
     assert bundle.complex.betti_list() == [1, 1]
     assert bundle.complex.diff(1).entries[0][0] == Fm.ring.poly("x")
-    hb0 = bundle.meta["homotopy"][0]
+    hb0 = bundle.sigma.get((1,), 0)
     assert hb0.entries[0][0] == Fm.ring.poly("x")
-    assert not box_homotopy_failures(bundle)
+    assert not validate_homotopy_system(bundle.complex, bundle.sigma)
 
 
-def test_box_precondition_checked(F, fin):
-    L = fin.complex
-    sigma = higher_homotopies(L, (2,), 2)
-    theta = {i: sigma.get((1,), i) for i in range(0, 4)}
-    tau = {i: sigma.get((2,), i) for i in range(0, 2)}
-    ring = F.ring
-    bad_theta = dict(theta)
-    rows = [list(r) for r in theta[0].entries]
-    rows[0][0] = rows[0][0] + ring.poly("y*b")
-    bad_theta[0] = MatrixMap.from_strings(
-        ring, theta[0].src, theta[0].dst, rows, 0, 2, check=False
-    )
+def _with_extra_term(M):
+    """M with one more monomial, of the entry's own degree, in its first
+    entry that has a monomial of that degree."""
+    ring = M.ring
+    for i in range(M.dst.rank):
+        for j in range(M.src.rank):
+            mons = ring.monomials(M.required_degree(i, j))
+            if mons:
+                rows = {r: dict(row) for r, row in M.rows.items()}
+                old = rows.setdefault(i, {}).get(j, ring.zero())
+                rows[i][j] = old + ring.monomial(mons[-1])
+                return MatrixMap(ring, M.src, M.dst, rows, M.level, M.shift)
+    raise AssertionError("no entry has a monomial of its degree")
+
+
+def _precondition_example(name):
+    """(resolution, f index) for test_box_precondition_checked."""
+    if name == "codim2_xa_yb":
+        return build_finite(codim2_xa_yb()).complex, 2
+    if name == "c5":
+        return build_finite(gen_random_hmf(1, c=5)).complex, 5
+    # K(x^3, y, z, w) resolves the residue field, and for f = x^3 the
+    # entries of tau_1: K_1 -> K_4 have degrees 1 and 3; on the random
+    # factorizations every entry of tau_1 has negative degree
+    ring = GradedRing.make(Field(), [(v, 1) for v in "xyzw"],
+                           ["x^3", "y", "z", "w"])
+    return koszul_complex(ring, (1, 2, 3, 4), level=0), 1
+
+
+@pytest.mark.parametrize("example, a, m", [
+    ("codim2_xa_yb", (1,), 0),  # theta_0
+    ("c5", (1,), 4),            # theta_4, read by the box's hb_2 only
+    ("koszul4", (2,), 1),       # tau_1
+], ids=["theta_0", "theta_4-c5", "tau_1-koszul4"])
+def test_box_precondition_checked(example, a, m):
+    L, f_idx = _precondition_example(example)
+    sigma = higher_homotopies(L, (f_idx,), 2)
+    assert not validate_homotopy_system(L, sigma, max_total=2)
+    box(sigma)
+    bad = HomotopySystem(L, sigma.findices,
+                         {b: dict(maps) for b, maps in sigma.maps.items()})
+    bad.set(a, m, _with_extra_term(sigma.get(a, m)))
     with pytest.raises(ContractViolation):
-        box(L, 2, bad_theta, tau)
+        box(bad)
 
 
 def test_box_second_syzygy_hilbert(F, fin):
@@ -306,10 +341,7 @@ def test_box_second_syzygy_hilbert(F, fin):
     L = fin.complex
     ring = F.ring
     f2 = ring.regseq[1]
-    sigma = higher_homotopies(L, (2,), 2)
-    theta = {i: sigma.get((1,), i) for i in range(0, 4)}
-    tau = {i: sigma.get((2,), i) for i in range(0, 2)}
-    bundle = box(L, 2, theta, tau)
+    bundle = box(higher_homotopies(L, (2,), 2))
     BX = bundle.complex
     table = graded_homology(with_extra_gens(BX, (f2,)), (0, 0), 8)
     # independent: dim Ker(d1 over S/(f2)) per degree
@@ -322,10 +354,7 @@ def test_box_second_syzygy_hilbert(F, fin):
 
 def test_box_unroll_converse(F, fin):
     L = fin.complex
-    sigma = higher_homotopies(L, (2,), 2)
-    theta = {i: sigma.get((1,), i) for i in range(0, 4)}
-    tau = {i: sigma.get((2,), i) for i in range(0, 2)}
-    bundle = box(L, 2, theta, tau)
+    bundle = box(higher_homotopies(L, (2,), 2))
     un, failures = box_unroll(bundle)
     assert not failures
     assert un.betti_list()[:3] == [3, 5, 2]
