@@ -6,16 +6,22 @@ Fractions when the characteristic is 0.  The degree pieces of graded maps
 are assembled in this form, and everything downstream (graded solves, rank
 counts, homology tables) funnels into one elimination on its rows.
 
-The kernels copy the rows of their input, reducing each value, since the
-elimination consumes them.  The forward pass visits the rows sparsest first
-and reduces each by the pivot row at its leading column until it vanishes or
-becomes a new pivot row, scaled to 1.  Back-substitution then clears each
-pivot row at the other pivot columns it contains, pivot columns taken from
-the right.  The reduced row echelon form is unique, so the order in which
-rows become pivots changes neither the result nor the pivot columns, and a
-rank needs the forward pass only.  The builders' and the verifier's matrices
-are almost all zeros, and the elimination never touches a zero that does not
-fill in.
+The kernels read the rows of their input in place and never write them: a
+row is copied the first time the elimination changes it.  Values are reduced
+as they are read, so raw ints (negative, >= p or multiples of p) are taken
+as they are.  The forward pass visits the rows sparsest first and reduces
+each by the pivot row at its leading column until it vanishes or becomes a
+new pivot row.  Pivot rows are not scaled: the inverse of a pivot entry is
+computed the first time a row is reduced by it, and a pivot row with one
+entry clears its column by deletion.  A rank needs the forward pass only,
+so it scales no row and inverts no pivot that no row uses.  For the reduced
+row echelon form each pivot row is then reduced and scaled to 1 once into a
+fresh dict, so no result shares a row with the input, and back-substitution
+clears each pivot row at the other pivot columns it contains, pivot columns
+taken from the right.  The reduced row echelon form is unique, so the order
+in which rows become pivots changes neither the result nor the pivot
+columns.  The builders' and the verifier's matrices are almost all zeros,
+and the elimination never touches a zero that does not fill in.
 """
 
 from __future__ import annotations
@@ -60,20 +66,6 @@ class SparseMatrix:
         return SparseMatrix((m, n + other.shape[1]), rows)
 
 
-def _copy(A, p):
-    """The nonzero rows of A as fresh dicts with the values reduced mod p
-    (Fractions when p is 0)."""
-    rows = []
-    for row in A.rows.values():
-        if p:
-            row = {j: y for j, x in row.items() if (y := x % p)}
-        else:
-            row = {j: Fraction(x) for j, x in row.items() if x}
-        if row:
-            rows.append(row)
-    return rows
-
-
 def _subtract(row, f, prow, p):
     """row -= f * prow in place, dropping the entries that cancel."""
     for j, w in prow.items():
@@ -83,35 +75,48 @@ def _subtract(row, f, prow, p):
         if x:
             row[j] = x
         else:
-            del row[j]
+            row.pop(j, None)
 
 
-def _scaled(row, c, p):
-    """row divided by its entry at column c."""
-    x = row[c]
-    if x == 1:
-        return row
-    if p:
-        inv = pow(x, -1, p)
-        return {j: y * inv % p for j, y in row.items()}
-    return {j: y / x for j, y in row.items()}
+def _inverse(x, p):
+    """1 / x mod p, or in Q when p is 0."""
+    return pow(x, -1, p) if p else 1 / Fraction(x)
 
 
 def _eliminate(rows, p, reduce=True):
-    """Echelon form of the given sparse rows (consumed) as {pivot column:
-    pivot row}, each pivot row scaled to 1 at its pivot column.  With
-    reduce, every pivot row is also cleared at the other pivot columns, so
-    the pivot rows are the nonzero rows of the reduced row echelon form."""
+    """Echelon form of the given sparse rows, read and never written, as
+    {pivot column: pivot row}.  Without reduce a pivot row may be an input
+    row, unscaled and unreduced, so only the columns count.  With reduce the
+    pivot rows are fresh dicts, the nonzero rows of the reduced row echelon
+    form."""
     pivots = {}
+    invs = {}  # inverses of the pivot entries that some row was reduced by
     for row in sorted(rows, key=len):
+        owned = False
         while row:
             c = min(row)
+            x = row[c] % p if p else row[c]
             prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = _scaled(row, c, p)
+            if x and prow is None:
+                pivots[c] = row
                 break
-            _subtract(row, row[c], prow, p)
+            if not owned:
+                row = dict(row)
+                owned = True
+            if not x or len(prow) == 1:
+                del row[c]
+                continue
+            inv = invs.get(c)
+            if inv is None:
+                inv = invs[c] = _inverse(prow[c], p)
+            _subtract(row, x * inv % p if p else x * inv, prow, p)
     if reduce:
+        for c, row in pivots.items():
+            inv = invs.get(c) or _inverse(row[c], p)
+            if p:
+                pivots[c] = {j: y for j, x in row.items() if (y := x * inv % p)}
+            else:
+                pivots[c] = {j: x * inv for j, x in row.items() if x}
         # pivot rows to the right of c are already reduced, so clearing row
         # c with them brings in no other pivot column
         for c in sorted(pivots, reverse=True):
@@ -128,7 +133,7 @@ def rref(A, p):
     the reduced nonzero rows in pivot order: row i is the pivot row of
     column piv_cols[i].
     """
-    pivots = _eliminate(_copy(A, p), p)
+    pivots = _eliminate(A.rows.values(), p)
     piv = sorted(pivots)
     return SparseMatrix(A.shape, {i: pivots[c] for i, c in enumerate(piv)}), piv
 
@@ -136,7 +141,7 @@ def rref(A, p):
 def rank(A, p):
     """Rank of A mod p (over Q when p is 0): the number of pivots of a
     forward elimination, with no back-substitution."""
-    return len(_eliminate(_copy(A, p), p, reduce=False))
+    return len(_eliminate(A.rows.values(), p, reduce=False))
 
 
 def solve_many(A, B, p):
@@ -149,7 +154,7 @@ def solve_many(A, B, p):
     """
     n = A.shape[1]
     k = B.shape[1]
-    pivots = _eliminate(_copy(A.hstack(B), p), p)
+    pivots = _eliminate(A.hstack(B).rows.values(), p)
     # a pivot in B makes every column its row touches inconsistent
     bad = set()
     for c, row in pivots.items():
@@ -172,7 +177,7 @@ def nullspace(A, p):
     is deterministic.
     """
     n = A.shape[1]
-    pivots = _eliminate(_copy(A, p), p)
+    pivots = _eliminate(A.rows.values(), p)
     free = [c for c in range(n) if c not in pivots]
     fidx = {c: j for j, c in enumerate(free)}
     one = 1 if p else Fraction(1)

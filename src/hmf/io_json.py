@@ -91,10 +91,13 @@ def ring_to_json(ring):
 def ring_from_json(obj, where="ring"):
     _require(isinstance(obj, dict), where, "expected an object")
     _require(obj.get("schema") == 1, where, "unsupported schema")
+    regseq = obj.get("regseq")
+    _require(isinstance(regseq, list) and all(isinstance(s, str) for s in regseq),
+             f"{where}.regseq", "expected a list of polynomial strings")
     try:
         field = Field(obj["field"])
         ring = GradedRing(field, [(n, d) for n, d in obj["vars"]])
-        ring.set_regseq([str(s) for s in obj["regseq"]])
+        ring.set_regseq(regseq)
     except (KeyError, TypeError, ValueError) as exc:  # RingError is a ValueError
         raise SchemaError(f"{where}: {exc}") from exc
     return ring

@@ -419,10 +419,11 @@ def box(sigma):
     higher_homotopies(Y, (f,), 2) returns it: theta_i = sigma_(1) and
     tau_i = sigma_(2) at source degree i.  The precondition is
     validate_homotopy_system(Y, sigma, max_total=2) on every degree of Y, so
-    it covers every map the box reads.  The result is the cone of theta_1
-    with the low head twisted by deg f; its sigma is the box's homotopy
-    system for f, whose component hb_i in box degree i >= 2 is
-    theta_{i+2}.
+    it covers every map the box reads; a map that sigma lacks, which the
+    checker skips, raises ContractViolation naming it.  The result is the
+    cone of theta_1 with the low head twisted by deg f; its sigma is the
+    box's homotopy system for f, whose component hb_i in box degree i >= 2
+    is theta_{i+2}.
     """
     Y = sigma.complex
     ring = Y.ring
@@ -432,11 +433,18 @@ def box(sigma):
     if failures:
         raise ContractViolation("; ".join(failures))
 
+    def homotopy(a, i):
+        got = sigma.get(a, i)
+        if got is None:
+            raise ContractViolation(
+                f"box needs sigma_{a} at source degree {i}, which is missing")
+        return got
+
     def theta(i):
-        return sigma.get((1,), i)
+        return homotopy((1,), i)
 
     def tau(i):
-        return sigma.get((2,), i)
+        return homotopy((2,), i)
 
     Yhigh = Y.truncate(2, max(Y.hi, 2)).shift(2)
     lowmods = {0: Y.module(0).shifted(q), 1: Y.module(1).shifted(q)}
@@ -474,12 +482,10 @@ def box(sigma):
             shift=q,
         )
     for i in range(2, BX.hi):
-        th = theta(i + 2)
-        if th is not None:
-            hb[i] = MatrixMap(
-                ring, BX.module(i), BX.module(i + 1), th.rows, Y.level, q,
-                check=False,
-            )
+        hb[i] = MatrixMap(
+            ring, BX.module(i), BX.module(i + 1), theta(i + 2).rows, Y.level, q,
+            check=False,
+        )
     head = (Y.module(2).rank, Y.module(0).rank, Y.module(3).rank,
             Y.module(1).rank)
     return ResolutionBundle(BX, sigma=HomotopySystem(BX, (f_idx,), {(1,): hb}),

@@ -520,6 +520,10 @@ def parse_poly(ring, s):
             i += 1
             continue
         if t == "*":
+            # a '*' joins two factors: one doubled, or first in its term,
+            # would silently turn x**2 into 2*x
+            if expect_factor or (cur_coeff is None and cur_expo is None):
+                raise RingError(f"misplaced '*' in {s!r}")
             expect_factor = True
             i += 1
             continue

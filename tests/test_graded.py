@@ -285,3 +285,24 @@ def test_only_quotient_pieces_lay_out_a_piece():
                         getattr(node.func, k, None) for k in ("id", "attr")}:
                     makers.add((fname, getattr(top, "name", None)))
     assert makers == {("graded.py", "pieces"), ("oracle.py", "graded_homology")}
+
+
+def test_only_the_kernels_eliminate():
+    # every elimination goes through the four public kernels (rref, rank,
+    # solve_many, nullspace), which perfbench's tracer wraps: no module may
+    # reach the private elimination itself, where the per-layer metrics
+    # would not see it
+    import ast
+    import os
+
+    import hmf
+
+    pkg = os.path.dirname(hmf.__file__)
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py") or fname == "_kernels.py":
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            names = {getattr(node, k, None) for k in ("id", "attr", "name")}
+            assert not names & {"_eliminate", "_subtract"}, (fname, node.lineno)

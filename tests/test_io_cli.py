@@ -386,6 +386,11 @@ MALFORMED = [
         ("hmf", ("flags", "generalized"), "no"),
         ("hmf", ("flags", "generalized"), 0),
         ("hmf", ("ring", "regseq", 0), 5),
+        # a doubled or a leading '*', and a string where a list of strings
+        # belongs
+        ("hmf", ("ring", "regseq", 0), "a**x"),
+        ("hmf", ("d_blocks", "1->1", 0, 0), "**a"),
+        ("hmf", ("ring", "regseq"), "a*x"),
         ("complex", ("modules", 0, "labels"), 5),
         ("complex", ("modules", 0, "labels"), ["g0"]),
         ("complex", ("modules", 0, "labels"), [1, 2, 3]),
@@ -436,6 +441,17 @@ def test_cli_duplicate_block_entry_exits_2(tmp_path, capsys):
         io_json.load(bad)
     assert main(["validate", bad]) == 2
     assert "second entry for p=1" in capsys.readouterr().err
+
+
+def test_cli_regseq_must_be_a_list_of_strings(tmp_path, capsys):
+    # a string is not read character by character: the error names the key
+    def edit(obj):
+        obj["ring"]["regseq"] = "x*z"
+
+    bad = _corpus_copy(tmp_path, "codim2_xz_y2", edit)
+    assert main(["validate", bad]) == 2
+    assert "ring.regseq: expected a list of polynomial strings" in (
+        capsys.readouterr().err)
 
 
 def test_cli_rational_coefficients_over_fp(tmp_path):

@@ -160,12 +160,21 @@ def check_kernels(A, p, B=None):
     assert dense(R, p).tolist() == R_ref
     assert piv == piv_ref
     assert _kernels.rank(S, p) == len(piv_ref)
-    assert dense(_kernels.nullspace(S, p), p).tolist() == reference_nullspace(A, p)
+    N = _kernels.nullspace(S, p)
+    assert dense(N, p).tolist() == reference_nullspace(A, p)
+    results = [R, N]
     if B is not None:
         ok, X = _kernels.solve_many(S, SB, p)
         ok_ref, X_ref = reference_solve_many(A, B, p)
         assert ok == ok_ref
         assert dense(X, p).tolist() == X_ref
+        results.append(X)
+    assert (S, SB) == (S0, SB0)
+    # no returned row is a row of the input: writing to them leaves it as it was
+    for M in results:
+        for row in M.rows.values():
+            row.clear()
+            row[-1] = 1
     assert (S, SB) == (S0, SB0)
 
 
@@ -269,6 +278,48 @@ def test_kernels_sparsest_row_is_not_the_first_pivot(data):
     nnz = (A != 0).sum(axis=1)
     assert int(np.argmin(nnz)) != 0 and nnz[0] > nnz[1:].max()
     check_kernels(A, P, image_and_noise(rng, A, P))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernels_singleton_heavy(data):
+    # one-entry rows, duplicates of them, denser rows through their columns
+    # and multiples of p at leading columns: a one-entry pivot row clears its
+    # column by deletion, and a leading entry that is 0 mod p is dropped
+    p = data.draw(st.sampled_from((2, 3, P, MAX_PRIME)))
+    m = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 10))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = np.zeros((m, n), dtype=np.int64)
+    for i in range(m):
+        kind = data.draw(st.sampled_from(("one", "one", "copy", "through", "p-lead")))
+        if kind == "one":
+            A[i, rng.integers(n)] = rng.integers(1, p) * rng.choice((-1, 1))
+        elif kind == "copy":
+            A[i] = A[rng.integers(i + 1)]  # row i itself is still zero
+        elif kind == "through":
+            A[i] = rng.integers(-p, p, n) * (rng.random(n) < 0.6)
+        else:
+            lead = int(rng.integers(n))
+            A[i, lead] = p * rng.integers(1, 3)
+            A[i, lead + 1:] = rng.integers(0, p, n - lead - 1) * (
+                rng.random(n - lead - 1) < 0.5)
+    check_kernels(A, p, image_and_noise(rng, A, p))
+
+
+def test_rank_over_q_plain_ints():
+    # at characteristic 0 rank reads plain ints as given: no Fraction is made
+    # of a pivot that no row is reduced by, and the input keeps its ints
+    rng = np.random.default_rng(7)
+    for m, n in [(1, 1), (4, 3), (6, 6), (5, 9), (9, 4)]:
+        A = rng.integers(-5, 6, (m, n)) * (rng.random((m, n)) < 0.6)
+        if m > 2:
+            A[-1] = 2 * A[0] - 3 * A[1]  # rank deficient
+        S = sparse(A)
+        S0 = copy.deepcopy(S)
+        assert _kernels.rank(S, 0) == len(reference_rref(A, 0)[1])
+        assert S == S0
+        assert all(type(x) is int for row in S.rows.values() for x in row.values())
 
 
 @given(st.data())

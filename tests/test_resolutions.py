@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import pytest
 from second_solution import second_solution
@@ -330,6 +331,25 @@ def test_box_precondition_checked(example, a, m):
                          {b: dict(maps) for b, maps in sigma.maps.items()})
     bad.set(a, m, _with_extra_term(sigma.get(a, m)))
     with pytest.raises(ContractViolation):
+        box(bad)
+
+
+@pytest.mark.parametrize("example, a, m", [
+    ("codim2_xa_yb", (1,), 1),  # theta_1, the cone's map
+    ("c5", (1,), 4),            # theta_4, read by the box's hb_2 only
+    ("koszul4", (2,), 1),       # tau_1
+], ids=["theta_1", "theta_4-c5", "tau_1-koszul4"])
+def test_box_missing_homotopy_raises(example, a, m):
+    # the checker skips an identity whose map is missing, so box must name
+    # the map itself rather than fail on None (or drop theta_{i+2})
+    L, f_idx = _precondition_example(example)
+    sigma = higher_homotopies(L, (f_idx,), 2)
+    bad = HomotopySystem(L, sigma.findices,
+                         {b: dict(maps) for b, maps in sigma.maps.items()})
+    del bad.maps[a][m]
+    assert bad.get(a, m) is None
+    assert not validate_homotopy_system(L, bad, max_total=2)
+    with pytest.raises(ContractViolation, match=re.escape(f"sigma_{a} at source degree {m},")):
         box(bad)
 
 

@@ -125,6 +125,14 @@ def test_caret_without_exponent(ring):
             ring.poly(s)
 
 
+def test_misplaced_star(ring):
+    # a doubled or leading '*' is an error, so x**2 is never read as 2*x
+    for s in ("x**2", "x**y", "**x", "*x", "a + *x", "x - **y", "2**x"):
+        with pytest.raises(RingError, match="misplaced"):
+            ring.poly(s)
+    assert ring.poly("2*x*y") == ring.poly("x*2*y")
+
+
 def test_char_zero_poly():
     ring = GradedRing.make(Field(0), [("x", 1), ("y", 1)], ["x*y"])
     p = ring.poly("1/2*x + y")
