@@ -7,8 +7,10 @@ peel, extract, strengthen) validates its factorization first, so invalid
 input exits 2 before any builder runs, as does a level (--p, --j,
 --f-index, or the default c) outside 1..c, an extract --syzygy index r
 whose degree r - 2 lies above the complex, or a numeric argument below
-its bound.  A gen-random profile (--c, --max-rank, --gamma) that no
-generated instance has exits 2 as well; running out of retries exits 1.
+its bound.  No builder takes a factorization with flags.generalized set,
+so these commands and suite exit 2 on one.  A gen-random profile (--c,
+--max-rank, --gamma) that no generated instance has exits 2 as well;
+running out of retries exits 1.
 Exit codes: 0 success/PASS, 1 validation failure, 2 input error.
 """
 
@@ -44,9 +46,17 @@ def _load_hmf(path):
     return obj
 
 
+def _not_generalized(F, path):
+    """F, unless it sets flags.generalized, which no builder takes."""
+    if F.generalized:
+        raise SchemaError(f"{path}: flags.generalized is set, and no "
+                          "builder takes a generalized factorization")
+    return F
+
+
 def _check_valid(F, path):
     """F, which the builders may only take once it validates."""
-    rep = validate_hmf(F)
+    rep = validate_hmf(_not_generalized(F, path))
     if not rep.ok:
         raise SchemaError(f"{path}: invalid factorization: {rep.failures[:1]}")
     return F
@@ -258,15 +268,12 @@ def cmd_strengthen(args):
 
 
 def cmd_suite(args):
-    F = _load_hmf(args.file)
+    F = _not_generalized(_load_hmf(args.file), args.file)
     rep = validate_hmf(F)
     rows = []
     reg_ok, reg_item = check_regular_sequence(F.ring, D=args.degree_bound)
     rows.append(reg_item)
-    rows.append(
-        CheckItem("factorization axioms", [], rep.failures,
-                  "PASS" if rep.ok else "FAIL")
-    )
+    rows.append(CheckItem.compare("factorization axioms", [], rep.failures))
     if rep.ok:
         rows.extend(
             formula_suite(F, steps=args.steps, D=args.degree_bound)

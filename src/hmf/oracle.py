@@ -11,15 +11,17 @@ composed as a polynomial map, never multiplied out as scalar matrices; when
 its entries lie in the ideal, as in a complex (tested entry by entry on the
 table's own QuotientPieces), its rank is 0 in every degree, and otherwise
 it is induced and ranked like any other map.  Nothing here calls the
-lifting solvers; formula checks compare closed-form rank data against the
-built resolutions, every Betti formula read off the one statement for
-S/(f_1..f_j), intermediate_betti_formula.
+lifting solvers; formula checks compare closed-form data against the built
+resolutions, every Betti formula a case of the one graded statement for
+S/(f_1..f_j), graded_betti_formula, and every equality row judged by the
+one verdict rule, CheckItem.compare.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import koszul_complex, two_term_complex
 from .factorization import presentation, signature, stability_rank_check
@@ -40,6 +42,12 @@ class CheckItem:
             "computed": self.computed,
             "verdict": self.verdict,
         }
+
+    @classmethod
+    def compare(cls, item, expected, computed):
+        """The row that passes exactly when computed == expected."""
+        return cls(item, expected, computed,
+                   "PASS" if computed == expected else "FAIL")
 
 
 def default_degree_bound(C):
@@ -114,12 +122,8 @@ def exactness_certificate(C, hom_range=None, D=None):
     D = default_degree_bound(C) if D is None else D
     table = graded_homology(C, (lo, hi), D)
     bad = homology_is_zero(table, (lo, hi), D)
-    return CheckItem(
-        f"exactness in degrees {lo}..{hi} up to internal degree {D}",
-        [],
-        bad,
-        "PASS" if not bad else "FAIL",
-    )
+    return CheckItem.compare(
+        f"exactness in degrees {lo}..{hi} up to internal degree {D}", [], bad)
 
 
 def hilbert_function(pres, D):
@@ -145,7 +149,7 @@ def check_regular_sequence(ring, D=None):
     """
     c = ring.codim
     if c == 0:
-        return True, CheckItem("regular sequence (empty)", [], [], "PASS")
+        return True, CheckItem.compare("regular sequence (empty)", [], [])
     K = koszul_complex(ring, tuple(range(1, c + 1)), level=0)
     maxtw = sum(ring.fdeg(j) for j in range(1, c + 1))
     warn = None
@@ -155,13 +159,9 @@ def check_regular_sequence(ring, D=None):
         warn = f"degree bound {D} below top Koszul twist {maxtw}"
     table = graded_homology(K, (1, c), D)
     bad = homology_is_zero(table, (1, c), D)
-    item = CheckItem(
+    item = CheckItem.compare(
         f"Koszul homology vanishes in degrees <= {D}"
-        + (f" ({warn})" if warn else ""),
-        [],
-        bad,
-        "PASS" if not bad else "FAIL",
-    )
+        + (f" ({warn})" if warn else ""), [], bad)
     return not bad, item
 
 
@@ -169,9 +169,45 @@ def check_regular_sequence(ring, D=None):
 # Closed-form rank data
 
 
+def graded_betti_formula(F, j, n):
+    """Graded Betti numbers over S/(f_1..f_j), 0 <= j <= c (S at j = 0, R at
+    j = c): one {twist: multiplicity} per homological degree i = 0..n.
+
+    A generator of B_s(p) with twist t contributes, for p <= j, the
+    divided-power twists t + sum_q a_q deg f_q over a_p + ... + a_j = z in
+    degree s + 2z, and for p > j the Koszul twists t + sum_{q in J} deg f_q
+    over J a subset of {j+1..p-1} in degree s + |J|.
+    """
+    fdeg = F.ring.fdeg
+    out = [{} for _ in range(n + 1)]
+    # (homological offset, internal shift) of each divided-power monomial
+    # y_p^(a_p)..y_j^(a_j) of offset <= n, built from those of y_{p+1}..y_j
+    powers = {j + 1: [(0, 0)]}
+    for p in range(j, 0, -1):
+        powers[p] = [(off + 2 * a, shift + a * fdeg(p))
+                     for off, shift in powers[p + 1]
+                     for a in range((n - off) // 2 + 1)]
+    for p in range(1, F.c + 1):
+        # and of each Koszul monomial e_J, J a subset of {j+1..p-1}
+        shifts = powers[p] if p <= j else [
+            (k, sum(fdeg(q) for q in J)) for k in range(p - j)
+            for J in combinations(range(j + 1, p), k)]
+        for s, B in ((0, F.b0[p]), (1, F.b1[p])):
+            for t in B.twists:
+                for off, shift in shifts:
+                    if s + off <= n:
+                        g = out[s + off]
+                        g[t + shift] = g.get(t + shift, 0) + 1
+    return out
+
+
+def intermediate_betti_formula(F, j, n):
+    """b_i for i = 0..n over S/(f_1..f_j): the ranks of the graded formula."""
+    return [sum(g.values()) for g in graded_betti_formula(F, j, n)]
+
+
 def finite_betti_formula(F):
-    """Coefficients of sum_p (1+x)^(p-1) (x rank B_1(p) + rank B_0(p)): the
-    formula over S = S/(f_1..f_0), trailing zeros dropped."""
+    """The ranks over S (j = 0), trailing zeros dropped."""
     out = intermediate_betti_formula(F, 0, F.c + 1)
     while out and out[-1] == 0:
         out.pop()
@@ -179,56 +215,8 @@ def finite_betti_formula(F):
 
 
 def infinite_betti_formula(F, n):
-    """b_i for i = 0..n over R = S/(f_1..f_c):  b_{2z} = sum_p C(c-p+z, c-p)
-    rank B_0(p), b_{2z+1} = sum_p C(c-p+z, c-p) rank B_1(p)."""
+    """b_i for i = 0..n over R = S/(f_1..f_c) (j = c)."""
     return intermediate_betti_formula(F, F.c, n)
-
-
-def intermediate_betti_formula(F, j, n):
-    """b_i for i = 0..n over S/(f_1..f_j), 0 <= j <= c (S at j = 0, R at
-    j = c): stages p > j contribute binomially, stages p <= j with
-    denominator (1-x^2)^(j-p+1)."""
-    c = F.c
-    out = []
-    for i in range(0, n + 1):
-        acc = 0
-        z = i // 2
-        for p in range(1, j + 1):
-            binom = math.comb(j - p + z, j - p)
-            acc += binom * (F.rank0(p) if i % 2 == 0 else F.rank1(p))
-        for p in range(j + 1, c + 1):
-            for s in (0, 1):
-                rank = F.rank1(p) if s else F.rank0(p)
-                if i - s >= 0 and i - s <= p - j - 1:
-                    acc += math.comb(p - j - 1, i - s) * rank
-        out.append(acc)
-    return out
-
-
-def graded_infinite_betti_formula(F, n):
-    """Graded refinement when all deg f_p agree: coefficient dictionaries
-    {internal degree: multiplicity} per homological degree."""
-    ring = F.ring
-    c = F.c
-    degs = {ring.fdeg(p) for p in range(1, c + 1)}
-    if len(degs) != 1:
-        raise ValueError("graded series needs equal element degrees")
-    q = degs.pop()
-    out = []
-    for i in range(0, n + 1):
-        z = i // 2
-        s = i % 2
-        acc = {}
-        for p in range(1, c + 1):
-            B = F.b1[p] if s else F.b0[p]
-            # choose z powers among chi_p..chi_c with repetition: each
-            # contributes internal degree q
-            mult = math.comb(c - p + z, c - p)
-            for t in B.twists:
-                key = t + q * z
-                acc[key] = acc.get(key, 0) + mult
-        out.append(acc)
-    return out
 
 
 def ext_dimension_counts(F):
@@ -247,12 +235,10 @@ def formula_suite(F, steps=None, D=None):
     from .resolutions import build_finite, build_infinite, build_intermediate
 
     ring = F.ring
-    items = []
     c = F.c
     steps = steps if steps is not None else max(2 * c + 2, 6)
     if F.is_trivial():
-        items.append(CheckItem("trivial factorization", [], [], "PASS"))
-        return items
+        return [CheckItem.compare("trivial factorization", [], [])]
     finite = build_finite(F)
     tower = build_infinite(F, steps)
     L = finite.complex
@@ -263,182 +249,87 @@ def formula_suite(F, steps=None, D=None):
     minimal = F.d.is_minimal() and all(
         F.h[p].is_minimal() for p in range(1, c + 1)
     )
+    items = []
     # rank formulas read Betti numbers, which requires minimality
     if minimal:
-        expect = finite_betti_formula(F)
-        got = betti(L) if L.is_minimal() else None
-        items.append(
-            CheckItem(
-                "finite resolution ranks match sum_p (1+x)^(p-1)(x b1 + b0)",
-                expect,
-                got,
-                "PASS" if got == expect else "FAIL",
-            )
-        )
-        expect = infinite_betti_formula(F, T.hi)
-        gotT = T.betti_list()
-        items.append(
-            CheckItem(
-                "quotient tower ranks match the two binomial polynomials",
-                expect,
-                gotT,
-                "PASS" if gotT == expect else "FAIL",
-            )
-        )
+        items.append(CheckItem.compare(
+            "finite resolution ranks match sum_p (1+x)^(p-1)(x b1 + b0)",
+            finite_betti_formula(F), betti(L) if L.is_minimal() else None))
+        items.append(CheckItem.compare(
+            "quotient tower ranks match the two binomial polynomials",
+            infinite_betti_formula(F, T.hi), T.betti_list()))
         for j in range(1, c):
-            Q = build_intermediate(F, j, steps, tower=tower)
-            expect = intermediate_betti_formula(F, j, Q.complex.hi)
-            got = Q.complex.betti_list()
-            items.append(
-                CheckItem(
-                    f"intermediate ranks over level {j} match the mixed formula",
-                    expect,
-                    got,
-                    "PASS" if got == expect else "FAIL",
-                )
-            )
+            Q = build_intermediate(F, j, steps, tower=tower).complex
+            items.append(CheckItem.compare(
+                f"intermediate ranks over level {j} match the mixed formula",
+                intermediate_betti_formula(F, j, Q.hi), Q.betti_list()))
     else:
         items.append(
             CheckItem("rank formulas (minimal factorizations only)",
                       None, None, "N-A")
         )
     # minimality equivalences
-    items.append(
-        CheckItem(
-            "minimal factorization iff minimal finite resolution",
-            minimal,
-            L.is_minimal(),
-            "PASS" if minimal == L.is_minimal() else "FAIL",
-        )
-    )
-    items.append(
-        CheckItem(
-            "minimal factorization iff minimal quotient tower",
-            minimal,
-            T.is_minimal(),
-            "PASS" if minimal == T.is_minimal() else "FAIL",
-        )
-    )
+    items.append(CheckItem.compare(
+        "minimal factorization iff minimal finite resolution",
+        minimal, L.is_minimal()))
+    items.append(CheckItem.compare(
+        "minimal factorization iff minimal quotient tower",
+        minimal, T.is_minimal()))
     # complexity / Betti degree
     sig = signature(F)
     if sig.gamma is not None:
-        eq = F.rank1(sig.gamma) == F.rank0(sig.gamma)
-        items.append(
-            CheckItem(
-                "top nonzero stage is square (Betti degree well defined)",
-                True,
-                eq,
-                "PASS" if eq else "FAIL",
-            )
-        )
+        items.append(CheckItem.compare(
+            "top nonzero stage is square (Betti degree well defined)",
+            True, F.rank1(sig.gamma) == F.rank0(sig.gamma)))
     # Ext dimension decomposition counts
     if minimal:
-        totalS = ext_dimension_counts(F)
-        gotS = sum(betti(L)) if L.is_minimal() else None
-        items.append(
-            CheckItem(
-                "exterior-algebra count equals total finite Betti sum",
-                totalS,
-                gotS,
-                "PASS" if gotS == totalS else "FAIL",
-            )
-        )
+        items.append(CheckItem.compare(
+            "exterior-algebra count equals total finite Betti sum",
+            ext_dimension_counts(F),
+            sum(betti(L)) if L.is_minimal() else None))
     # admissible-label count per stage (polynomial-ring decomposition)
     if tower.weights:
-        ok = True
-        for n in range(0, T.hi + 1):
-            wts = tower.weights.get(n, ())
-            if len(wts) != T.module(n).rank:
-                ok = False
-        items.append(
-            CheckItem(
-                "weight labels cover the tower basis",
-                True,
-                ok,
-                "PASS" if ok else "FAIL",
-            )
-        )
-    # graded series when degrees agree
-    degs = {ring.fdeg(p) for p in range(1, c + 1)}
-    if len(degs) == 1 and minimal:
-        expect = graded_infinite_betti_formula(F, T.hi)
-        got = []
-        for n in range(0, T.hi + 1):
-            tws = {}
-            for t in T.module(n).twists:
-                tws[t] = tws.get(t, 0) + 1
-            got.append(tws)
-        items.append(
-            CheckItem(
-                "graded tower twists match the graded series",
-                expect,
-                got,
-                "PASS" if expect == got else "FAIL",
-            )
-        )
+        items.append(CheckItem.compare(
+            "weight labels cover the tower basis", True,
+            all(len(tower.weights.get(n, ())) == T.module(n).rank
+                for n in range(0, T.hi + 1))))
+    # graded series: the tower's twists read off the graded formula at j = c
+    if minimal:
+        items.append(CheckItem.compare(
+            "graded tower twists match the graded series",
+            graded_betti_formula(F, c, T.hi),
+            [dict(Counter(T.module(n).twists)) for n in range(0, T.hi + 1)]))
     else:
-        items.append(
-            CheckItem("graded series (equal degrees only)", None, None, "N-A")
-        )
-    # projective dimension of the stages
-    pd_ok = True
-    for p in range(1, c + 1):
-        stage = finite.stages[p]
-        nonzero = any(F.rank1(qq) or F.rank0(qq) for qq in range(1, p + 1))
-        if nonzero and (stage.hi != p or stage.module(p).rank == 0):
-            top = max((i for i in range(stage.lo, stage.hi + 1)
-                       if stage.module(i).rank), default=0)
-            if top != p:
-                pd_ok = False
-    items.append(
-        CheckItem(
-            "stage p resolution has length exactly p",
-            True,
-            pd_ok,
-            "PASS" if pd_ok else "FAIL",
-        )
-    )
-    # no free summands: no zero row in the minimal presentation mod level
+        items.append(CheckItem("graded series (minimal factorizations only)",
+                               None, None, "N-A"))
+    # stages from the lowest nonzero one on: projective dimension exactly p,
+    # and no zero row in the presentation mod level p
+    low = next((p for p in range(1, c + 1) if F.rank1(p) or F.rank0(p)),
+               c + 1)
+    items.append(CheckItem.compare(
+        "stage p resolution has length exactly p", True,
+        all(max((i for i in range(S.lo, S.hi + 1) if S.rank(i)), default=0) == p
+            for p, S in finite.stages.items() if p >= low)))
     free_ok = True
-    for p in range(1, c + 1):
-        if not any(F.rank1(qq) or F.rank0(qq) for qq in range(1, p + 1)):
-            continue
+    for p in range(low, c + 1):
         pres, _ = presentation(F, p)
-        for i in range(pres.dst.rank):
-            # an absent row is a zero row
-            if all(ideal_membership(q, p) for q in pres.rows.get(i, {}).values()):
-                free_ok = False
-    items.append(
-        CheckItem(
-            "no zero row in any minimal stage presentation",
-            True,
-            free_ok,
-            "PASS" if free_ok else "FAIL",
-        )
-    )
+        # an absent row is a zero row
+        free_ok = free_ok and not any(
+            all(ideal_membership(q, p) for q in pres.rows.get(i, {}).values())
+            for i in range(pres.dst.rank))
+    items.append(CheckItem.compare(
+        "no zero row in any minimal stage presentation", True, free_ok))
     # augmented presentation shape
     _, aug = presentation(F, c)
-    expect_cols = F.A1(c).rank + sum(
-        (p - 1) * F.rank0(p) for p in range(1, c + 1)
-    )
-    items.append(
-        CheckItem(
-            "augmented presentation has d plus the element columns",
-            expect_cols,
-            aug.src.rank,
-            "PASS" if aug.src.rank == expect_cols else "FAIL",
-        )
-    )
+    items.append(CheckItem.compare(
+        "augmented presentation has d plus the element columns",
+        F.A1(c).rank + sum((p - 1) * F.rank0(p) for p in range(1, c + 1)),
+        aug.src.rank))
     # stability rank pattern (reported, not a validity failure)
     stab = stability_rank_check(F)
-    items.append(
-        CheckItem(
-            "pre-stability rank pattern",
-            "PASS",
-            "PASS" if stab.ok else f"FAIL: {stab.failures[:1]}",
-            "PASS" if stab.ok else "FAIL",
-        )
-    )
+    items.append(CheckItem.compare(
+        "pre-stability rank pattern", "PASS",
+        "PASS" if stab.ok else f"FAIL: {stab.failures[:1]}"))
     # homology certificates
     items.append(exactness_certificate(L, (1, L.hi), DL))
     items.append(exactness_certificate(T, (1, T.hi - 1), DT))
@@ -455,20 +346,9 @@ def formula_suite(F, steps=None, D=None):
                 kpoly[t] = kpoly.get(t, 0) + sign
             sign = -sign
         ring_hf = [pieces(ring, 0).dim((0,), e) for e in range(0, DL + 1)]
-        predicted = []
-        for e in range(0, DL + 1):
-            acc = 0
-            for t, mult in kpoly.items():
-                if 0 <= e - t <= DL:
-                    acc += mult * ring_hf[e - t]
-            predicted.append(acc)
-        got_hf = [hf[e] for e in range(0, DL + 1)]
-        items.append(
-            CheckItem(
-                "alternating twist sum reproduces the Hilbert function",
-                predicted,
-                got_hf,
-                "PASS" if predicted == got_hf else "FAIL",
-            )
-        )
+        predicted = [sum(mult * ring_hf[e - t] for t, mult in kpoly.items()
+                         if 0 <= e - t <= DL) for e in range(0, DL + 1)]
+        items.append(CheckItem.compare(
+            "alternating twist sum reproduces the Hilbert function",
+            predicted, [hf[e] for e in range(0, DL + 1)]))
     return items

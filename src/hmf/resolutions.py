@@ -120,9 +120,7 @@ def build_finite(F):
     A minimal factorization yields minimal stages.
     """
     if F.generalized:
-        raise ShapeError(
-            "generalized factorizations resolve through build_intermediate"
-        )
+        raise ShapeError("no builder takes a generalized factorization")
     top, stages = _koszul_cones(F, _zero_complex(F.ring))
     return ResolutionBundle(top, stages=stages)
 
@@ -186,9 +184,7 @@ def build_infinite(F, steps):
     """
     ring = F.ring
     if F.generalized:
-        raise ShapeError(
-            "generalized factorizations resolve through build_intermediate"
-        )
+        raise ShapeError("no builder takes a generalized factorization")
     if steps < 1:
         raise ShapeError("the quotient tower needs steps >= 1")
     stages = {}

@@ -515,6 +515,9 @@ def parse_poly(ring, s):
         if t == "+" or t == "-":
             if expect_factor:
                 raise RingError(f"dangling '*' in {s!r}")
+            # x--y would read as x - y, and a trailing sign would vanish
+            if i + 1 == len(tokens) or tokens[i + 1] in ("+", "-"):
+                raise RingError(f"sign without a term in {s!r}")
             flush()
             sign = 1 if t == "+" else -1
             i += 1

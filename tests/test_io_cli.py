@@ -391,6 +391,9 @@ MALFORMED = [
         ("hmf", ("ring", "regseq", 0), "a**x"),
         ("hmf", ("d_blocks", "1->1", 0, 0), "**a"),
         ("hmf", ("ring", "regseq"), "a*x"),
+        # a doubled or a trailing sign, once read as one sign or dropped
+        ("hmf", ("ring", "regseq", 0), "a*x-"),
+        ("hmf", ("d_blocks", "2->1", 0, 1), "--b"),
         ("complex", ("modules", 0, "labels"), 5),
         ("complex", ("modules", 0, "labels"), ["g0"]),
         ("complex", ("modules", 0, "labels"), [1, 2, 3]),
@@ -498,6 +501,22 @@ def test_cli_builders_validate_first(tmp_path, capsys, command, edit):
     bad = _corpus_copy(tmp_path, "codim2_xa_yb", edit)
     assert main(command + [bad]) == 2
     assert "invalid factorization" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["resolve-s"], ["resolve-r"],
+                                     ["intermediate", "--j", "1"], ["shamash"],
+                                     ["box"], ["peel"], ["extract"],
+                                     ["strengthen"], ["suite"]],
+                         ids=lambda argv: argv[0])
+def test_cli_generalized_flag_exits_2(tmp_path, capsys, command):
+    # no builder takes a generalized factorization: an input error that
+    # names the flag, not a solver failure that points to another builder
+    def generalize(obj):
+        obj["flags"]["generalized"] = True
+
+    bad = _corpus_copy(tmp_path, "micro_codim1", generalize)
+    assert main(command + [bad]) == 2
+    assert "flags.generalized" in capsys.readouterr().err
 
 
 # a valid factorization with c = 0: one variable, no blocks

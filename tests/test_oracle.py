@@ -1,19 +1,25 @@
 import pytest
 from augmented import with_extra_gens
+from hypothesis import given, settings, strategies as st
 
-from hmf.complexes import Complex, MatrixMap, koszul_complex
-from hmf.corpus import codim2_xa_yb, codim2_xz_y2, micro_codim1
+from hmf.complexes import Complex, FreeModule, MatrixMap, koszul_complex
+from hmf.corpus import GOLDEN_BUILDERS, codim2_xa_yb, codim2_xz_y2, micro_codim1
+from hmf.extract import prestable_certificate, syzygy_shift_check
+from hmf.factorization import HMF, validate_hmf
 from hmf.graded import SolveError
 from hmf.oracle import (
+    CheckItem,
     betti,
     check_regular_sequence,
     exactness_certificate,
     formula_suite,
+    graded_betti_formula,
     graded_homology,
     hilbert_function,
     homology_is_zero,
 )
-from hmf.resolutions import build_finite
+from hmf.randgen import _coupled_pair, gen_random_hmf
+from hmf.resolutions import build_finite, build_infinite, build_intermediate
 from hmf.ring import Field, GradedRing
 
 
@@ -160,6 +166,69 @@ def test_formula_suite_trivial():
     assert all(r.verdict == "PASS" for r in rows)
 
 
+def test_check_item_compare():
+    assert CheckItem.compare("empty", [], []).verdict == "PASS"
+    row = CheckItem.compare("ranks", [1, 2], [1, 3])
+    assert (row.expected, row.computed, row.verdict) == ([1, 2], [1, 3], "FAIL")
+
+
+def unequal_pair():
+    """The coupled pair of randgen over k[u1, v1, u2, v2] with deg v2 = 2, so
+    f = (u1 v1, u2 v2) has degrees (2, 3): B_1 twists (1, 1) and (2, 2),
+    B_0 twists (0, 0) and (1,)."""
+    ring = GradedRing(Field(), [("u1", 1), ("v1", 1), ("u2", 1), ("v2", 2)])
+    ring.set_regseq([ring.var("u1") * ring.var("v1"),
+                     ring.var("u2") * ring.var("v2")])
+    d, h = _coupled_pair(ring, 1, 2)
+    return HMF(ring, {1: FreeModule((1, 1)), 2: FreeModule((2, 2))},
+               {1: FreeModule((0, 0)), 2: FreeModule((1,))}, d, h)
+
+
+def assert_graded_formula_at_every_level(F, steps):
+    """graded_betti_formula(F, j, n) is the twist count of the builder for
+    each level j = 0..c: build_finite, build_intermediate, build_infinite."""
+    tower = build_infinite(F, steps)
+    for j in range(F.c + 1):
+        C = (build_finite(F) if j == 0
+             else build_intermediate(F, j, steps, tower=tower)).complex
+        got = graded_betti(C)
+        assert graded_betti_formula(F, j, C.hi) == [
+            got[i] for i in range(C.hi + 1)], j
+
+
+def test_graded_formula_unequal_degrees():
+    F = unequal_pair()
+    assert validate_hmf(F).ok
+    assert_graded_formula_at_every_level(F, 7)
+    # over R: y_1 and y_2 raise the twist by 2 and by 3
+    assert graded_betti_formula(F, 2, 2) == [{0: 2, 1: 1}, {1: 2, 2: 2},
+                                             {2: 2, 3: 2, 4: 1}]
+    # over S: stage 2 crosses the Koszul generator of f_1, of degree 2
+    assert graded_betti_formula(F, 0, 3) == [{0: 2, 1: 1}, {1: 2, 2: 2, 3: 1},
+                                             {4: 2}, {}]
+
+
+def test_formula_suite_unequal_degrees():
+    F = unequal_pair()
+    rows = formula_suite(F, steps=6, D=6)
+    assert all(r.verdict == "PASS" for r in rows), [
+        (r.item, r.verdict) for r in rows if r.verdict != "PASS"]
+    assert "graded tower twists match the graded series" in {r.item for r in rows}
+    assert all(r.verdict == "PASS" for r in prestable_certificate(F))
+    assert all(r.verdict == "PASS" for r in syzygy_shift_check(F))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDERS))
+def test_graded_formula_on_the_corpus(name):
+    assert_graded_formula_at_every_level(GOLDEN_BUILDERS[name](), 6)
+
+
+@given(seed=st.integers(0, 10**6), c=st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_graded_formula_on_random_factorizations(seed, c):
+    assert_graded_formula_at_every_level(gen_random_hmf(seed, c=c), 5)
+
+
 def _flip_sign(L):
     """L with the first nonzero entry of d_2, in row-major order, negated."""
     d = L.diff(2)
@@ -173,15 +242,10 @@ def _flip_sign(L):
 
 
 def _random_finite(seed, c):
-    from hmf.randgen import gen_random_hmf
-
     return build_finite(gen_random_hmf(seed, c=c)).complex
 
 
 def _random_tower(seed, c):
-    from hmf.randgen import gen_random_hmf
-    from hmf.resolutions import build_infinite
-
     return build_infinite(gen_random_hmf(seed, c=c), 4).complex
 
 

@@ -133,6 +133,16 @@ def test_misplaced_star(ring):
     assert ring.poly("2*x*y") == ring.poly("x*2*y")
 
 
+def test_sign_without_a_term(ring):
+    # x--y was read as x - y, a trailing sign was dropped, and a lone sign
+    # was read as 0
+    for s in ("x--y", "x-", "-", "+", "x+-y", "a - + x"):
+        with pytest.raises(RingError, match="sign without a term"):
+            ring.poly(s)
+    assert ring.poly("-x + y") == ring.poly("y") - ring.poly("x")
+    assert ring.poly("+x") == ring.poly("x")
+
+
 def test_char_zero_poly():
     ring = GradedRing.make(Field(0), [("x", 1), ("y", 1)], ["x*y"])
     p = ring.poly("1/2*x + y")
