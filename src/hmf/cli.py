@@ -12,12 +12,18 @@ so these commands and suite exit 2 on one.  A gen-random profile (--c,
 --max-rank, --gamma) that no generated instance has exits 2 as well;
 running out of retries exits 1.
 Exit codes: 0 success/PASS, 1 validation failure, 2 input error.
+
+The table _COMMANDS gives each subcommand its help and the options its
+cmd_<name> function reads; any other option exits 2.  The parser is built
+from it on the first call to main, not at import, and kept for the
+process.  main dispatches by name, to the module attribute cmd_<name> at
+call time, so the parser holds no function and a rebound cmd_* is called.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 from . import io_json
@@ -91,7 +97,7 @@ def _at_least(lo):
 
 def _emit(args, payload):
     text = io_json.dumps(payload)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -99,7 +105,7 @@ def _emit(args, payload):
 
 
 def _maybe_tex(args, C):
-    if getattr(args, "tex", None):
+    if args.tex:
         with open(args.tex, "w") as fh:
             fh.write(io_json.complex_to_tex(C))
 
@@ -304,91 +310,75 @@ def cmd_gen_random(args):
     return 0
 
 
-def main(argv=None):
+# Options shared by several commands: (flags, argparse keywords).
+_FILE = (("file",), {})
+_OUTPUT = (("-o", "--output"), {"help": "write JSON output here"})
+_TEX = (("--tex",), {"help": "write a TeX arrow diagram here"})
+_BOUND = (("--degree-bound",), {"type": _at_least(0), "default": None,
+                                "help": "internal degree bound for certificates"})
+_P = (("--p",), {"type": int, "default": None})
+
+
+def _steps(default):
+    return (("--steps",), {"type": _at_least(1), "default": default})
+
+
+# One row per subcommand: its name, its help and the options that
+# cmd_<name> reads, so argparse rejects any other option with exit 2.
+_COMMANDS = (
+    ("validate", "check the factorization axioms", (_FILE, _OUTPUT, _BOUND)),
+    ("resolve-s", "finite resolution over the base ring",
+     (_FILE, _OUTPUT, _TEX, _BOUND)),
+    ("resolve-r", "truncated resolution over the quotient",
+     (_FILE, _OUTPUT, _TEX, _BOUND, _steps(9))),
+    ("intermediate", "resolution over a partial quotient",
+     (_FILE, (("--j",), {"type": int, "required": True}), _OUTPUT, _TEX,
+      _BOUND, _steps(8))),
+    ("shamash", "divided-power stage of the tower",
+     (_FILE, _P, _OUTPUT, _TEX, _steps(8))),
+    ("box", "box complex of the finite resolution",
+     (_FILE, (("--f-index",), {"type": int, "default": None}), _OUTPUT, _TEX,
+      _BOUND)),
+    ("peel", "invert the divided-power construction",
+     (_FILE, _P, _OUTPUT, _steps(8))),
+    ("extract", "extract a factorization from syzygy data",
+     (_FILE, (("--syzygy",), {"type": _at_least(2), "default": 2}),
+      (("--trace",), {"help": "write the extraction trace here"}), _OUTPUT,
+      _steps(None))),
+    ("strengthen", "upgrade h to exact homotopy data", (_FILE, _OUTPUT)),
+    ("suite", "run every formula and certificate check",
+     (_FILE, (("--strict-stability",), {"action": "store_true"}),
+      (("--junit",), {"help": "write a JUnit XML report here"}), _OUTPUT,
+      _BOUND, _steps(8))),
+    ("gen-random", "generate a random valid factorization",
+     ((("--seed",), {"type": int, "required": True}),
+      (("--c",), {"type": _at_least(1), "default": 2}),
+      (("--max-rank",), {"type": _at_least(1), "default": 3}),
+      (("--gamma",), {"type": int, "default": None}), _OUTPUT)),
+)
+
+
+@functools.cache
+def _parser():
+    """The parser of _COMMANDS, built once per process on first use."""
     ap = argparse.ArgumentParser(
         prog="hmf",
         description="Exact higher matrix factorization toolkit",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+    return ap
 
-    def common(p, steps_default=None):
-        p.add_argument("-o", "--output", help="write JSON output here")
-        p.add_argument("--tex", help="write a TeX arrow diagram here")
-        p.add_argument("--degree-bound", type=_at_least(0), default=None,
-                       help="internal degree bound for certificates")
-        if steps_default is not None:
-            p.add_argument("--steps", type=_at_least(1), default=steps_default)
 
-    p = sub.add_parser("validate", help="check the factorization axioms")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("resolve-s", help="finite resolution over the base ring")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_resolve_s)
-
-    p = sub.add_parser("resolve-r", help="truncated resolution over the quotient")
-    p.add_argument("file")
-    common(p, steps_default=9)
-    p.set_defaults(func=cmd_resolve_r)
-
-    p = sub.add_parser("intermediate", help="resolution over a partial quotient")
-    p.add_argument("file")
-    p.add_argument("--j", type=int, required=True)
-    common(p, steps_default=8)
-    p.set_defaults(func=cmd_intermediate)
-
-    p = sub.add_parser("shamash", help="divided-power stage of the tower")
-    p.add_argument("file")
-    p.add_argument("--p", type=int, default=None)
-    common(p, steps_default=8)
-    p.set_defaults(func=cmd_shamash)
-
-    p = sub.add_parser("box", help="box complex of the finite resolution")
-    p.add_argument("file")
-    p.add_argument("--f-index", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_box)
-
-    p = sub.add_parser("peel", help="invert the divided-power construction")
-    p.add_argument("file")
-    p.add_argument("--p", type=int, default=None)
-    common(p, steps_default=8)
-    p.set_defaults(func=cmd_peel)
-
-    p = sub.add_parser("extract", help="extract a factorization from syzygy data")
-    p.add_argument("file")
-    p.add_argument("--syzygy", type=_at_least(2), default=2)
-    p.add_argument("--trace", help="write the extraction trace here")
-    common(p, steps_default=None)
-    p.add_argument("--steps", type=_at_least(1), default=None)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("strengthen", help="upgrade h to exact homotopy data")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_strengthen)
-
-    p = sub.add_parser("suite", help="run every formula and certificate check")
-    p.add_argument("file")
-    p.add_argument("--strict-stability", action="store_true")
-    p.add_argument("--junit", help="write a JUnit XML report here")
-    common(p, steps_default=8)
-    p.set_defaults(func=cmd_suite)
-
-    p = sub.add_parser("gen-random", help="generate a random valid factorization")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--c", type=_at_least(1), default=2)
-    p.add_argument("--max-rank", type=_at_least(1), default=3)
-    p.add_argument("--gamma", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_gen_random)
-
-    args = ap.parse_args(argv)
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    # looked up by name at call time, so a rebound cmd_* is the one called
+    cmd = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return cmd(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ import ast
 import importlib
 import inspect
 import json
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,3 +68,30 @@ def test_benchmark_entry_points_resolve():
     # both files are read: a call from each
     assert {"oracle.finite_betti_formula", "_kernels.backend_name"} <= used
     assert not missing, f"benchmark calls with no function of that name: {missing}"
+
+
+def _perfbench_module(name):
+    """perfbench/<name>.py, compiled from its source so that no bytecode
+    cache is written under perfbench/."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    mod = types.ModuleType(f"perfbench_{name}")
+    mod.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+def test_tracer_sees_cli_commands_after_the_parser_is_built(tmp_path):
+    # the traced pass follows an untraced one: a command the parser reached
+    # through a stored function object would escape its span
+    import hmf.cli as cli
+
+    path = str(ROOT / "corpus" / "codim2_xa_yb.json")
+    assert cli.main(["validate", path, "-o", str(tmp_path / "a.json")]) == 0
+    tracer = _perfbench_module("tracer")
+    rec = tracer.Recorder()
+    inst = tracer.install(rec)
+    try:
+        assert cli.main(["validate", path, "-o", str(tmp_path / "b.json")]) == 0
+    finally:
+        inst.uninstall()
+    assert rec.calls("cli.cmd_validate") == 1

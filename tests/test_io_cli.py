@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -569,6 +570,76 @@ def test_cli_argument_out_of_range_exits_2(tmp_path, capsys, name, argv):
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# options that each of these commands never reads
+UNREAD_OPTIONS = (
+    [(command, "--tex") for command in ("validate", "peel", "extract",
+                                        "strengthen", "suite", "gen-random")]
+    + [(command, "--degree-bound") for command in ("shamash", "peel", "extract",
+                                                   "strengthen", "gen-random")])
+
+
+@pytest.mark.parametrize("command,option", UNREAD_OPTIONS)
+def test_cli_unread_option_exits_2(tmp_path, command, option):
+    # an option the command would ignore is rejected, not accepted silently
+    tex = tmp_path / "out.tex"
+    value = str(tex) if option == "--tex" else "4"
+    target = (["--seed", "1"] if command == "gen-random"
+              else [golden_path("codim2_xa_yb")])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, option, value, "-o", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert not tex.exists()
+
+
+def test_cli_options_per_command():
+    from hmf.cli import _parser
+
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in p._actions if a.dest != "help"
+                            for s in a.option_strings)
+               for name, p in sub.choices.items()}
+    assert options == {
+        "validate": ["--degree-bound", "--output", "-o"],
+        "resolve-s": ["--degree-bound", "--output", "--tex", "-o"],
+        "resolve-r": ["--degree-bound", "--output", "--steps", "--tex", "-o"],
+        "intermediate": ["--degree-bound", "--j", "--output", "--steps",
+                         "--tex", "-o"],
+        "shamash": ["--output", "--p", "--steps", "--tex", "-o"],
+        "box": ["--degree-bound", "--f-index", "--output", "--tex", "-o"],
+        "peel": ["--output", "--p", "--steps", "-o"],
+        "extract": ["--output", "--steps", "--syzygy", "--trace", "-o"],
+        "strengthen": ["--output", "-o"],
+        "suite": ["--degree-bound", "--junit", "--output", "--steps",
+                  "--strict-stability", "-o"],
+        "gen-random": ["--c", "--gamma", "--max-rank", "--output", "--seed",
+                       "-o"],
+    }
+
+
+def test_cli_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process: a value given in one call is not
+    # the default of the next
+    path = golden_path("codim2_xa_yb")
+    assert main(["resolve-r", path, "--steps", "3", "-o", os.devnull]) == 0
+    assert main(["resolve-r", path, "-o", os.devnull]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("betti:")]
+    assert [len(line.split()) - 1 for line in lines] == [4, 10]
+
+
+def test_cli_valid_call_after_a_rejected_one(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["resolve-r", golden_path("codim2_xa_yb"), "--steps", "0"])
+    assert exc.value.code == 2
+    with open(DIGESTS) as fh:
+        want = json.load(fh)["codim2_xa_yb.resolve-r"]
+    report = tmp_path / "report.json"
+    assert main(["resolve-r", golden_path("codim2_xa_yb"), "-o", str(report),
+                 "--steps", "5"]) == want["exit"] == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == want["sha256"]
 
 
 def _leaves(obj, path=()):

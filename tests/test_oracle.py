@@ -3,7 +3,13 @@ from augmented import with_extra_gens
 from hypothesis import given, settings, strategies as st
 
 from hmf.complexes import Complex, FreeModule, MatrixMap, koszul_complex
-from hmf.corpus import GOLDEN_BUILDERS, codim2_xa_yb, codim2_xz_y2, micro_codim1
+from hmf.corpus import (
+    GOLDEN_BUILDERS,
+    codim2_xa_yb,
+    codim2_xz_y2,
+    load_golden,
+    micro_codim1,
+)
 from hmf.extract import prestable_certificate, syzygy_shift_check
 from hmf.factorization import HMF, validate_hmf
 from hmf.graded import SolveError
@@ -216,6 +222,26 @@ def test_formula_suite_unequal_degrees():
     assert "graded tower twists match the graded series" in {r.item for r in rows}
     assert all(r.verdict == "PASS" for r in prestable_certificate(F))
     assert all(r.verdict == "PASS" for r in syzygy_shift_check(F))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDERS))
+def test_formula_suite_builds_each_presentation_once(name, monkeypatch):
+    # the zero-row loop, the augmented-shape row and the Hilbert row share
+    # the level-c presentation
+    from hmf import oracle
+
+    F = load_golden(name)
+    levels = []
+    presentation = oracle.presentation
+
+    def recording_presentation(F, p):
+        levels.append(p)
+        return presentation(F, p)
+
+    monkeypatch.setattr(oracle, "presentation", recording_presentation)
+    formula_suite(F, steps=6, D=4)
+    low = next(p for p in range(1, F.c + 1) if F.rank1(p) or F.rank0(p))
+    assert sorted(levels) == list(range(low, F.c + 1))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BUILDERS))
