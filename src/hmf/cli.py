@@ -7,10 +7,10 @@ peel, extract, strengthen) validates its factorization first, so invalid
 input exits 2 before any builder runs, as does a level (--p, --j,
 --f-index, or the default c) outside 1..c, an extract --syzygy index r
 whose degree r - 2 lies above the complex, or a numeric argument below
-its bound.  No builder takes a factorization with flags.generalized set,
-so these commands and suite exit 2 on one.  A gen-random profile (--c,
---max-rank, --gamma) that no generated instance has exits 2 as well;
-running out of retries exits 1.
+its bound.  Every command, validate included, exits 2 on a factorization
+file whose flags ask for a level-0 slot: the reader refuses it.  A
+gen-random profile (--c, --max-rank, --gamma) that no generated instance
+has exits 2 as well; running out of retries exits 1.
 Exit codes: 0 success/PASS, 1 validation failure, 2 input error.
 
 The table _COMMANDS gives each subcommand its help and the options its
@@ -52,17 +52,9 @@ def _load_hmf(path):
     return obj
 
 
-def _not_generalized(F, path):
-    """F, unless it sets flags.generalized, which no builder takes."""
-    if F.generalized:
-        raise SchemaError(f"{path}: flags.generalized is set, and no "
-                          "builder takes a generalized factorization")
-    return F
-
-
 def _check_valid(F, path):
     """F, which the builders may only take once it validates."""
-    rep = validate_hmf(_not_generalized(F, path))
+    rep = validate_hmf(F)
     if not rep.ok:
         raise SchemaError(f"{path}: invalid factorization: {rep.failures[:1]}")
     return F
@@ -274,7 +266,7 @@ def cmd_strengthen(args):
 
 
 def cmd_suite(args):
-    F = _not_generalized(_load_hmf(args.file), args.file)
+    F = _load_hmf(args.file)
     rep = validate_hmf(F)
     rows = []
     reg_ok, reg_item = check_regular_sequence(F.ring, D=args.degree_bound)
@@ -311,16 +303,22 @@ def cmd_gen_random(args):
 
 
 # Options shared by several commands: (flags, argparse keywords).
-_FILE = (("file",), {})
+_FILE = (("file",), {"help": "factorization JSON file (extract also takes "
+                             "a complex)"})
 _OUTPUT = (("-o", "--output"), {"help": "write JSON output here"})
 _TEX = (("--tex",), {"help": "write a TeX arrow diagram here"})
 _BOUND = (("--degree-bound",), {"type": _at_least(0), "default": None,
                                 "help": "internal degree bound for certificates"})
-_P = (("--p",), {"type": int, "default": None})
+_P = (("--p",), {"type": int, "default": None,
+                 "help": "tower level, 1..c (default c)"})
 
 
-def _steps(default):
-    return (("--steps",), {"type": _at_least(1), "default": default})
+def _steps(default, shown=None):
+    """--steps with default, which the help shows (or shown, when the
+    command computes it)."""
+    return (("--steps",), {"type": _at_least(1), "default": default,
+                           "help": "homological degrees to build (default "
+                                   f"{shown or default})"})
 
 
 # One row per subcommand: its name, its help and the options that
@@ -332,29 +330,44 @@ _COMMANDS = (
     ("resolve-r", "truncated resolution over the quotient",
      (_FILE, _OUTPUT, _TEX, _BOUND, _steps(9))),
     ("intermediate", "resolution over a partial quotient",
-     (_FILE, (("--j",), {"type": int, "required": True}), _OUTPUT, _TEX,
-      _BOUND, _steps(8))),
+     (_FILE, (("--j",), {"type": int, "required": True,
+                         "help": "quotient level j of R(j), 1..c"}),
+      _OUTPUT, _TEX, _BOUND, _steps(8))),
     ("shamash", "divided-power stage of the tower",
      (_FILE, _P, _OUTPUT, _TEX, _steps(8))),
     ("box", "box complex of the finite resolution",
-     (_FILE, (("--f-index",), {"type": int, "default": None}), _OUTPUT, _TEX,
-      _BOUND)),
+     (_FILE, (("--f-index",), {"type": int, "default": None,
+                               "help": "index of the element f, 1..c "
+                                       "(default c)"}),
+      _OUTPUT, _TEX, _BOUND)),
     ("peel", "invert the divided-power construction",
      (_FILE, _P, _OUTPUT, _steps(8))),
     ("extract", "extract a factorization from syzygy data",
-     (_FILE, (("--syzygy",), {"type": _at_least(2), "default": 2}),
+     (_FILE, (("--syzygy",), {"type": _at_least(2), "default": 2,
+                              "help": "syzygy index r >= 2; degree r - 2 "
+                                      "must lie in the complex (default "
+                                      "%(default)s)"}),
       (("--trace",), {"help": "write the extraction trace here"}), _OUTPUT,
-      _steps(None))),
+      _steps(None, "2c + 4"))),
     ("strengthen", "upgrade h to exact homotopy data", (_FILE, _OUTPUT)),
     ("suite", "run every formula and certificate check",
-     (_FILE, (("--strict-stability",), {"action": "store_true"}),
+     (_FILE, (("--strict-stability",),
+              {"action": "store_true",
+               "help": "also exit 1 when the ranks are not pre-stable"}),
       (("--junit",), {"help": "write a JUnit XML report here"}), _OUTPUT,
       _BOUND, _steps(8))),
     ("gen-random", "generate a random valid factorization",
-     ((("--seed",), {"type": int, "required": True}),
-      (("--c",), {"type": _at_least(1), "default": 2}),
-      (("--max-rank",), {"type": _at_least(1), "default": 3}),
-      (("--gamma",), {"type": int, "default": None}), _OUTPUT)),
+     ((("--seed",), {"type": int, "required": True,
+                     "help": "random seed; equal seeds give equal files"}),
+      (("--c",), {"type": _at_least(1), "default": 2,
+                  "help": "codimension c >= 1 (default %(default)s)"}),
+      (("--max-rank",), {"type": _at_least(1), "default": 3,
+                         "help": "bound on the rank of each block "
+                                 "(default %(default)s)"}),
+      (("--gamma",), {"type": int, "default": None,
+                      "help": "least level p with B_1(p) != 0, c - 1 or c "
+                              "(default: drawn from the seed)"}),
+      _OUTPUT)),
 )
 
 

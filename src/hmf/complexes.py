@@ -559,7 +559,7 @@ def koszul_components(idxs, n):
     return comps
 
 
-def koszul_tensor(idxs, B, level=None):
+def koszul_tensor(idxs, B):
     """K(f_{i1},...,f_{im}) tensor B for a two-term complex B.
 
     Components of degree n are e_J tensor B_s with |J| + s = n; the Koszul
@@ -569,7 +569,7 @@ def koszul_tensor(idxs, B, level=None):
     B = [0 -> S].
     """
     ring = B.ring
-    level = B.level if level is None else level
+    level = B.level
     idxs = tuple(idxs)
     b = B.diff(1)
     m = len(idxs)
@@ -625,7 +625,7 @@ def koszul_complex(ring, idxs, level=0):
     koszul_tensor over the complex 0 -> S, truncated to [0, m]."""
     S = two_term_complex(
         ring, MatrixMap.zero(ring, ZERO_MODULE, FreeModule((0,)), level), level)
-    return koszul_tensor(idxs, S, level).truncate(0, len(idxs))
+    return koszul_tensor(idxs, S).truncate(0, len(idxs))
 
 
 class MissingBlock(ShapeError):

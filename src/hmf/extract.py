@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .complexes import Complex, FreeModule, MatrixMap, ShapeError, ZERO_MODULE
 from .factorization import HMF, Report, validate_hmf
-from .lifting import Obstruction, ci_from_lifting, higher_homotopies, lift_step
+from .lifting import Obstruction, higher_homotopies, lift_step
 from .resolutions import PeelError, peel
 
 
@@ -68,15 +68,14 @@ class ExtractionTrace:
 
 
 def _descent_step(C, cc):
-    """One descent level: the CI operators of C, peeled with the top one.
+    """One descent level: C peeled with its top CI operator.
 
     Returns (peel result, degree->=2 tail of the kernel, reindexed from 0).
     peel ranks the scalar part of the top operator, so an operator that is
     not surjective fails pre-stability at codimension cc.
     """
-    tilde = ci_from_lifting(C)
     try:
-        pr = peel(C, t=tilde[cc])
+        pr = peel(C)
     except PeelError as exc:
         raise PreStabilityError(cc, str(exc)) from exc
     G = pr.kernel
@@ -312,7 +311,7 @@ def strengthen(F):
         fid = MatrixMap.poly_times_identity(
             ring, ring.regseq[p - 1], L.module(0), 0
         )
-        X, = lift_step(L.diff(1), [fid], 0, "strengthen", 0, [f"stage {p}"])
+        X, = lift_step(L.diff(1), [fid], "strengthen", 0, [f"stage {p}"])
         labels = L.module(1).all_labels()
         a1_rows = {}
         ext_rows = {}
@@ -329,7 +328,7 @@ def strengthen(F):
                 continue
             raise ShapeError(f"unrecognized finite-resolution label {lab!r}")
         cols = list(range(X.src.rank))
-        new_h[p] = X.submatrix([a1_rows[(qlev, k)] for qlev in range(0, p + 1)
+        new_h[p] = X.submatrix([a1_rows[(qlev, k)] for qlev in range(1, p + 1)
                                 for k in range(F.rank1(qlev))], cols).rows
         ext = {}
         for (i, w), rowmap in sorted(ext_rows.items()):
@@ -344,17 +343,8 @@ def strengthen(F):
                 check=False,
             )
         ext_all[p] = ext
-    out = HMF(
-        F.ring,
-        F.b1,
-        F.b0,
-        F.d.rows,
-        new_h,
-        generalized=F.generalized,
-        strong_ext=ext_all,
-        c=F.c,
-    )
-    return out
+    return HMF(F.ring, F.b1, F.b0, F.d.rows, new_h, strong_ext=ext_all,
+               c=F.c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """The higher matrix factorization data type and its validators.
 
 An HMF is stored in split form: free modules B_s(p) for s in {0,1} and
-p = 1..c (a slot p = 0 appears in the generalized variant), a filtered map
-d: A_1 -> A_0 with A_s(p) the sum of the B_s(q) for q <= p, and homotopy
-blocks h_p: A_0(p) -> A_1(p).  The defining congruences are
+p = 1..c, a filtered map d: A_1 -> A_0 with A_s(p) the sum of the B_s(q)
+for q <= p, and homotopy blocks h_p: A_0(p) -> A_1(p).  The defining congruences are
 
   (a)  d_p h_p = f_p Id           mod (f_1..f_{p-1}) A_0(p)
   (b)  pi_p h_p d_p = f_p pi_p    mod (f_1..f_{p-1}) B_1(p)
@@ -44,28 +43,24 @@ def _block_label(s, p, k):
 class HMF:
     """Split-form higher matrix factorization over a graded ring.
 
-    b1[p], b0[p] (p = 0..c; slot 0 is zero unless generalized) give the
-    twists of B_1(p), B_0(p).  d holds the rows of a single matrix
-    A_1 -> A_0 in the concatenated bases ordered by p, and h[p] those of the
-    block map A_0(p) -> A_1(p), in the layout of MatrixMap.rows.
+    b1[p], b0[p] (p = 1..c, a missing level being zero) give the twists of
+    B_1(p), B_0(p).  d holds the rows of a single matrix A_1 -> A_0 in the
+    concatenated bases ordered by p, and h[p] those of the block map
+    A_0(p) -> A_1(p), in the layout of MatrixMap.rows.
     """
 
-    def __init__(self, ring, b1, b0, d, h, generalized=False,
-                 strong_ext=None, c=None):
+    def __init__(self, ring, b1, b0, d, h, strong_ext=None, c=None):
         self.ring = ring
         self.c = ring.codim if c is None else c
         if self.c > ring.codim:
             raise ShapeError("HMF codimension exceeds the regular sequence")
-        b1 = dict(b1)
-        b0 = dict(b0)
-        self.generalized = generalized
+        if not set(b1) | set(b0) <= set(self.levels()):
+            raise ShapeError(f"blocks B(p) outside levels 1..{self.c}")
         self.b1 = {}
         self.b0 = {}
-        for p in range(0, self.c + 1):
+        for p in self.levels():
             m1 = b1.get(p, ZERO_MODULE)
             m0 = b0.get(p, ZERO_MODULE)
-            if p == 0 and not generalized and (m1.rank or m0.rank):
-                raise ShapeError("slot p=0 requires the generalized flag")
             self.b1[p] = FreeModule(
                 m1.twists, tuple(_block_label(1, p, k) for k in range(m1.rank))
             )
@@ -84,13 +79,13 @@ class HMF:
     # -- module bookkeeping
 
     def levels(self):
-        return range(0, self.c + 1)
+        return range(1, self.c + 1)
 
     def A1(self, p):
-        return FreeModule.concat([self.b1[q] for q in range(0, p + 1)])
+        return FreeModule.concat([self.b1[q] for q in range(1, p + 1)])
 
     def A0(self, p):
-        return FreeModule.concat([self.b0[q] for q in range(0, p + 1)])
+        return FreeModule.concat([self.b0[q] for q in range(1, p + 1)])
 
     def rank1(self, p):
         return self.b1[p].rank
@@ -99,10 +94,10 @@ class HMF:
         return self.b0[p].rank
 
     def off1(self, p):
-        return sum(self.rank1(q) for q in range(0, p))
+        return sum(self.rank1(q) for q in range(1, p))
 
     def off0(self, p):
-        return sum(self.rank0(q) for q in range(0, p))
+        return sum(self.rank0(q) for q in range(1, p))
 
     def is_trivial(self):
         return all(self.rank1(p) == 0 and self.rank0(p) == 0 for p in self.levels())
@@ -110,9 +105,8 @@ class HMF:
     # -- distinguished blocks
 
     def d_p(self, p):
-        rows = range(0, self.off0(p) + self.rank0(p))
-        cols = range(0, self.off1(p) + self.rank1(p))
-        return self.d.submatrix(list(rows), list(cols))
+        return self.d.submatrix(list(range(self.off0(p + 1))),
+                                list(range(self.off1(p + 1))))
 
     def block(self, q, qp):
         """The block of d from B_1(q) to B_0(qp)."""
@@ -210,17 +204,10 @@ def truncate_hmf(F, p):
     """The codimension-p factorization (d_p, (h_1|...|h_p)); same ring."""
     if not (0 <= p <= F.c):
         raise ShapeError("truncation level out of range")
-    b1 = {q: F.b1[q] for q in range(0, p + 1)}
-    b0 = {q: F.b0[q] for q in range(0, p + 1)}
-    return HMF(
-        F.ring,
-        b1,
-        b0,
-        F.d_p(p).rows,
-        {q: F.h[q].rows for q in range(1, p + 1)},
-        generalized=F.generalized,
-        c=p,
-    )
+    b1 = {q: F.b1[q] for q in range(1, p + 1)}
+    b0 = {q: F.b0[q] for q in range(1, p + 1)}
+    return HMF(F.ring, b1, b0, F.d_p(p).rows,
+               {q: F.h[q].rows for q in range(1, p + 1)}, c=p)
 
 
 def presentation(F, p):
@@ -231,10 +218,6 @@ def presentation(F, p):
     row (the Koszul columns of the finite resolution).
     """
     ring = F.ring
-    if p == 0:
-        if not F.generalized:
-            raise ShapeError("p = 0 presentation needs the generalized flag")
-        return F.b_block(0).with_level(0), F.b_block(0)
     dp = F.d_p(p)
     pres = dp.with_level(p)
     rows = {i: dict(row) for i, row in dp.rows.items()}
@@ -409,7 +392,7 @@ def change_of_generators_hmf(F, alpha):
     d2 = migrate_map(ring2, F.d).rows
     h2 = {p: migrate_map(ring2, F.h[p].scale(alpha[p - 1][p - 1])).rows
           for p in range(1, c + 1)}
-    return HMF(ring2, F.b1, F.b0, d2, h2, generalized=F.generalized, c=c)
+    return HMF(ring2, F.b1, F.b0, d2, h2, c=c)
 
 
 def change_of_generators_complex(C, tilde, alpha):

@@ -4,6 +4,10 @@ Polynomials serialize as strings in the fixed grammar (`coef*var^e*...`
 terms joined by + and -, graded-reverse-lexicographic order); rings,
 complexes, and factorizations as JSON objects.  Serialization is
 deterministic: dictionaries are dumped with sorted keys.
+
+A factorization file has blocks B(p) and d-blocks "q->q'" for levels 1..c
+only.  Its writer always writes the flag of a level-0 slot as false, and
+its reader refuses a file that sets it.
 """
 
 from __future__ import annotations
@@ -94,9 +98,12 @@ def ring_from_json(obj, where="ring"):
     regseq = obj.get("regseq")
     _require(isinstance(regseq, list) and all(isinstance(s, str) for s in regseq),
              f"{where}.regseq", "expected a list of polynomial strings")
+    variables = _key(obj, "vars", list, where)
+    _require(all(isinstance(v, list) and len(v) == 2 for v in variables),
+             f"{where}.vars", "expected a list of [name, degree] pairs")
     try:
         field = Field(obj["field"])
-        ring = GradedRing(field, [(n, d) for n, d in obj["vars"]])
+        ring = GradedRing(field, variables)
         ring.set_regseq(regseq)
     except (KeyError, TypeError, ValueError) as exc:  # RingError is a ValueError
         raise SchemaError(f"{where}: {exc}") from exc
@@ -169,8 +176,8 @@ def complex_from_json(obj, where="complex"):
 
 def hmf_to_json(F):
     d_blocks = {}
-    for q in range(0 if F.generalized else 1, F.c + 1):
-        for qp in range(0 if F.generalized else 1, q + 1):
+    for q in F.levels():
+        for qp in range(1, q + 1):
             blk = F.block(q, qp)
             if blk.src.rank and blk.dst.rank:
                 d_blocks[f"{q}->{qp}"] = blk.str_rows()
@@ -188,12 +195,12 @@ def hmf_to_json(F):
                 "B1": list(F.b1[p].twists),
                 "B0": list(F.b0[p].twists),
             }
-            for p in range(0 if F.generalized else 1, F.c + 1)
+            for p in F.levels()
         ],
         "d_blocks": d_blocks,
         "h_blocks": h_blocks,
         "flags": {
-            "generalized": F.generalized,
+            "generalized": False,
             "strong": bool(F.strong_ext),
         },
     }
@@ -214,34 +221,33 @@ def hmf_from_json(obj, where="hmf"):
     ring = ring_from_json(_key(obj, "ring", dict, where), where + ".ring")
     c = _key(obj, "c", int, where)
     _require(c >= 0, where, "'c' must be nonnegative")
-    generalized = _key(_key(obj, "flags", dict, where, {}), "generalized",
-                       bool, where + ".flags", False)
+    _require(not _key(_key(obj, "flags", dict, where, {}), "generalized",
+                      bool, where + ".flags", False), where,
+             "flags.generalized is set; a factorization has levels 1..c only")
     b1 = {}
     b0 = {}
     for k, rec in enumerate(_key(obj, "B", list, where)):
         at = f"{where}.B[{k}]"
         p = _key(rec, "p", int, at)
-        _require(0 <= p <= c, at, "'p' out of range")
+        _require(1 <= p <= c, at, "'p' out of range")
         _require(p not in b1, at, f"second entry for p={p}")
         b1[p] = FreeModule(_twists(rec, "B1", at))
         b0[p] = FreeModule(_twists(rec, "B0", at))
-    mods1 = [b1.get(p, ZERO_MODULE) for p in range(0, c + 1)]
-    mods0 = [b0.get(p, ZERO_MODULE) for p in range(0, c + 1)]
-    # blocks[qp][q]: the block of d from B_1(q) to B_0(qp)
-    blocks = [[None] * (c + 1) for _ in range(c + 1)]
+    mods1 = [b1.get(p, ZERO_MODULE) for p in range(1, c + 1)]
+    mods0 = [b0.get(p, ZERO_MODULE) for p in range(1, c + 1)]
+    # blocks[qp - 1][q - 1]: the block of d from B_1(q) to B_0(qp)
+    blocks = [[None] * c for _ in range(c)]
     for key, blk in _key(obj, "d_blocks", dict, where, {}).items():
         at = f"{where}.d_blocks[{key}]"
         q, qp = _ints(key, 2, "->", at)
-        _require(0 <= qp <= q <= c, at, "filtration violated")
+        _require(1 <= qp <= q <= c, at, f"not a block q->q' of the "
+                 f"filtration, 1 <= q' <= q <= {c}")
+        src, dst = mods1[q - 1], mods0[qp - 1]
         blk = _poly_rows(ring, blk, at)
-        _require(
-            len(blk) == mods0[qp].rank
-            and all(len(r) == mods1[q].rank for r in blk),
-            at,
-            "block shape mismatch",
-        )
-        blocks[qp][q] = MatrixMap.from_strings(ring, mods1[q], mods0[qp], blk,
-                                               check=False)
+        _require(len(blk) == dst.rank and all(len(r) == src.rank for r in blk),
+                 at, "block shape mismatch")
+        blocks[qp - 1][q - 1] = MatrixMap.from_strings(ring, src, dst, blk,
+                                                       check=False)
     d = MatrixMap.from_blocks(ring, blocks, mods1, mods0)
     h_blocks = _key(obj, "h_blocks", dict, where, {})
     stages = [str(p) for p in range(1, c + 1)]
@@ -253,13 +259,13 @@ def hmf_from_json(obj, where="hmf"):
         _require(str(p) in h_blocks, where, f"missing h block {p}")
         try:
             h[p] = MatrixMap.from_strings(
-                ring, FreeModule.concat(mods0[:p + 1]),
-                FreeModule.concat(mods1[:p + 1]),
+                ring, FreeModule.concat(mods0[:p]),
+                FreeModule.concat(mods1[:p]),
                 _poly_rows(ring, h_blocks[str(p)], at), check=False).rows
         except ShapeError as exc:
             raise SchemaError(f"{at}: {exc}") from exc
     try:
-        F = HMF(ring, b1, b0, d.rows, h, generalized=generalized, c=c)
+        F = HMF(ring, b1, b0, d.rows, h, c=c)
     except Exception as exc:
         raise SchemaError(f"{where}: {exc}") from exc
     ext_all = {}

@@ -54,12 +54,13 @@ def _residual_bug(kind, degree, detail, residual, level):
                      f"{degree}{where}, entry {bad}")
 
 
-def _lift_outcomes(d, Cs, level, kind, degree, details, Xs):
+def _lift_outcomes(d, Cs, kind, degree, details, Xs):
     """Per right-hand side of lift_step: X, None when d has no source, or
     the Obstruction or SolverBug that right-hand side fails with.  Xs, when
     given, may prescribe some X, which are then verified, not solved; the
     others are the X of solve_factorization (its W_m are dropped), and every
     X is re-substituted."""
+    level = d.level
     details = details or [""] * len(Cs)
     Xs = list(Xs or [None] * len(Cs))
     out = [None] * len(Cs)
@@ -84,9 +85,9 @@ def _lift_outcomes(d, Cs, level, kind, degree, details, Xs):
     return out
 
 
-def lift_step(d, Cs, level, kind, degree, details=None):
+def lift_step(d, Cs, kind, degree, details=None):
     """The degreewise step of every builder: per C in Cs, X with d X = C
-    modulo (f_1..f_level).
+    modulo (f_1..f_level), the level of d.
 
     The right-hand sides share d and are solved together; details, when
     given, runs parallel to Cs.  When d has no source there is nothing to
@@ -95,7 +96,7 @@ def lift_step(d, Cs, level, kind, degree, details=None):
     side raises Obstruction(kind, degree) when it has no solution and
     SolverBug when d X - C leaves the ideal.
     """
-    out = _lift_outcomes(d, Cs, level, kind, degree, details, None)
+    out = _lift_outcomes(d, Cs, kind, degree, details, None)
     for got in out:
         if isinstance(got, Exception):
             raise got
@@ -146,7 +147,7 @@ def nullhomotopy(W, Y, a, gamma):
         g = gamma.get(i)
         C = MatrixMap.combine(Y.ring, W.module(i - a), Y.module(i), Y.level, shift,
                               terms, [(1, g)] if g is not None else [])
-        X, = lift_step(Y.diff(i + 1), [C], Y.level, "nullhomotopy", i)
+        X, = lift_step(Y.diff(i + 1), [C], "nullhomotopy", i)
         if X is not None:
             alpha[i + 1] = X
     return alpha
@@ -212,8 +213,8 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None):
             if not batch:
                 continue
             out = _lift_outcomes(
-                G.diff(tgt_deg), [acc for _, acc in batch], G.level,
-                "higher homotopy", m, [f"index {a}" for a, _ in batch],
+                G.diff(tgt_deg), [acc for _, acc in batch], "higher homotopy",
+                m, [f"index {a}" for a, _ in batch],
                 [start.get((a, m)) for a, _ in batch])
             for (a, _), X in zip(batch, out):
                 if isinstance(X, Exception):
@@ -238,7 +239,7 @@ def koszul_extension(psi0, B, L, idxs):
     unsolvable slot raises Obstruction naming J.
     """
     ring = L.ring
-    KB = koszul_tensor(idxs, B, level=L.level)
+    KB = koszul_tensor(idxs, B)
     X = {(): psi0}  # X_J, by exterior monomial J
     phi = {}
     for j in range(0, len(idxs) + 1):
@@ -266,7 +267,7 @@ def koszul_extension(psi0, B, L, idxs):
                 batch.append((k, J, MatrixMap.combine(
                     ring, mods[k], L.module(j - 1), L.level, 0, terms)))
         if batch:
-            got = lift_step(L.diff(j), [C for _, _, C in batch], L.level,
+            got = lift_step(L.diff(j), [C for _, _, C in batch],
                             "koszul extension", j,
                             [f"slot e_{J}" for _, J, _ in batch])
             for (k, J, _), XJ in zip(batch, got):
@@ -367,8 +368,8 @@ def homotopy_comparison(phi0, sigma, sigmap, max_m):
                 continue
             acc = MatrixMap.combine(G.ring, G.module(v), Gp.module(tgt - 1),
                                     Gp.level, m * q, terms)
-            X, = lift_step(Gp.diff(tgt), [acc], Gp.level, "homotopy comparison",
-                           v, [f"m={m}"])
+            X, = lift_step(Gp.diff(tgt), [acc], "homotopy comparison", v,
+                           [f"m={m}"])
             if X is not None:
                 phis[m][v] = X
     return phis

@@ -121,9 +121,9 @@ def _assemble(ring, c, placements, rng):
         for q, block in hp.items():
             _put(h[q], block, col1, col0)
     b1 = {p: FreeModule((1,) * sum(g[0] == p for g in gens1))
-          for p in range(c + 1)}
+          for p in range(1, c + 1)}
     b0 = {p: FreeModule((0,) * sum(g[0] == p for g in gens0))
-          for p in range(c + 1)}
+          for p in range(1, c + 1)}
     return HMF(ring, b1, b0, d, h)
 
 
@@ -143,7 +143,7 @@ def _inverse(g, degree, failure):
     the message failure when g is not invertible."""
     ident = MatrixMap.identity(g.ring, g.src, 0)
     try:
-        inv, = lift_step(g, [ident], 0, "randgen basis change", degree)
+        inv, = lift_step(g, [ident], "randgen basis change", degree)
     except Obstruction as exc:
         raise GenerationFailed(failure) from exc
     # on a module of rank 0 lift_step has nothing to solve for, and the

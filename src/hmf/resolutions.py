@@ -119,8 +119,6 @@ def build_finite(F):
     every intermediate resolution (stage p resolves the level-p module).
     A minimal factorization yields minimal stages.
     """
-    if F.generalized:
-        raise ShapeError("no builder takes a generalized factorization")
     top, stages = _koszul_cones(F, _zero_complex(F.ring))
     return ResolutionBundle(top, stages=stages)
 
@@ -183,8 +181,6 @@ def build_infinite(F, steps):
     differential of the top stage is the concatenated h-block map, exactly.
     """
     ring = F.ring
-    if F.generalized:
-        raise ShapeError("no builder takes a generalized factorization")
     if steps < 1:
         raise ShapeError("the quotient tower needs steps >= 1")
     stages = {}
@@ -298,7 +294,7 @@ def peel(C, t=None):
             )
         ident = MatrixMap.identity(ring, C.module(i - 2), p - 1)
         try:
-            sections[i], = lift_step(ti.relevel(p - 1), [ident], p - 1,
+            sections[i], = lift_step(ti.relevel(p - 1), [ident],
                                      "peel section", i)
         except Obstruction as exc:
             raise PeelError(f"no section for the CI operator at degree {i}") from exc
@@ -348,7 +344,7 @@ def peel(C, t=None):
         phi = MatrixMap.from_blocks(ring, [cols], mods, [C.module(i)], p - 1)
         ident = MatrixMap.identity(ring, C.module(i), p - 1)
         try:
-            inv, = lift_step(phi, [ident], p - 1, "peel basis change", i)
+            inv, = lift_step(phi, [ident], "peel basis change", i)
         except Obstruction as exc:
             raise SolverBug("basis change not invertible") from exc
         # kernel-block rows of the inverse

@@ -62,7 +62,7 @@ class Field:
         if not (type(char) is int
                 and (char == 0 or char <= MAX_PRIME and _is_prime(char))):
             raise RingError("field characteristic must be 0 or a prime at most "
-                            f"{MAX_PRIME}, got {char}")
+                            f"{MAX_PRIME}, got {char!r}")
         self.char = char
 
     def __eq__(self, other):

@@ -1,6 +1,6 @@
 import pytest
 
-from hmf.complexes import FreeModule, MatrixMap
+from hmf.complexes import FreeModule, MatrixMap, ShapeError
 from hmf.corpus import codim2_xa_yb, codim2_xz_y2, codim3_shifted, micro_codim1
 from hmf.factorization import (
     HMF,
@@ -67,6 +67,17 @@ def test_truncate(F):
     assert F2.d.entries == F.d.entries
     F31 = truncate_hmf(codim2_xz_y2(), 1)
     assert validate_hmf(F31).ok
+    # levels start at 1, so level 0 is the empty factorization
+    F0 = truncate_hmf(F, 0)
+    assert (F0.c, F0.d.src.rank, F0.d.dst.rank) == (0, 0, 0)
+    assert validate_hmf(F0).ok
+
+
+def test_blocks_outside_levels_rejected():
+    ring = GradedRing.make(Field(), [("x", 1)], ["x^2"])
+    with pytest.raises(ShapeError):
+        HMF(ring, {0: FreeModule((1,))}, {0: FreeModule((0,))},
+            {0: {0: ring.poly("x")}}, {1: {}})
 
 
 def test_presentation_display(F):
@@ -142,29 +153,6 @@ def _remap(ring2, q):
     from hmf.ring import Poly
 
     return Poly(ring2, dict(q.terms))
-
-
-def test_generalized_variant():
-    # a slot-0 pair with b_0 and no h_0: axioms still checked at p >= 1
-    ring = GradedRing.make(Field(), [("x", 1), ("y", 1)], ["x^2"])
-    P = ring.poly
-    b1 = {0: FreeModule((1,)), 1: FreeModule((1,))}
-    b0 = {0: FreeModule((0,)), 1: FreeModule((0,))}
-    d = {0: {0: P("x")}, 1: {1: P("x")}}
-    h = {1: {0: {0: P("x")}, 1: {1: P("x")}}}
-    G = HMF(ring, b1, b0, d, h, generalized=True)
-    rep = validate_hmf(G)
-    assert rep.ok, rep.failures
-    pres0, aug0 = presentation(G, 0)
-    assert pres0.entries[0][0] == P("x")
-    # the slot-0 blocks require the flag
-    with pytest.raises(Exception):
-        HMF(ring, b1, b0, d, h, generalized=False)
-    from hmf.resolutions import build_finite
-    from hmf.complexes import ShapeError
-
-    with pytest.raises(ShapeError):
-        build_finite(G)
 
 
 def test_change_of_generators_complex_swap_and_random(F):

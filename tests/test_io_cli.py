@@ -386,6 +386,10 @@ MALFORMED = [
         ("hmf", ("ring", "vars", 0, 1), True),
         ("hmf", ("flags", "generalized"), "no"),
         ("hmf", ("flags", "generalized"), 0),
+        # a level-0 slot: a factorization has levels 1..c only
+        ("hmf", ("flags", "generalized"), True),
+        ("hmf", ("d_blocks", "0->0"), []),
+        ("hmf", ("B", 0, "p"), 0),
         ("hmf", ("ring", "regseq", 0), 5),
         # a doubled or a leading '*', and a string where a list of strings
         # belongs
@@ -458,6 +462,24 @@ def test_cli_regseq_must_be_a_list_of_strings(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("vars", [["a", 1, 2], ["b", 1], ["x", 1], ["y", 1]],
+     "ring.vars: expected a list of [name, degree] pairs"),
+    ("vars", [["a", 1], "b", ["x", 1], ["y", 1]],
+     "ring.vars: expected a list of [name, degree] pairs"),
+    ("field", "7", "got '7'"),
+])
+def test_cli_malformed_ring_message(tmp_path, capsys, key, value, message):
+    # the message names what is wrong, not Python's unpacking or a value
+    # that prints like the integer it is not
+    def edit(obj):
+        obj["ring"][key] = value
+
+    bad = _corpus_copy(tmp_path, "codim2_xa_yb", edit)
+    assert main(["validate", bad]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_rational_coefficients_over_fp(tmp_path):
     # 1/2*a + 1/2*a is a over F_32003, so the report is the original's
     def halves(obj):
@@ -504,14 +526,14 @@ def test_cli_builders_validate_first(tmp_path, capsys, command, edit):
     assert "invalid factorization" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["resolve-s"], ["resolve-r"],
+@pytest.mark.parametrize("command", [["validate"], ["resolve-s"], ["resolve-r"],
                                      ["intermediate", "--j", "1"], ["shamash"],
                                      ["box"], ["peel"], ["extract"],
                                      ["strengthen"], ["suite"]],
                          ids=lambda argv: argv[0])
 def test_cli_generalized_flag_exits_2(tmp_path, capsys, command):
-    # no builder takes a generalized factorization: an input error that
-    # names the flag, not a solver failure that points to another builder
+    # a factorization has levels 1..c only: the reader refuses the flag of
+    # a level-0 slot, an input error that names the flag
     def generalize(obj):
         obj["flags"]["generalized"] = True
 
@@ -617,6 +639,24 @@ def test_cli_options_per_command():
         "gen-random": ["--c", "--gamma", "--max-rank", "--output", "--seed",
                        "-o"],
     }
+
+
+def test_cli_every_option_has_help():
+    # a user learns each default and range from --help, not from the source
+    from hmf.cli import _parser
+
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    bare = [(name, a.dest) for name, p in sub.choices.items()
+            for a in p._actions if a.dest != "help" and not a.help]
+    assert bare == []
+    steps = {name: next(a.help for a in p._actions if a.dest == "steps")
+             for name, p in sub.choices.items()
+             if any(a.dest == "steps" for a in p._actions)}
+    assert {name: h[h.index("(default"):] for name, h in steps.items()} == {
+        "resolve-r": "(default 9)", "intermediate": "(default 8)",
+        "shamash": "(default 8)", "peel": "(default 8)",
+        "extract": "(default 2c + 4)", "suite": "(default 8)"}
 
 
 def test_cli_parser_keeps_no_state_between_calls(capsys):
