@@ -110,6 +110,15 @@ class Descent:
             self._levels[cc] = (C, pr, tail)
         return self._levels[cc]
 
+    def check_base(self):
+        """The codimension-0 condition: complex(0) vanishes above degree 1
+        (the syzygy of the base is zero); raises PreStabilityError(0)."""
+        C = self.complex(0)
+        bad = [i for i in range(2, C.hi + 1) if C.module(i).rank]
+        if bad:
+            raise PreStabilityError(
+                0, f"syzygy nonzero: base complex has rank at degrees {bad}")
+
 
 def _as_descent(inp):
     return inp if isinstance(inp, Descent) else Descent(inp)
@@ -134,12 +143,7 @@ def check_prestable(inp):
                          f"through degree {C.hi}")
             if pr.report:
                 raise PreStabilityError(cc, f"peel failed: {pr.report[:1]}")
-        C = descent.complex(0)
-        bad = [i for i in range(2, C.hi + 1) if C.module(i).rank]
-        if bad:
-            raise PreStabilityError(
-                0, f"syzygy nonzero: base complex has rank at degrees {bad}"
-            )
+        descent.check_base()
         items.append("codimension 0: zero syzygy")
     except (PreStabilityError, Obstruction) as exc:
         failures.append(str(exc))
@@ -160,10 +164,7 @@ def extract_hmf(inp):
 
     def rec(cc):
         if cc == 0:
-            C = descent.complex(0)
-            bad = [i for i in range(2, C.hi + 1) if C.module(i).rank]
-            if bad:
-                raise PreStabilityError(0, f"nonzero base at degrees {bad}")
+            descent.check_base()
             d = MatrixMap.zero(ring, ZERO_MODULE, ZERO_MODULE)
             return {"b1": {}, "b0": {}, "d": d, "h": {}}
         C, pr, _ = descent.level(cc)

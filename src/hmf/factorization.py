@@ -361,6 +361,15 @@ def clone_ring_with_regseq(ring, new_regseq):
     return ring2
 
 
+def _ring_along(ring, alpha):
+    """Fresh ring whose regular sequence is f' = alpha f, f'_i =
+    sum_j alpha[i][j] f_j over the c = len(alpha) first elements."""
+    f = ring.regseq
+    return clone_ring_with_regseq(ring, [
+        sum((f[j].scale(row[j]) for j in range(len(alpha))), ring.zero())
+        for row in alpha])
+
+
 def change_of_generators_hmf(F, alpha):
     """Transform an HMF along f'_p = sum_{j<=p} alpha[p][j] f_j.
 
@@ -382,13 +391,7 @@ def change_of_generators_hmf(F, alpha):
                 raise RingError(
                     "unsupported in graded mode: mixing generators of unequal degree"
                 )
-    new_regseq = []
-    for i in range(c):
-        acc = ring.zero()
-        for j in range(i + 1):
-            acc = acc + ring.regseq[j].scale(alpha[i][j])
-        new_regseq.append(acc)
-    ring2 = clone_ring_with_regseq(ring, new_regseq)
+    ring2 = _ring_along(ring, alpha)
     d2 = migrate_map(ring2, F.d).rows
     h2 = {p: migrate_map(ring2, F.h[p].scale(alpha[p - 1][p - 1])).rows
           for p in range(1, c + 1)}
@@ -414,13 +417,7 @@ def change_of_generators_complex(C, tilde, alpha):
     ok, nu = fld.solve_many(AT, eye)
     if not all(bool(x) for x in ok):
         raise RingError("alpha is not invertible")
-    new_regseq = []
-    for i in range(c):
-        acc = ring.zero()
-        for j in range(c):
-            acc = acc + ring.regseq[j].scale(alpha[i][j])
-        new_regseq.append(acc)
-    ring2 = clone_ring_with_regseq(ring, new_regseq)
+    ring2 = _ring_along(ring, alpha)
     from .complexes import Complex
 
     mods = dict(C.modules)

@@ -101,11 +101,13 @@ def ring_from_json(obj, where="ring"):
     variables = _key(obj, "vars", list, where)
     _require(all(isinstance(v, list) and len(v) == 2 for v in variables),
              f"{where}.vars", "expected a list of [name, degree] pairs")
+    _require(all(isinstance(v[0], str) for v in variables),
+             f"{where}.vars", "variable names must be strings")
+    _require("field" in obj, where, "missing key 'field'")
     try:
-        field = Field(obj["field"])
-        ring = GradedRing(field, variables)
+        ring = GradedRing(Field(obj["field"]), variables)
         ring.set_regseq(regseq)
-    except (KeyError, TypeError, ValueError) as exc:  # RingError is a ValueError
+    except (TypeError, ValueError) as exc:  # RingError is a ValueError
         raise SchemaError(f"{where}: {exc}") from exc
     return ring
 

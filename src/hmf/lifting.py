@@ -1,16 +1,20 @@
 """Degreewise lifting and homotopy solvers.
 
 Every existence statement used by the resolution builders (chain-map
-extensions across Koszul complexes, homotopies for multiplication by f,
-systems of higher homotopies, CI operators from a lifting, homotopy
-comparison maps) reduces to solving  d X = C  modulo a prefix ideal, one
-homological degree at a time.  Gradedness forces the degrees of all
-unknowns, so each step is a finite linear system; solutions are chosen
-deterministically (first pivot, free variables zero) and re-substituted
-into their defining equations before being returned.  Right-hand sides of
-one map that do not depend on each other (the multi-indices of one order
-in a homotopy system, the Koszul slots of one size) are solved together,
-so each degree piece of the map is eliminated once for all of them.
+extensions across Koszul complexes, systems of higher homotopies, whose
+order 1 is the homotopy for multiplication by f, CI operators from a
+lifting, homotopy comparison maps) reduces to solving  d X = C  modulo a
+prefix ideal, one homological degree at a time.  Gradedness forces the
+degrees of all unknowns, so each step is a finite linear system; solutions
+are chosen deterministically (first pivot, free variables zero) and
+re-substituted into their defining equations before being returned.
+Right-hand sides of one map that do not depend on each other (the
+multi-indices of one order in a homotopy system, the Koszul slots of one
+size) are solved together, so each degree piece of the map is eliminated
+once for all of them.  Each identity has one solver and at most one
+checker: the CI operators of every caller come from ci_from_lifting, and
+the comparison identity is checked on the assembled divided-power maps by
+lifted_comparison_check.
 """
 
 from __future__ import annotations
@@ -123,34 +127,6 @@ def ideal_decomposition(M, level, kind, degree, what):
     if bug is not None:
         raise bug
     return Ws
-
-
-def nullhomotopy(W, Y, a, gamma):
-    """Homotopy alpha with gamma = dY alpha - (-1)^(a+1) alpha dW.
-
-    gamma is a chain map W[a] -> Y given as {i: MatrixMap W_{i-a} -> Y_i}.
-    Returns {i: MatrixMap W_{i-a-1} -> Y_i}.  Raises Obstruction when a
-    degreewise system is inconsistent (gamma is not nullhomotopic in range).
-    """
-    if Y.level != W.level:
-        raise ShapeError("level mismatch")
-    sign = -1 if (a + 1) % 2 else 1  # (-1)^{a+1}
-    alpha = {}
-    spots = [i for i in sorted(gamma) if gamma[i] is not None]
-    if not spots:
-        return alpha
-    shift = gamma[spots[0]].shift
-    for i in range(min(spots), max(spots) + 1):
-        if W.module(i - a).rank == 0:
-            continue
-        terms = [(sign, alpha[i], W.diff(i - a))] if i in alpha else []
-        g = gamma.get(i)
-        C = MatrixMap.combine(Y.ring, W.module(i - a), Y.module(i), Y.level, shift,
-                              terms, [(1, g)] if g is not None else [])
-        X, = lift_step(Y.diff(i + 1), [C], "nullhomotopy", i)
-        if X is not None:
-            alpha[i + 1] = X
-    return alpha
 
 
 def higher_homotopies(G, findices, max_total, hom_hi=None, start=None):
@@ -276,20 +252,37 @@ def koszul_extension(psi0, B, L, idxs):
     return KB, phi
 
 
-def ci_from_lifting(C):
+def ci_from_lifting(C, top=None):
     """CI operators from the stored lifting: solve d~^2 = sum f_j t~_j.
 
     Returns tilde: tilde[j][i]: C_i -> C_{i-2} with internal shift -deg f_j
-    for 1 <= j <= C.level.
+    for 1 <= j <= C.level.  top, {i: map} when given, fixes t~_level; the
+    lower operators then decompose d~^2 - f_level t~_level over the ideal
+    below, which at level 1 is zero, so the remainder must vanish exactly.
     """
     level = C.level
     if level == 0:
         raise ShapeError("ci operators need level >= 1")
+    ring = C.ring
+    below = level if top is None else level - 1
     tilde = {j: {} for j in range(1, level + 1)}
     for i in range(C.lo + 2, C.hi + 1):
-        Ws = ideal_decomposition(C.square(i), level, "ci decomposition", i, "d^2")
+        M, what = C.square(i), "d^2"
+        if top is not None:
+            fid = MatrixMap.poly_times_identity(
+                ring, ring.regseq[level - 1], C.module(i - 2), level)
+            M = MatrixMap.combine(ring, C.module(i), C.module(i - 2), level, 0,
+                                  [(-1, fid, top[i])], [(1, M)])
+            what = f"d^2 - f_{level} t_{level}"
+            tilde[level][i] = top[i]
+            if level == 1:
+                if not M.is_zero():
+                    raise SolverBug(
+                        "codimension-1 lifted operator fails exact division")
+                continue
+        Ws = ideal_decomposition(M, below, "ci decomposition", i, what)
         for j, W in enumerate(Ws, 1):
-            tilde[j][i] = W
+            tilde[j][i] = W.with_level(level)
     return tilde
 
 
@@ -389,61 +382,18 @@ def _phi_at(phis, sigma, sigmap, j, v, shift_unit):
     return None
 
 
-def verify_comparison(phis, sigma, sigmap, max_m):
-    """Check sum_{i+j=m}(sigma'_i phi_j - phi_j sigma_i) = 0 for m <= max_m.
-
-    Returns (failures, checked): failure strings plus the number of (m, v)
-    combinations genuinely verified.
-    """
-    G = sigma.complex
-    Gp = sigmap.complex
-    ring = G.ring
-    q = ring.fdeg(sigma.findices[0])
-    failures = []
-    checked = 0
-    for m in range(0, max_m + 1):
-        for v in range(G.lo, G.hi + 1):
-            if G.module(v).rank == 0:
-                continue
-            terms = []
-            ok = True
-            for i in range(0, m + 1):
-                j = m - i
-                pj = _phi_at(phis, sigma, sigmap, j, v, q)
-                sp = sigmap.get((i,), v + 2 * j)
-                if sp is None or pj is None:
-                    ok = False
-                    break
-                si = sigma.get((i,), v)
-                if si is None:
-                    ok = False
-                    break
-                mid = v + 2 * i - 1
-                pj2 = _phi_at(phis, sigma, sigmap, j, mid, q)
-                if pj2 is None:
-                    ok = False
-                    break
-                terms += [(1, sp, pj), (-1, pj2, si)]
-            if not ok or not terms:
-                continue
-            checked += 1
-            acc = MatrixMap.combine(ring, G.module(v), Gp.module(v + 2 * m - 1),
-                                    G.level, m * q, terms)
-            bad = acc.first_nonmember()
-            if bad is not None:
-                failures.append(f"comparison identity fails at m={m}, v={v}: {bad}")
-    return failures, checked
-
-
 def lifted_comparison_check(phis, sigma, sigmap, steps):
     """Assembled map of standard liftings commutes with the lifted
     differentials exactly over the base ring.
 
-    Builds, per homological degree n <= steps, the block matrices
-    delta~ = sum sigma_j, delta~' = sum sigma'_j, phi~ = sum phi_i on the
-    divided-power modules, and checks delta~' phi~ = phi~ delta~ entrywise
-    (exact equality of polynomials); a degree with a block not known is
-    skipped.  Returns failure strings.
+    This is the comparison identity sum_{i+j=m}(sigma'_i phi_j - phi_j
+    sigma_i) = 0 for every m, read on the divided-power modules: per
+    homological degree n <= steps it builds the block matrices
+    delta~ = sum sigma_j, delta~' = sum sigma'_j, phi~ = sum phi_i and
+    checks delta~' phi~ = phi~ delta~ entrywise (exact equality of
+    polynomials); a degree with a block not known is skipped.  Returns
+    (failures, checked): failure strings and the number of degrees
+    assembled, so a run that skips every degree shows checked == 0.
     """
     G = sigma.complex
     Gp = sigmap.complex
@@ -460,6 +410,7 @@ def lifted_comparison_check(phis, sigma, sigmap, steps):
             lambda i, m: _phi_at(phis, sigma, sigmap, i, m, q), 0)
 
     failures = []
+    checked = 0
     for n in range(1, steps + 1):
         try:
             dG = delta(G, sigma, n)
@@ -468,8 +419,9 @@ def lifted_comparison_check(phis, sigma, sigmap, steps):
             ph_prev = phimap(n - 1)
         except MissingBlock:
             continue
+        checked += 1
         diff = MatrixMap.combine(ring, dG.src, ph_prev.dst, 0, 0,
                                  [(1, ph_prev, dG), (-1, dGp, ph_n)])
         if not diff.is_zero():
             failures.append(f"lifted comparison fails at degree {n}")
-    return failures
+    return failures, checked

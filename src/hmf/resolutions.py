@@ -24,7 +24,8 @@ and both take B(p) and psi_p from `_head_over`.  The cosyzygy step builds
 V(p-1) and W(p) with one head extension, `_head_extension`.  shamash
 assembles its differential and CI operator with
 `complexes.divided_power_map`, as `lifting.lifted_comparison_check` does
-its lifted maps.
+its lifted maps.  The CI operators of `special_lifting_and_ci` and `peel`
+come from the one decomposition `lifting.ci_from_lifting`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .lifting import (
     SolverBug,
     ci_from_lifting,
     higher_homotopies,
-    ideal_decomposition,
     koszul_extension,
     lift_step,
 )
@@ -204,28 +204,14 @@ def special_lifting_and_ci(bundle):
 
     The operator for the top index is the structural weight shift attached
     by the divided-power construction (vanishing below top weight); the
-    lower ones are recovered deterministically from the decomposition of
-    d~^2 - f_p t~_p over the prefix ideal.  Returns (tilde, report lines).
+    lower ones are recovered deterministically by ci_from_lifting from the
+    decomposition of d~^2 - f_p t~_p over the prefix ideal.  Returns (tilde,
+    report lines), the report naming every [t_a, t_b] that is nonzero.
     """
     T = bundle.complex
     ring = T.ring
     p = T.level
-    t_top = bundle.ci[p]
-    tilde = {j: {} for j in range(1, p + 1)}
-    f = ring.regseq[p - 1]
-    for i in range(2, T.hi + 1):
-        fid = MatrixMap.poly_times_identity(ring, f, T.module(i - 2), p)
-        rem = MatrixMap.combine(ring, T.module(i), T.module(i - 2), p, 0,
-                                [(-1, fid, t_top[i])], [(1, T.square(i))])
-        tilde[p][i] = t_top[i]
-        if p == 1:
-            if not rem.is_zero():
-                raise SolverBug("codimension-1 lifted operator fails exact division")
-            continue
-        Ws = ideal_decomposition(rem, p - 1, "ci decomposition", i,
-                                 f"d^2 - f_{p} t_{p}")
-        for j, W in enumerate(Ws, 1):
-            tilde[j][i] = W.with_level(p)
+    tilde = ci_from_lifting(T, top=bundle.ci[p])
     report = []
     for ja in range(1, p + 1):
         for jb in range(ja + 1, p + 1):

@@ -467,13 +467,18 @@ def test_cli_regseq_must_be_a_list_of_strings(tmp_path, capsys):
      "ring.vars: expected a list of [name, degree] pairs"),
     ("vars", [["a", 1], "b", ["x", 1], ["y", 1]],
      "ring.vars: expected a list of [name, degree] pairs"),
+    ("vars", [["a", 1], [2, 1], ["x", 1], ["y", 1]],
+     "ring.vars: variable names must be strings"),
     ("field", "7", "got '7'"),
+    ("field", None, "ring: missing key 'field'"),
 ])
 def test_cli_malformed_ring_message(tmp_path, capsys, key, value, message):
     # the message names what is wrong, not Python's unpacking or a value
-    # that prints like the integer it is not
+    # that prints like the integer it is not; a value None drops the key
     def edit(obj):
         obj["ring"][key] = value
+        if value is None:
+            del obj["ring"][key]
 
     bad = _corpus_copy(tmp_path, "codim2_xa_yb", edit)
     assert main(["validate", bad]) == 2

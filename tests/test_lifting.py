@@ -20,8 +20,6 @@ from hmf.lifting import (
     homotopy_comparison,
     koszul_extension,
     lifted_comparison_check,
-    nullhomotopy,
-    verify_comparison,
 )
 from hmf.oracle import exactness_certificate
 from hmf.ring import Field, GradedRing
@@ -39,40 +37,12 @@ def L(F):
     return build_finite(F).complex
 
 
-def test_nullhomotopy_zero_map(F):
+def test_higher_homotopies_recovers_h1(F):
+    # the order-1 homotopy for f_1 on B(1) is forced at the bottom and
+    # equals the stored h_1
     B1 = two_term_complex(F.ring, F.d_p(1))
-    gamma = {i: MatrixMap.zero(F.ring, B1.module(i), B1.module(i), 0, 2)
-             for i in (0, 1)}
-    alpha = nullhomotopy(B1, B1, 0, gamma)
-    assert all(m.is_zero() for m in alpha.values())
-
-
-def test_nullhomotopy_recovers_h1(F):
-    ring = F.ring
-    B1 = two_term_complex(ring, F.d_p(1))
-    f1 = ring.regseq[0]
-    gamma = {
-        i: MatrixMap.poly_times_identity(ring, f1, B1.module(i), 0)
-        for i in (0, 1)
-    }
-    alpha = nullhomotopy(B1, B1, 0, gamma)
-    # the solution at the bottom is forced and equals the stored homotopy
-    assert alpha[1].entries == F.h[1].entries
-
-
-def test_nullhomotopy_obstruction(F):
-    from hmf.resolutions import build_finite
-
-    ring = F.ring
-    L = build_finite(F).complex.truncate(0, 1)
-    f2 = ring.regseq[1]
-    gamma = {
-        i: MatrixMap.poly_times_identity(ring, f2, L.module(i), 0)
-        for i in (0, 1)
-    }
-    with pytest.raises(Obstruction) as err:
-        nullhomotopy(L, L, 0, gamma)
-    assert err.value.degree == 1
+    sigma = higher_homotopies(B1, (1,), 1)
+    assert sigma.get((1,), 0).entries == F.h[1].entries
 
 
 def test_higher_homotopies_micro():
@@ -193,6 +163,19 @@ def test_ci_from_lifting_resubstitutes(F):
         assert (acc - sq).is_zero()
 
 
+def test_ci_from_lifting_fixed_top():
+    # at level 1 a fixed t~_1 leaves d~^2 - f_1 t~_1 nothing to divide by:
+    # the structural weight shift is kept as given, twice it is refused
+    from hmf.resolutions import build_infinite
+
+    tower = build_infinite(micro_codim1(), 6)
+    t = tower.ci[1]
+    assert ci_from_lifting(tower.complex, top=t) == {1: t}
+    doubled = {i: m.scale(2) for i, m in t.items()}
+    with pytest.raises(SolverBug, match="fails exact division"):
+        ci_from_lifting(tower.complex, top=doubled)
+
+
 def test_multi_index_system(F, L):
     # a full system for both elements on the finite resolution, through
     # total order 2 (includes the mixed index)
@@ -206,9 +189,14 @@ def test_homotopy_comparison_identity_case(F, L):
     sig = higher_homotopies(L, (2,), 3)
     phi0 = {v: MatrixMap.identity(F.ring, L.module(v), 0) for v in range(0, 3)}
     phis = homotopy_comparison(phi0, sig, sig, 3)
-    fails, checked = verify_comparison(phis, sig, sig, 3)
-    assert not fails and checked
-    assert not lifted_comparison_check(phis, sig, sig, 7)
+    assert lifted_comparison_check(phis, sig, sig, 7) == ([], 7)
+
+
+def test_lifted_comparison_counts_what_it_checks(F, L):
+    # without phi_0 no degree can be assembled: nothing fails, and the
+    # count of checked degrees says so
+    sig = higher_homotopies(L, (2,), 3)
+    assert lifted_comparison_check({}, sig, sig, 7) == ([], 0)
 
 
 @pytest.fixture(scope="module")
@@ -247,9 +235,7 @@ def test_homotopy_comparison_richer_complex(residue_field_systems):
         not mm.is_zero() for j, d in phis.items() if j >= 1 for mm in d.values()
     )
     assert nonzero
-    fails, checked = verify_comparison(phis, sig1, sig2, 2)
-    assert not fails and checked
-    assert not lifted_comparison_check(phis, sig1, sig2, 5)
+    assert lifted_comparison_check(phis, sig1, sig2, 5) == ([], 5)
 
 
 @pytest.fixture(scope="module")
@@ -259,16 +245,12 @@ def solve_calls(F, L, residue_field_systems):
     from hmf.randgen import gen_random_hmf
     from hmf.resolutions import build_infinite, peel, special_lifting_and_ci
 
-    ring = F.ring
-    B1 = two_term_complex(ring, F.d_p(1))
-    f1_id = {i: MatrixMap.poly_times_identity(ring, ring.regseq[0], B1.module(i), 0)
-             for i in (0, 1)}
-    B2 = two_term_complex(ring, F.b_block(2))
+    B1 = two_term_complex(F.ring, F.d_p(1))
+    B2 = two_term_complex(F.ring, F.b_block(2))
     tower = build_infinite(F, 6)
     _, sig1, sig2, phi0 = residue_field_systems
     Fm = micro_codim1()  # c = 1: its finite resolution needs no solve
     return {
-        "nullhomotopy": lambda: nullhomotopy(B1, B1, 0, f1_id),
         "higher_homotopies": lambda: higher_homotopies(L, (1,), 1),
         "koszul_extension": lambda: koszul_extension(F.psi_block(2), B2, B1, (1,)),
         "homotopy_comparison": lambda: homotopy_comparison(phi0, sig1, sig2, 2),
@@ -281,7 +263,7 @@ def solve_calls(F, L, residue_field_systems):
 
 
 @pytest.mark.parametrize("builder", [
-    "nullhomotopy", "higher_homotopies", "koszul_extension",
+    "higher_homotopies", "koszul_extension",
     "homotopy_comparison", "strengthen", "ci_from_lifting",
     "special_lifting_and_ci", "peel", "gen_random_hmf",
 ])

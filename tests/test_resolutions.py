@@ -576,7 +576,7 @@ def complex_digest(C):
 def lifted_maps_digest(monkeypatch, phis, sigma, sigmap, steps):
     """sha256 of the maps lifted_comparison_check assembles (delta~, phi~
     and delta~', read from the one sum it forms per degree), with its
-    verdict."""
+    failure strings."""
     from hmf.lifting import lifted_comparison_check
 
     seen = []
@@ -587,7 +587,7 @@ def lifted_maps_digest(monkeypatch, phis, sigma, sigmap, steps):
         return combine(ring, src, dst, level, shift, products, maps)
 
     monkeypatch.setattr(MatrixMap, "combine", staticmethod(spy))
-    failures = lifted_comparison_check(phis, sigma, sigmap, steps)
+    failures, _ = lifted_comparison_check(phis, sigma, sigmap, steps)
     monkeypatch.undo()
     return hashlib.sha256(repr((failures, seen)).encode()).hexdigest()
 
