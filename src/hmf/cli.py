@@ -188,7 +188,7 @@ def cmd_box(args):
     f_idx = _level(F.c if args.f_index is None else args.f_index, F,
                    "--f-index")
     bundle = box(higher_homotopies(build_finite(F).complex, (f_idx,), 2))
-    fails = validate_homotopy_system(bundle.complex, bundle.sigma)
+    fails = validate_homotopy_system(bundle.sigma)
     cert = exactness_certificate(bundle.complex, (1, bundle.complex.hi),
                                  args.degree_bound)
     payload = io_json.complex_to_json(bundle.complex, provenance="box")
@@ -232,7 +232,8 @@ def cmd_extract(args):
     else:
         W = obj
     # the syzygy Im(delta_r) needs degree r - 2 of the complex
-    inp = SyzygyInput(W, _in_range(args.syzygy, 2, W.hi + 2, "--syzygy"))
+    inp = SyzygyInput(W, _in_range(args.syzygy, max(2, W.lo + 2), W.hi + 2,
+                                   "--syzygy"))
     descent = Descent(inp)
     rep = check_prestable(descent)
     if not rep.ok:

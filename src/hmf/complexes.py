@@ -811,9 +811,45 @@ class HomotopySystem:
     def known_indices(self):
         return sorted(self.maps.keys())
 
+    def identity(self, a, m, solving=False):
+        """sum_{b+s=a} sigma_b sigma_s - (f_i Id when |a| = 1) at source
+        degree m, a map into degree m + 2|a| - 2 with shift index_shift(a);
+        None when a map the sum needs is not known.  A differential beyond
+        the range of the complex is zero.
 
-def validate_homotopy_system(C, sigma, max_total=None):
-    """Check the identities of a homotopy system at C's level.
+        This is the one statement of the identity: validate_homotopy_system
+        checks that it vanishes, and solving=True, which leaves out the
+        unknown term d sigma_a and negates the rest, is the right-hand side
+        that lifting.higher_homotopies lifts through d.
+        """
+        C = self.complex
+        ring = C.ring
+        total = sum(a)
+        sign = -1 if solving else 1
+        terms = []
+        for b in itertools.product(*(range(x + 1) for x in a)):
+            if solving and not any(b):
+                continue
+            s = tuple(x - y for x, y in zip(a, b))
+            first = self.get(s, m)
+            mid = m + 2 * sum(s) - 1
+            second = self.get(b, mid)
+            if first is None or (second is None and C.module(mid).rank):
+                return None
+            if second is not None:
+                terms.append((sign, second, first))
+        fid = []
+        if total == 1:
+            f = ring.regseq[self.findices[a.index(1)] - 1]
+            fid.append((-sign, MatrixMap.poly_times_identity(
+                ring, f, C.module(m), C.level)))
+        return MatrixMap.combine(
+            ring, C.module(m), C.module(m + 2 * total - 2), C.level,
+            index_shift(ring, self.findices, a), terms, fid)
+
+
+def validate_homotopy_system(sigma, max_total=None):
+    """Check the identities of a homotopy system at its complex's level.
 
     (1) sigma_0 is the differential (by construction).
     (2) sigma_0 sigma_{e_i} + sigma_{e_i} sigma_0 = f_i.
@@ -822,11 +858,13 @@ def validate_homotopy_system(C, sigma, max_total=None):
     This is the one checker of every system of higher homotopies, the
     box's included: box checks its precondition with max_total=2 on the
     resolution it is built from, and `hmf box` checks the system box
-    returns.  Every source degree of C is checked, the top one included.
-    Returns a list of failure strings (empty means valid for everything
-    checkable in range).
+    returns.  The identity it checks is sigma.identity, the one the solver
+    lifts.  Every source degree of sigma.complex is checked, the top one
+    included; a degree where the identity needs a map sigma lacks is
+    skipped.  Returns a list of failure strings (empty means valid for
+    everything checkable in range).
     """
-    ring = C.ring
+    C = sigma.complex
     c = len(sigma.findices)
     failures = []
     totals = sorted({sum(a) for a in sigma.known_indices()})
@@ -839,33 +877,8 @@ def validate_homotopy_system(C, sigma, max_total=None):
             for m in range(C.lo, C.hi + 1):
                 if C.module(m).rank == 0:
                     continue
-                terms = []
-                missing = False
-                for b in itertools.product(*(range(x + 1) for x in a)):
-                    s = tuple(x - y for x, y in zip(a, b))
-                    first = sigma.get(s, m)
-                    if first is None:
-                        missing = True
-                        break
-                    mid = m + 2 * sum(s) - 1
-                    second = sigma.get(b, mid)
-                    if second is None:
-                        if C.module(mid).rank == 0:
-                            continue
-                        missing = True
-                        break
-                    terms.append((1, second, first))
-                if missing or not terms:
-                    continue
-                fid = []
-                if total == 1:
-                    f = ring.regseq[sigma.findices[a.index(1)] - 1]
-                    fid.append((-1, MatrixMap.poly_times_identity(
-                        ring, f, C.module(m), C.level)))
-                acc = MatrixMap.combine(
-                    ring, C.module(m), C.module(m + 2 * total - 2), C.level,
-                    index_shift(ring, sigma.findices, a), terms, fid)
-                bad = acc.first_nonmember()
+                acc = sigma.identity(a, m)
+                bad = None if acc is None else acc.first_nonmember()
                 if bad is not None:
                     failures.append(
                         f"homotopy identity fails: index {a}, source degree {m}, "

@@ -39,8 +39,9 @@ class ExtractionError(ValueError):
 class SyzygyInput:
     """A designated syzygy inside a minimal level-c complex.
 
-    The module is Im(delta_r) = Ker(delta_{r-1}); normalize() reindexes the
-    complex so the module becomes Ker(delta_1).
+    The module is Im(delta_r) = Ker(delta_{r-1}); normalize() drops the
+    degrees below r - 2 and reindexes the rest from 0, so the module becomes
+    Ker(delta_1).
     """
 
     complex: Complex
@@ -51,8 +52,6 @@ class SyzygyInput:
         C = self.complex
         if r < 2:
             raise ShapeError("syzygy index must be >= 2")
-        if r == 2:
-            return C
         return C.truncate(r - 2, C.hi).shift(r - 2)
 
 
@@ -65,21 +64,6 @@ class ExtractionTrace:
 
     def as_json(self):
         return {"levels": self.levels}
-
-
-def _descent_step(C, cc):
-    """One descent level: C peeled with its top CI operator.
-
-    Returns (peel result, degree->=2 tail of the kernel, reindexed from 0).
-    peel ranks the scalar part of the top operator, so an operator that is
-    not surjective fails pre-stability at codimension cc.
-    """
-    try:
-        pr = peel(C)
-    except PeelError as exc:
-        raise PreStabilityError(cc, str(exc)) from exc
-    G = pr.kernel
-    return pr, G.truncate(2, G.hi).shift(2)
 
 
 class Descent:
@@ -102,9 +86,16 @@ class Descent:
         return self.top if cc == self.top.level else self.level(cc + 1)[2]
 
     def level(self, cc):
+        """One descent step: complex(cc) peeled with its top CI operator.
+        peel ranks the scalar part of that operator, so an operator that is
+        not surjective fails pre-stability at codimension cc."""
         if cc not in self._levels:
             C = self.complex(cc)
-            pr, tail = _descent_step(C, cc)
+            try:
+                pr = peel(C)
+            except PeelError as exc:
+                raise PreStabilityError(cc, str(exc)) from exc
+            tail = pr.kernel.truncate(2, pr.kernel.hi).shift(2)
             if cc > 1:
                 tail = tail.twisted(-C.ring.fdeg(cc - 1))
             self._levels[cc] = (C, pr, tail)
@@ -375,7 +366,7 @@ def syzygy_shift_check(F, steps=None, D=None):
     for p in range(max(1, c), c + 1):
         V, W = vw[p]
         try:
-            pr, _ = _descent_step(W, p)
+            _, pr, _ = Descent(W).level(p)
         except (PreStabilityError, Obstruction) as exc:
             items.append(CheckItem(f"peel of W({p})", None, str(exc), "FAIL"))
             continue

@@ -223,6 +223,8 @@ def hmf_from_json(obj, where="hmf"):
     ring = ring_from_json(_key(obj, "ring", dict, where), where + ".ring")
     c = _key(obj, "c", int, where)
     _require(c >= 0, where, "'c' must be nonnegative")
+    _require(c <= ring.codim, where, f"'c' = {c} exceeds the {ring.codim} "
+             "elements of ring.regseq")
     _require(not _key(_key(obj, "flags", dict, where, {}), "generalized",
                       bool, where + ".flags", False), where,
              "flags.generalized is set; a factorization has levels 1..c only")

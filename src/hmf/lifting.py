@@ -12,14 +12,14 @@ Right-hand sides of one map that do not depend on each other (the
 multi-indices of one order in a homotopy system, the Koszul slots of one
 size) are solved together, so each degree piece of the map is eliminated
 once for all of them.  Each identity has one solver and at most one
-checker: the CI operators of every caller come from ci_from_lifting, and
-the comparison identity is checked on the assembled divided-power maps by
-lifted_comparison_check.
+checker: the CI operators of every caller come from ci_from_lifting, the
+comparison identity is checked on the assembled divided-power maps by
+lifted_comparison_check, and the homotopy identity has one writer,
+complexes.HomotopySystem.identity, whose sums higher_homotopies lifts and
+complexes.validate_homotopy_system checks.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .complexes import (
     HomotopySystem,
@@ -27,7 +27,6 @@ from .complexes import (
     MissingBlock,
     ShapeError,
     divided_power_map,
-    index_shift,
     koszul_tensor,
     multi_indices,
     solve_factorization,
@@ -134,6 +133,7 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None):
 
     Built by the inductive recursion
         d sigma_a = (f_i Id when |a| = 1) - sum_{b+s=a, b != 0} sigma_b sigma_s
+    (the right-hand side is sigma.identity(a, m, solving=True)),
     ordered by |a| and then by source degree; the sum's b = a term feeds in
     sigma_a one source degree lower, and the other terms only lower orders.
     So the indices of one order at one source degree m are independent and
@@ -143,7 +143,6 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None):
     A failure raises for the first index a of the lowest failing order, at
     that index's lowest failing degree.
     """
-    ring = G.ring
     findices = tuple(findices)
     c = len(findices)
     hom_hi = G.hi if hom_hi is None else hom_hi
@@ -153,39 +152,15 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None):
         indices = multi_indices(c, total)
         failed = {}  # a -> its first failure, at the lowest degree
         for m in range(G.lo, hom_hi + 1):
-            src = G.module(m)
             tgt_deg = m + 2 * total - 1
-            if src.rank == 0 or tgt_deg > G.hi:
+            if G.module(m).rank == 0 or tgt_deg > G.hi:
                 continue
             batch = []
             for a in indices:
-                if a in failed:
-                    continue
-                terms = []
-                solvable = True
-                for b in itertools.product(*(range(x + 1) for x in a)):
-                    if all(v == 0 for v in b):
-                        continue
-                    s = tuple(x - y for x, y in zip(a, b))
-                    first = sigma.get(s, m)
-                    if first is None:
-                        solvable = False
-                        break
-                    mid = m + 2 * sum(s) - 1
-                    second = sigma.get(b, mid)
-                    if second is None:
-                        solvable = False
-                        break
-                    terms.append((-1, second, first))
-                if solvable:
-                    fid = []
-                    if total == 1:
-                        f = ring.regseq[findices[a.index(1)] - 1]
-                        fid.append((1, MatrixMap.poly_times_identity(
-                            ring, f, src, G.level)))
-                    batch.append((a, MatrixMap.combine(
-                        ring, src, G.module(tgt_deg - 1), G.level,
-                        index_shift(ring, findices, a), terms, fid)))
+                if a not in failed:
+                    rhs = sigma.identity(a, m, solving=True)
+                    if rhs is not None:
+                        batch.append((a, rhs))
             if not batch:
                 continue
             out = _lift_outcomes(

@@ -378,8 +378,7 @@ def build_intermediate(F, j, steps, tower=None):
     """
     if not (1 <= j <= F.c):
         raise ShapeError("intermediate level out of range")
-    tower = tower or build_infinite(F, steps)
-    stage = tower.stages[j] if tower.stages else tower
+    stage = (tower or build_infinite(F, steps)).stages[j]
     if j == F.c:
         return stage
     top, stages = _koszul_cones(F, stage.complex)
@@ -396,7 +395,7 @@ def box(sigma):
     sigma is a system for f on Y = sigma.complex, as
     higher_homotopies(Y, (f,), 2) returns it: theta_i = sigma_(1) and
     tau_i = sigma_(2) at source degree i.  The precondition is
-    validate_homotopy_system(Y, sigma, max_total=2) on every degree of Y, so
+    validate_homotopy_system(sigma, max_total=2) on every degree of Y, so
     it covers every map the box reads; a map that sigma lacks, which the
     checker skips, raises ContractViolation naming it.  The result is the
     cone of theta_1 with the low head twisted by deg f; its sigma is the
@@ -407,7 +406,7 @@ def box(sigma):
     ring = Y.ring
     (f_idx,) = sigma.findices
     q = ring.fdeg(f_idx)
-    failures = validate_homotopy_system(Y, sigma, max_total=2)
+    failures = validate_homotopy_system(sigma, max_total=2)
     if failures:
         raise ContractViolation("; ".join(failures))
 

@@ -175,7 +175,7 @@ def test_acceptance_6_box(F, fin):
     L = fin.complex
     ring = F.ring
     bundle = box(higher_homotopies(L, (2,), 2))  # precondition checked exactly
-    ok = not validate_homotopy_system(bundle.complex, bundle.sigma)
+    ok = not validate_homotopy_system(bundle.sigma)
     cert = exactness_certificate(bundle.complex, (1, bundle.complex.hi), 8)
     ok = ok and cert.verdict == "PASS"
     # converse: unrolled complex is exact, given torsion-free cokernels

@@ -78,3 +78,16 @@ def test_uncalled_functions_are_listed():
 
     commands = {"cli.cmd_" + name.replace("-", "_") for name, _, _ in _COMMANDS}
     assert uncalled_functions() == TEST_ONLY | OUTSIDE_CALLERS | commands
+
+
+def test_one_writer_of_the_homotopy_identity():
+    # itertools.product enumerates the b + s = a of the homotopy identity,
+    # and no other hmf code calls a product: the solver and the checker
+    # read the sum from HomotopySystem.identity
+    writers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for qual, _, node in _scopes(ast.parse(path.read_text()), path.stem):
+            for n in ast.walk(node):
+                if isinstance(n, ast.Call) and "product" in _names(n.func):
+                    writers.add(qual)
+    assert writers == {"complexes.HomotopySystem.identity"}

@@ -402,13 +402,13 @@ def test_validate_homotopy_system_examples():
     G = two_term_complex(ring, Fm.d_p(1))
     sigma = higher_homotopies(G, (1,), 2)
     assert sigma.get((1,), 0).entries[0][0] == ring.poly("x")
-    assert not validate_homotopy_system(G, sigma)
+    assert not validate_homotopy_system(sigma)
     # perturb sigma_1 and the identity must fail by name
     bump = MatrixMap.from_strings(
         ring, G.module(0), G.module(1), [[ring.poly("x")]], 0, 2, check=False
     )
     sigma.set((1,), 0, sigma.get((1,), 0) + bump)
-    failures = validate_homotopy_system(G, sigma)
+    failures = validate_homotopy_system(sigma)
     assert failures and "index (1,)" in failures[0]
 
 

@@ -255,13 +255,13 @@ def test_cli_extract_descends_each_level_once(tmp_path, monkeypatch):
     from hmf.corpus import corpus_dir
 
     levels = []
-    step = extract._descent_step
+    step = extract.peel
 
-    def counted(C, cc):
-        levels.append(cc)
-        return step(C, cc)
+    def counted(C, t=None):
+        levels.append(C.level)
+        return step(C, t)
 
-    monkeypatch.setattr(extract, "_descent_step", counted)
+    monkeypatch.setattr(extract, "peel", counted)
     path = f"{corpus_dir()}/codim3_shifted.json"
     assert main(["extract", path, "-o", str(tmp_path / "out.json")]) == 0
     assert levels == [3, 2, 1]

@@ -429,6 +429,18 @@ def test_malformed_keys_exit_2(tmp_path, capsys, kind, path, value):
     assert "input error" in capsys.readouterr().err
 
 
+def test_c_above_codim_names_regseq(tmp_path, capsys):
+    # the reader bounds c by the ring before it reads any block
+    def raise_c(obj):
+        obj["c"] = 3
+
+    bad = _corpus_copy(tmp_path, "codim2_xa_yb", raise_c)
+    with pytest.raises(SchemaError, match="exceeds the 2 elements of ring.regseq"):
+        io_json.load(bad)
+    assert main(["validate", bad]) == 2
+    assert "exceeds the 2 elements of ring.regseq" in capsys.readouterr().err
+
+
 def _corpus_copy(tmp_path, name, edit):
     """A copy of a corpus file with edit applied to its JSON object."""
     with open(golden_path(name)) as fh:
@@ -571,7 +583,9 @@ ARGUMENT_CASES = (
     # a syzygy index r whose degree r - 2 lies above the complex: the
     # cosyzygy extension of a factorization, and a finite resolution on [0, 2]
     + [("codim2_xa_yb", ["extract", "--syzygy", "30"]),
-       ("finite", ["extract", "--syzygy", "9"])])
+       ("finite", ["extract", "--syzygy", "9"])]
+    # and one whose degree r - 2 = 0 lies below a complex on [1, 6]
+    + [("raised", ["extract", "--syzygy", "2"])])
 
 
 @pytest.mark.parametrize("name,argv", ARGUMENT_CASES,
@@ -589,6 +603,11 @@ def test_cli_argument_out_of_range_exits_2(tmp_path, capsys, name, argv):
         finite = build_finite(load_golden("codim2_xz_y2")).complex
         path.write_text(io_json.dumps(io_json.complex_to_json(finite)))
         argv = argv[:1] + [str(path)] + argv[1:]
+    elif name == "raised":
+        def raise_range(obj):
+            obj["range"] = [1, 6]
+
+        argv = argv[:1] + [_resolution_copy(tmp_path, raise_range)] + argv[1:]
     elif name is not None:
         argv = argv[:1] + [golden_path(name)] + argv[1:]
     try:
@@ -597,6 +616,35 @@ def test_cli_argument_out_of_range_exits_2(tmp_path, capsys, name, argv):
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _resolution_copy(tmp_path, edit):
+    """The `resolve-r --steps 5` report of codim2_xa_yb, on [0, 5], with
+    edit applied to its JSON object."""
+    path = tmp_path / "resolution.json"
+    assert main(["resolve-r", golden_path("codim2_xa_yb"), "--steps", "5",
+                 "-o", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(io_json.dumps(obj))
+    return str(path)
+
+
+def test_cli_extract_from_a_complex_below_degree_0(tmp_path):
+    # a zero module prepended at degree -1 leaves degree r - 2 = 0 in the
+    # complex: the syzygy is the one of the unpadded file
+    def pad(obj):
+        obj["range"] = [-1, 5]
+        obj["modules"].insert(0, {"twists": []})
+        obj["diffs"].insert(0, [])
+
+    outs = []
+    for edit in (lambda obj: None, pad):
+        out = tmp_path / f"out{len(outs)}.json"
+        path = _resolution_copy(tmp_path, edit)
+        assert main(["extract", path, "--syzygy", "2", "-o", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
 
 
 # options that each of these commands never reads

@@ -6,6 +6,7 @@ from hmf.complexes import (
     ZERO_MODULE,
     Complex,
     FreeModule,
+    HomotopySystem,
     MatrixMap,
     two_term_complex,
     validate_homotopy_system,
@@ -52,7 +53,7 @@ def test_higher_homotopies_micro():
     assert sigma.get((1,), 0).entries[0][0] == Fm.ring.poly("x")
     # indices of total >= 2 vanish by shape
     assert all(sum(a) < 2 for a in sigma.known_indices())
-    assert not validate_homotopy_system(G, sigma)
+    assert not validate_homotopy_system(sigma)
 
 
 def test_higher_homotopies_non_annihilating(F):
@@ -181,8 +182,26 @@ def test_multi_index_system(F, L):
     # total order 2 (includes the mixed index)
     sigma = higher_homotopies(L, (1, 2), 2)
     assert (1, 0) in sigma.known_indices() and (0, 1) in sigma.known_indices()
-    failures = validate_homotopy_system(L, sigma, max_total=2)
+    failures = validate_homotopy_system(sigma, max_total=2)
     assert not failures
+
+
+def test_solver_and_checker_read_one_identity(L, monkeypatch):
+    # the solver's right-hand sides and the checker's sums are both
+    # HomotopySystem.identity, so neither writes the identity itself
+    calls = []
+    identity = HomotopySystem.identity
+
+    def counted(self, a, m, solving=False):
+        calls.append(solving)
+        return identity(self, a, m, solving)
+
+    monkeypatch.setattr(HomotopySystem, "identity", counted)
+    sigma = higher_homotopies(L, (1, 2), 2)
+    assert calls and all(calls)
+    calls.clear()
+    assert not validate_homotopy_system(sigma)
+    assert calls and not any(calls)
 
 
 def test_homotopy_comparison_identity_case(F, L):

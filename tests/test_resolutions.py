@@ -285,7 +285,7 @@ def test_box_degenerate_two_term(F):
     assert bundle.complex.diff(1).entries[0][0] == Fm.ring.poly("x")
     hb0 = bundle.sigma.get((1,), 0)
     assert hb0.entries[0][0] == Fm.ring.poly("x")
-    assert not validate_homotopy_system(bundle.complex, bundle.sigma)
+    assert not validate_homotopy_system(bundle.sigma)
 
 
 def _with_extra_term(M):
@@ -325,7 +325,7 @@ def _precondition_example(name):
 def test_box_precondition_checked(example, a, m):
     L, f_idx = _precondition_example(example)
     sigma = higher_homotopies(L, (f_idx,), 2)
-    assert not validate_homotopy_system(L, sigma, max_total=2)
+    assert not validate_homotopy_system(sigma, max_total=2)
     box(sigma)
     bad = HomotopySystem(L, sigma.findices,
                          {b: dict(maps) for b, maps in sigma.maps.items()})
@@ -348,7 +348,7 @@ def test_box_missing_homotopy_raises(example, a, m):
                          {b: dict(maps) for b, maps in sigma.maps.items()})
     del bad.maps[a][m]
     assert bad.get(a, m) is None
-    assert not validate_homotopy_system(L, bad, max_total=2)
+    assert not validate_homotopy_system(bad, max_total=2)
     with pytest.raises(ContractViolation, match=re.escape(f"sigma_{a} at source degree {m},")):
         box(bad)
 
