@@ -55,16 +55,6 @@ class SparseMatrix:
                 rows.setdefault(j, {})[i] = x
         return SparseMatrix(self.shape[::-1], rows)
 
-    def hstack(self, other):
-        """[self | other]: the rows of other with its columns shifted past
-        those of self."""
-        m, n = self.shape
-        assert m == other.shape[0]
-        rows = {i: dict(row) for i, row in self.rows.items()}
-        for i, row in other.rows.items():
-            rows.setdefault(i, {}).update((j + n, x) for j, x in row.items())
-        return SparseMatrix((m, n + other.shape[1]), rows)
-
 
 def _subtract(row, f, prow, p):
     """row -= f * prow in place, dropping the entries that cancel."""
@@ -144,17 +134,17 @@ def rank(A, p):
     return len(_eliminate(A.rows.values(), p, reduce=False))
 
 
-def solve_many(A, B, p):
-    """Solve A X = B columnwise mod p (over Q when p is 0).
+def solve_many(AB, n, p):
+    """Solve A X = B columnwise mod p (over Q when p is 0), given the
+    augmented matrix AB = [A | B] whose first n columns are A.
 
-    Returns (ok, X) where ok[j] says column j is consistent and X holds the
-    first-pivot solution with free variables set to zero (zeros where not
-    ok), its rows in increasing order.  The rows eliminated are those of
-    [A | B].
+    Returns (ok, X) where ok[j] says column j of B is consistent and X holds
+    the first-pivot solution with free variables set to zero (zeros where
+    not ok), its rows in increasing order.  The rows eliminated are those of
+    AB, read in place.
     """
-    n = A.shape[1]
-    k = B.shape[1]
-    pivots = _eliminate(A.hstack(B).rows.values(), p)
+    k = AB.shape[1] - n
+    pivots = _eliminate(AB.rows.values(), p)
     # a pivot in B makes every column its row touches inconsistent
     bad = set()
     for c, row in pivots.items():

@@ -327,14 +327,17 @@ class MatrixMap:
         return MatrixMap(self.ring, src, dst, rows, self.level, self.shift, check=False)
 
     @staticmethod
-    def from_blocks(ring, blocks, src_mods, dst_mods, level=0, shift=0):
-        """Assemble a map from a grid of optional blocks.
+    def from_blocks(ring, blocks, src_mods, dst_mods, src, dst, level=0, shift=0):
+        """Assemble a map src -> dst from a grid of optional blocks.
 
-        blocks[bi][bj] is a map of the ranks of src_mods[bj] -> dst_mods[bi],
-        or None for zero; only its rows are read.
+        src and dst are the direct sums of src_mods and dst_mods, as
+        FreeModule.concat makes them, passed in because the callers already
+        hold them.  blocks[bi][bj] is a map of the ranks of src_mods[bj] ->
+        dst_mods[bi], or None for zero; only its rows are read.
         """
-        src = FreeModule.concat(src_mods)
-        dst = FreeModule.concat(dst_mods)
+        if (sum(m.rank for m in src_mods) != src.rank
+                or sum(m.rank for m in dst_mods) != dst.rank):
+            raise ShapeError("summands do not add up to the modules")
         rows = {}
         roff = 0
         for bi, dmod in enumerate(dst_mods):
@@ -534,6 +537,8 @@ def mapping_cone(Y, W, phi, check=True):
             [[Y.diff(i), blk], [None, W.diff(i)]],
             [Y.module(i), W.module(i)],
             [Y.module(i - 1), W.module(i - 1)],
+            modules[i],
+            modules[i - 1],
             Y.level,
         )
     return Complex(ring, Y.level, modules, diffs, lo, hi)
@@ -612,7 +617,8 @@ def koszul_tensor(idxs, B):
                 if tgt is not None:
                     blocks[tgt][jsrc] = b
         diffs[n] = MatrixMap.from_blocks(
-            ring, blocks, summands[n], summands[n - 1], level
+            ring, blocks, summands[n], summands[n - 1], modules[n],
+            modules[n - 1], level
         )
     C = Complex(ring, level, modules, diffs, 0, m + 1)
     C.koszul_components = comp_lists
@@ -632,16 +638,25 @@ class MissingBlock(ShapeError):
     """A block the divided-power assembler needs is not known."""
 
 
-def divided_power_layout(C, n):
-    """Summands (a, m) of degree n of sum_a y^(a) C_{n-2a}, a ascending:
-    those with C_m nonzero."""
-    return [((n - m) // 2, m) for m in range(n, -1, -2)
-            if C.lo <= m <= C.hi and C.modules[m].rank]
+def divided_power_layout(C, n, f_idx):
+    """Degree n of sum_a y^(a) C_{n-2a}, y of the degree of f_{f_idx}, as
+    (summands, modules, module): the summands (a, m), a ascending, those
+    with C_m nonzero; per summand C_m twisted by a deg(y), its labels
+    prefixed with y<f_idx>^(a)* for a > 0; and the direct sum of those.
+    Each degree is laid out once and handed to every divided_power_map
+    that reads it."""
+    q = C.ring.fdeg(f_idx)
+    summands = [((n - m) // 2, m) for m in range(n, -1, -2)
+                if C.lo <= m <= C.hi and C.modules[m].rank]
+    mods = [C.modules[m].shifted(a * q, tag=f"y{f_idx}^({a})*" if a else None)
+            for a, m in summands]
+    return summands, mods, FreeModule.concat(mods)
 
 
-def divided_power_map(src, dst, n, k, q, orders, block, level, shift=0):
+def divided_power_map(ring, src_l, dst_l, k, orders, block, level, shift=0):
     """A map from degree n of sum_a y^(a) src_{n-2a} to degree n + k of
-    sum_b y^(b) dst_{n+k-2b}, the y^(a)-summands twisted by a q.
+    sum_b y^(b) dst_{n+k-2b}, those degrees given by their
+    divided_power_layout src_l and dst_l.
 
     The block from y^(a) src_m to y^(a-i) dst_{m+2i+k} is block(i, m) for i
     in orders and zero otherwise; block(i, m) is None when that block is
@@ -649,11 +664,11 @@ def divided_power_map(src, dst, n, k, q, orders, block, level, shift=0):
     is k = -1 with the homotopies sigma_i as blocks, a comparison map k = 0
     with its phi_i, and the y-shift k = -2 the identity at i = 1.
     """
-    src_l = divided_power_layout(src, n)
-    dst_l = divided_power_layout(dst, n + k)
-    dst_pos = {t: kd for kd, t in enumerate(dst_l)}
-    blocks = [[None] * len(src_l) for _ in dst_l]
-    for js, (a, m) in enumerate(src_l):
+    src_sum, src_mods, src = src_l
+    dst_sum, dst_mods, dst = dst_l
+    dst_pos = {t: kd for kd, t in enumerate(dst_sum)}
+    blocks = [[None] * len(src_sum) for _ in dst_sum]
+    for js, (a, m) in enumerate(src_sum):
         for i in orders:
             kd = dst_pos.get((a - i, m + 2 * i + k))
             if kd is None:
@@ -662,9 +677,8 @@ def divided_power_map(src, dst, n, k, q, orders, block, level, shift=0):
             if blk is None:
                 raise MissingBlock(f"block {i} at degree {m} missing")
             blocks[kd][js] = blk
-    return MatrixMap.from_blocks(
-        src.ring, blocks, [src.module(m).shifted(a * q) for a, m in src_l],
-        [dst.module(m).shifted(a * q) for a, m in dst_l], level, shift)
+    return MatrixMap.from_blocks(ring, blocks, src_mods, dst_mods, src, dst,
+                                 level, shift)
 
 
 # ---------------------------------------------------------------------------

@@ -201,12 +201,14 @@ def extract_hmf(inp):
         A1 = [FreeModule(sub_a1), b1[cc]]
         A0 = [FreeModule(sub_a0), b0[cc]]
         upper = cc > 1
+        A1s, A0s = FreeModule.concat(A1), FreeModule.concat(A0)
         d = MatrixMap.from_blocks(
-            ring, [[sub["d"], th1 if upper else None], [None, C.diff(1)]], A1, A0)
+            ring, [[sub["d"], th1 if upper else None], [None, C.diff(1)]], A1, A0,
+            A1s, A0s)
         h = dict(sub["h"])
         h[cc] = MatrixMap.from_blocks(
             ring, [[th2 if upper else None, tau0 if upper else None],
-                   [G.diff(2) if upper else None, th0]], A0, A1)
+                   [G.diff(2) if upper else None, th0]], A0, A1, A0s, A1s)
         return {"b1": b1, "b0": b0, "d": d, "h": h}
 
     data = rec(cc0)
@@ -232,9 +234,9 @@ def multiplication_injective_on_coker(comp, f, D):
     q = f.degree()
     tgt = comp.dst
     mult = MatrixMap.poly_times_identity(comp.ring, f, tgt)
-    both = MatrixMap.from_blocks(
-        comp.ring, [[mult, comp]], [tgt.shifted(q), comp.src.shifted(comp.shift)],
-        [tgt], comp.level)
+    mods = [tgt.shifted(q), comp.src.shifted(comp.shift)]
+    both = MatrixMap.from_blocks(comp.ring, [[mult, comp]], mods, [tgt],
+                                 FreeModule.concat(mods), tgt, comp.level)
     hf = hilbert_function(comp, D + q)
     hf_both = hilbert_function(both, D + q)
     for e in range(0, D + 1):

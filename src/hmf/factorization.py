@@ -411,10 +411,10 @@ def change_of_generators_complex(C, tilde, alpha):
     degs = {ring.fdeg(j) for j in range(1, c + 1)}
     if len(degs) != 1:
         raise RingError("change of generators needs equal degrees")
-    AT = SparseMatrix((c, c), {i: {j: alpha[j][i] for j in range(c)}
-                               for i in range(c)})
-    eye = SparseMatrix((c, c), {i: {i: 1} for i in range(c)})
-    ok, nu = fld.solve_many(AT, eye)
+    # [alpha^T | Id]
+    ATI = SparseMatrix((c, 2 * c), {i: {**{j: alpha[j][i] for j in range(c)},
+                                        c + i: 1} for i in range(c)})
+    ok, nu = fld.solve_many(ATI, c)
     if not all(bool(x) for x in ok):
         raise RingError("alpha is not invertible")
     ring2 = _ring_along(ring, alpha)

@@ -53,18 +53,23 @@ def graded_solve(ring, dst_twists, e, slots, slot_degs, targets, ntargets):
     rows of the map whose column t < ntargets is target t.  Returns, per
     target, {s: c_s} over the nonzero coefficients, or None when unsolvable.
 
-    Each solution is the canonical one: first pivot, free variables zero.
-    Solutions differ by nullspace vectors, so the constructions built from
-    them are unique only up to homotopy; this choice makes them
-    reproducible.
+    The system is assembled once, as [A | B]: the targets are more source
+    columns past the slots, each of twist e, so each is one column of the
+    degree-e piece.  Each solution is the canonical one: first pivot, free
+    variables zero.  Solutions differ by nullspace vectors, so the
+    constructions built from them are unique only up to homotopy; this
+    choice makes them reproducible.
     """
     S = pieces(ring, 0)
-    A = S._walk(slots, slot_degs, dst_twists, 0, e)
-    B = S._walk(targets, [e] * ntargets, dst_twists, 0, e)
-    if A.shape[0] == 0:
-        # B has no rows either, so every target was zero
+    ns = len(slot_degs)
+    rows = {i: dict(row) for i, row in slots.items()}
+    for i, row in targets.items():
+        rows.setdefault(i, {}).update((ns + t, q) for t, q in row.items())
+    AB = S._walk(rows, [*slot_degs, *[e] * ntargets], dst_twists, 0, e)
+    if AB.shape[0] == 0:
+        # the piece is zero, so every target was zero
         return [{} for _ in range(ntargets)]
-    ok, X = ring.field.solve_many(A, B)
+    ok, X = ring.field.solve_many(AB, AB.shape[1] - ntargets)
     # per target, its solution column: {unknown: value}, unknowns ascending
     sols = [{} for _ in range(ntargets)]
     for i, row in X.rows.items():

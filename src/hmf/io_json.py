@@ -225,9 +225,10 @@ def hmf_from_json(obj, where="hmf"):
     _require(c >= 0, where, "'c' must be nonnegative")
     _require(c <= ring.codim, where, f"'c' = {c} exceeds the {ring.codim} "
              "elements of ring.regseq")
-    _require(not _key(_key(obj, "flags", dict, where, {}), "generalized",
-                      bool, where + ".flags", False), where,
+    flags = _key(obj, "flags", dict, where, {})
+    _require(not _key(flags, "generalized", bool, where + ".flags", False), where,
              "flags.generalized is set; a factorization has levels 1..c only")
+    strong = _key(flags, "strong", bool, where + ".flags", False)
     b1 = {}
     b0 = {}
     for k, rec in enumerate(_key(obj, "B", list, where)):
@@ -252,7 +253,8 @@ def hmf_from_json(obj, where="hmf"):
                  at, "block shape mismatch")
         blocks[qp - 1][q - 1] = MatrixMap.from_strings(ring, src, dst, blk,
                                                        check=False)
-    d = MatrixMap.from_blocks(ring, blocks, mods1, mods0)
+    d = MatrixMap.from_blocks(ring, blocks, mods1, mods0,
+                              FreeModule.concat(mods1), FreeModule.concat(mods0))
     h_blocks = _key(obj, "h_blocks", dict, where, {})
     stages = [str(p) for p in range(1, c + 1)]
     for key in h_blocks:
@@ -290,6 +292,9 @@ def hmf_from_json(obj, where="hmf"):
             except (ShapeError, ContractViolation) as exc:
                 raise SchemaError(f"{at}[{key}]: {exc}") from exc
         ext_all[p] = ext
+    _require(strong == bool(ext_all), where,
+             f"flags.strong is {str(strong).lower()}, but strong_ext is "
+             + ("present" if ext_all else "absent"))
     if ext_all:
         F.strong_ext = ext_all
     return F

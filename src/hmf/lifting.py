@@ -8,10 +8,12 @@ prefix ideal, one homological degree at a time.  Gradedness forces the
 degrees of all unknowns, so each step is a finite linear system; solutions
 are chosen deterministically (first pivot, free variables zero) and
 re-substituted into their defining equations before being returned.
-Right-hand sides of one map that do not depend on each other (the
-multi-indices of one order in a homotopy system, the Koszul slots of one
-size) are solved together, so each degree piece of the map is eliminated
-once for all of them.  Each identity has one solver and at most one
+Right-hand sides of one map that do not depend on each other are solved
+together, so each degree piece of the map is eliminated once for all of
+them: a homotopy system is ordered by target degree, and every pending
+(index, source degree) of every order that lands in one degree is lifted
+through that degree's differential at once; the Koszul slots of one size
+share theirs.  Each identity has one solver and at most one
 checker: the CI operators of every caller come from ci_from_lifting, the
 comparison identity is checked on the assembled divided-power maps by
 lifted_comparison_check, and the homotopy identity has one writer,
@@ -26,6 +28,7 @@ from .complexes import (
     MatrixMap,
     MissingBlock,
     ShapeError,
+    divided_power_layout,
     divided_power_map,
     koszul_tensor,
     multi_indices,
@@ -57,18 +60,19 @@ def _residual_bug(kind, degree, detail, residual, level):
                      f"{degree}{where}, entry {bad}")
 
 
-def _lift_outcomes(d, Cs, kind, degree, details, Xs):
+def _lift_outcomes(d, Cs, kind, degrees, details, Xs):
     """Per right-hand side of lift_step: X, None when d has no source, or
-    the Obstruction or SolverBug that right-hand side fails with.  Xs, when
-    given, may prescribe some X, which are then verified, not solved; the
-    others are the X of solve_factorization (its W_m are dropped), and every
-    X is re-substituted."""
+    the Obstruction or SolverBug that right-hand side fails with, naming its
+    own homological degree from degrees, which runs parallel to Cs.  Xs,
+    when given, may prescribe some X, which are then verified, not solved;
+    the others are the X of solve_factorization (its W_m are dropped), and
+    every X is re-substituted."""
     level = d.level
     details = details or [""] * len(Cs)
     Xs = list(Xs or [None] * len(Cs))
     out = [None] * len(Cs)
     if d.src.rank == 0:
-        for n, (C, detail) in enumerate(zip(Cs, details)):
+        for n, (C, degree, detail) in enumerate(zip(Cs, degrees, details)):
             if not C.in_ideal(level):
                 out[n] = Obstruction(kind, degree, f"{detail}: nothing above"
                                      if detail else "nothing above")
@@ -77,7 +81,7 @@ def _lift_outcomes(d, Cs, kind, degree, details, Xs):
     solved = solve_factorization(d, [Cs[n] for n in need], level)
     for n, got in zip(need, solved):
         Xs[n] = None if got is None else got[0]
-    for n, (C, detail, X) in enumerate(zip(Cs, details, Xs)):
+    for n, (C, degree, detail, X) in enumerate(zip(Cs, degrees, details, Xs)):
         if X is None:
             out[n] = Obstruction(kind, degree, detail)
             continue
@@ -99,7 +103,7 @@ def lift_step(d, Cs, kind, degree, details=None):
     side raises Obstruction(kind, degree) when it has no solution and
     SolverBug when d X - C leaves the ideal.
     """
-    out = _lift_outcomes(d, Cs, kind, degree, details, None)
+    out = _lift_outcomes(d, Cs, kind, [degree] * len(Cs), details, None)
     for got in out:
         if isinstance(got, Exception):
             raise got
@@ -133,46 +137,53 @@ def higher_homotopies(G, findices, max_total, hom_hi=None, start=None):
 
     Built by the inductive recursion
         d sigma_a = (f_i Id when |a| = 1) - sum_{b+s=a, b != 0} sigma_b sigma_s
-    (the right-hand side is sigma.identity(a, m, solving=True)),
-    ordered by |a| and then by source degree; the sum's b = a term feeds in
-    sigma_a one source degree lower, and the other terms only lower orders.
-    So the indices of one order at one source degree m are independent and
-    lifted together through d at m + 2|a| - 1.  start, a {(a, m): MatrixMap}
-    dict, may prescribe maps which are then verified rather than solved.
-    Targets above the top of G are skipped (nothing above to check against).
-    A failure raises for the first index a of the lowest failing order, at
-    that index's lowest failing degree.
+    (the right-hand side is sigma.identity(a, m, solving=True)), ordered by
+    target degree D = m + 2|a| - 1: every map the sum at (a, m) reads has a
+    target degree below D (the b = a term is sigma_a one source degree
+    lower, and the other terms have lower orders).  So every pending (a, m)
+    of target degree D, of every order, is independent of the others and
+    lifted together through d at D, which is eliminated once.  start, a
+    {(a, m): MatrixMap} dict, may prescribe maps which are then verified
+    rather than solved.  Targets above the top of G are skipped (nothing
+    above to check against).  An index that fails is not lifted at a higher
+    source degree.  After the sweep a failure raises for the first index a
+    of the lowest failing order, at that index's lowest failing degree; an
+    order above a failing one is not lifted further, since nothing of it is
+    returned.
     """
     findices = tuple(findices)
     c = len(findices)
     hom_hi = G.hi if hom_hi is None else hom_hi
     sigma = HomotopySystem(G, findices)
     start = dict(start or {})
-    for total in range(1, max_total + 1):
-        indices = multi_indices(c, total)
-        failed = {}  # a -> its first failure, at the lowest degree
-        for m in range(G.lo, hom_hi + 1):
-            tgt_deg = m + 2 * total - 1
-            if G.module(m).rank == 0 or tgt_deg > G.hi:
+    indices = {t: multi_indices(c, t) for t in range(1, max_total + 1)}
+    failed = {}  # a -> its first failure, at the lowest degree
+    top = max_total  # the highest order still lifted
+    for D in range(G.lo + 1, G.hi + 1):
+        batch = []
+        for t in range(1, top + 1):
+            m = D - 2 * t + 1
+            if m < G.lo or m > hom_hi or G.module(m).rank == 0:
                 continue
-            batch = []
-            for a in indices:
+            for a in indices[t]:
                 if a not in failed:
                     rhs = sigma.identity(a, m, solving=True)
                     if rhs is not None:
-                        batch.append((a, rhs))
-            if not batch:
-                continue
-            out = _lift_outcomes(
-                G.diff(tgt_deg), [acc for _, acc in batch], "higher homotopy",
-                m, [f"index {a}" for a, _ in batch],
-                [start.get((a, m)) for a, _ in batch])
-            for (a, _), X in zip(batch, out):
-                if isinstance(X, Exception):
-                    failed[a] = X
-                elif X is not None:
-                    sigma.set(a, m, X)
-        for a in indices:
+                        batch.append((a, m, rhs))
+        if not batch:
+            continue
+        out = _lift_outcomes(
+            G.diff(D), [rhs for _, _, rhs in batch], "higher homotopy",
+            [m for _, m, _ in batch], [f"index {a}" for a, _, _ in batch],
+            [start.get((a, m)) for a, m, _ in batch])
+        for (a, m, _), X in zip(batch, out):
+            if isinstance(X, Exception):
+                failed[a] = X
+                top = min(top, sum(a))
+            elif X is not None:
+                sigma.set(a, m, X)
+    for t in range(1, top + 1):
+        for a in indices[t]:
             if a in failed:
                 raise failed[a]
     return sigma
@@ -223,7 +234,8 @@ def koszul_extension(psi0, B, L, idxs):
                             [f"slot e_{J}" for _, J, _ in batch])
             for (k, J, _), XJ in zip(batch, got):
                 row[k] = X[J] = XJ
-        phi[j] = MatrixMap.from_blocks(ring, [row], mods, [L.module(j)], L.level)
+        phi[j] = MatrixMap.from_blocks(ring, [row], mods, [L.module(j)],
+                                       KB.module(j + 1), L.module(j), L.level)
     return KB, phi
 
 
@@ -373,23 +385,27 @@ def lifted_comparison_check(phis, sigma, sigmap, steps):
     G = sigma.complex
     Gp = sigmap.complex
     ring = G.ring
-    q = ring.fdeg(sigma.findices[0])
+    f_idx = sigma.findices[0]
+    q = ring.fdeg(f_idx)
+    lay = [divided_power_layout(G, n, f_idx) for n in range(steps + 1)]
+    layp = [divided_power_layout(Gp, n, f_idx) for n in range(steps + 1)]
 
-    def delta(C, table, n):
-        return divided_power_map(C, C, n, -1, q, range(n // 2 + 1),
+    def delta(lay, table, n):
+        return divided_power_map(ring, lay[n], lay[n - 1], -1,
+                                 range(n // 2 + 1),
                                  lambda i, m: table.get((i,), m), 0)
 
     def phimap(n):
         return divided_power_map(
-            G, Gp, n, 0, q, range(n // 2 + 1),
+            ring, lay[n], layp[n], 0, range(n // 2 + 1),
             lambda i, m: _phi_at(phis, sigma, sigmap, i, m, q), 0)
 
     failures = []
     checked = 0
     for n in range(1, steps + 1):
         try:
-            dG = delta(G, sigma, n)
-            dGp = delta(Gp, sigmap, n)
+            dG = delta(lay, sigma, n)
+            dGp = delta(layp, sigmap, n)
             ph_n = phimap(n)
             ph_prev = phimap(n - 1)
         except MissingBlock:

@@ -22,7 +22,8 @@ loop `_koszul_cones` (the finite one is its case j = 0), the quotient tower
 builds each stage as shamash over the cone of B(p) onto the stage before,
 and both take B(p) and psi_p from `_head_over`.  The cosyzygy step builds
 V(p-1) and W(p) with one head extension, `_head_extension`.  shamash
-assembles its differential and CI operator with
+lays out each divided-power degree once (`complexes.divided_power_layout`)
+and assembles its differential and CI operator from those layouts with
 `complexes.divided_power_map`, as `lifting.lifted_comparison_check` does
 its lifted maps.  The CI operators of `special_lifting_and_ci` and `peel`
 come from the one decomposition `lifting.ci_from_lifting`.
@@ -142,17 +143,13 @@ def shamash(G, sigma, steps, weights=None):
         raise ShapeError("divided-power step must quotient by the next element")
     q = ring.fdeg(f_idx)
     level = G.level + 1
-    layout = {n: divided_power_layout(G, n) for n in range(steps + 1)}
+    layout = {n: divided_power_layout(G, n, f_idx) for n in range(steps + 1)}
     base_weights = weights or {}
-    modules = {}
-    new_weights = {}
-    for n, summands in layout.items():
-        modules[n] = FreeModule.concat(
-            [G.module(m).shifted(a * q, tag=f"y{f_idx}^({a})*" if a else None)
-             for a, m in summands]) if summands else ZERO_MODULE
-        new_weights[n] = tuple(
-            f_idx if a else base_weights.get(m, [0] * G.module(m).rank)[k]
-            for a, m in summands for k in range(G.module(m).rank))
+    modules = {n: module for n, (_, _, module) in layout.items()}
+    new_weights = {n: tuple(
+        f_idx if a else base_weights.get(m, [0] * G.module(m).rank)[k]
+        for a, m in summands for k in range(G.module(m).rank))
+        for n, (summands, _, _) in layout.items()}
 
     idents = {m: MatrixMap.identity(ring, G.module(m), level)
               for m in range(G.lo, G.hi + 1)}
@@ -160,13 +157,15 @@ def shamash(G, sigma, steps, weights=None):
     def ident(i, m):
         return idents[m]
 
-    diffs = {n: divided_power_map(G, G, n, -1, q, range(n // 2 + 1),
+    diffs = {n: divided_power_map(ring, layout[n], layout[n - 1], -1,
+                                  range(n // 2 + 1),
                                   lambda i, m: sigma.get((i,), m), level)
              for n in range(1, steps + 1)}
     T = Complex(ring, level, modules, diffs, 0, steps)
     # structural lifted CI operator: project y^(a) to y^(a-1)
-    t_op = {n: divided_power_map(G, G, n, -2, q, (1,), ident, level,
-                                 shift=-q) for n in range(2, steps + 1)}
+    t_op = {n: divided_power_map(ring, layout[n], layout[n - 2], -2, (1,),
+                                 ident, level, shift=-q)
+            for n in range(2, steps + 1)}
     return ResolutionBundle(T, weights=new_weights, sigma=sigma,
                             ci={f_idx: t_op})
 
@@ -327,7 +326,8 @@ def peel(C, t=None):
             mods.append(Gmods[i - 2 * j].shifted(j * q))
             cols.append(inc[i][j])
             j += 1
-        phi = MatrixMap.from_blocks(ring, [cols], mods, [C.module(i)], p - 1)
+        phi = MatrixMap.from_blocks(ring, [cols], mods, [C.module(i)],
+                                    FreeModule.concat(mods), C.module(i), p - 1)
         ident = MatrixMap.identity(ring, C.module(i), p - 1)
         try:
             inv, = lift_step(phi, [ident], "peel basis change", i)
@@ -446,6 +446,8 @@ def box(sigma):
         blocks0,
         [Y.module(2), lowmods[0]],
         [Y.module(3), lowmods[1]],
+        BX.module(0),
+        BX.module(1),
         Y.level,
         shift=q,
     )
@@ -455,6 +457,8 @@ def box(sigma):
             [[theta(3), tau(1)]],
             [Y.module(3), lowmods[1]],
             [Y.module(4)],
+            BX.module(1),
+            BX.module(2),
             Y.level,
             shift=q,
         )

@@ -110,8 +110,8 @@ class Field:
     def rank(self, A):
         return _kernels.rank(A, self.char)
 
-    def solve_many(self, A, B):
-        return _kernels.solve_many(A, B, self.char)
+    def solve_many(self, AB, n):
+        return _kernels.solve_many(AB, n, self.char)
 
     def nullspace(self, A):
         return _kernels.nullspace(A, self.char)

@@ -10,6 +10,7 @@ these tests compare it against this formula and a dense product of pieces.
 from dense import dense, sparse
 from piece_reference import piece_layout, piece_matrix
 
+from hmf._kernels import SparseMatrix
 from hmf.complexes import Complex
 from hmf.factorization import clone_ring_with_regseq, migrate_map
 
@@ -33,11 +34,20 @@ def ideal_piece(ring, twists, gens, e):
     return piece_matrix(ring, rows, src, twists, 0, e)
 
 
+def hstack(A, F):
+    """[A | F]: the rows of F with its columns shifted past those of A."""
+    n = A.shape[1]
+    rows = {i: dict(row) for i, row in A.rows.items()}
+    for i, row in F.rows.items():
+        rows.setdefault(i, {}).update((j + n, x) for j, x in row.items())
+    return SparseMatrix((A.shape[0], n + F.shape[1]), rows)
+
+
 def image_dim(ring, A, twists, gens, e):
     """Dimension of the span of the columns of A in (P / I P)_e."""
     F = ideal_piece(ring, twists, gens, e)
     fld = ring.field
-    return fld.rank(A.hstack(F)) - fld.rank(F)
+    return fld.rank(hstack(A, F)) - fld.rank(F)
 
 
 def quotient_dim(ring, twists, gens, e):

@@ -34,6 +34,8 @@ def direct_sum(C1, C2):
             [[C1.diff(i), None], [None, C2.diff(i)]],
             [C1.module(i), C2.module(i)],
             [C1.module(i - 1), C2.module(i - 1)],
+            modules[i],
+            modules[i - 1],
             C1.level,
         )
     return Complex(C1.ring, C1.level, modules, diffs, lo, hi)

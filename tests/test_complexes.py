@@ -173,8 +173,15 @@ def test_map_algebra_matches_dense_reference(char, data):
     sub = g.submatrix(rows, cols)
     assert sub.entries == tuple(tuple(g.entries[i][j] for j in cols) for i in rows)
     blocks = [[g, None], [None, f], [g2, None]]
-    glued = MatrixMap.from_blocks(ring, blocks, [U, V], [V, W, V], 0, 1)
+    glued = MatrixMap.from_blocks(ring, blocks, [U, V], [V, W, V],
+                                  FreeModule.concat([U, V]),
+                                  FreeModule.concat([V, W, V]), 0, 1)
     assert glued.entries == dense_blocks(blocks, [U, V], [V, W, V], ring)
+    # the direct sums handed in must have the summands' total rank
+    with pytest.raises(ShapeError, match="do not add up"):
+        MatrixMap.from_blocks(ring, blocks, [U, V], [V, W, V],
+                              FreeModule.concat([U, V, FreeModule((0,))]),
+                              FreeModule.concat([V, W, V]), 0, 1)
     # combine: a signed sum of products and maps, against compose, + and -
     h = random_map(data, ring, U, W, 2)
     before.append(snapshot(h))

@@ -306,3 +306,39 @@ def test_only_the_kernels_eliminate():
         for node in ast.walk(tree):
             names = {getattr(node, k, None) for k in ("id", "attr", "name")}
             assert not names & {"_eliminate", "_subtract"}, (fname, node.lineno)
+
+
+def test_graded_solve_assembles_once_and_solves_with_the_kernel(monkeypatch):
+    # graded_solve lays out [A | B] in one walk, and the kernel behind
+    # every solve of a nonzero piece is _kernels.solve_many: one call each,
+    # and no call outside graded_solve
+    from hmf import _kernels, complexes
+    from hmf.corpus import codim2_xa_yb
+    from hmf.resolutions import build_infinite
+
+    active, done = [], []  # [piece dimension, walks, solves] per call
+    walk, solve_many, solve = QuotientPieces._walk, _kernels.solve_many, graded_solve
+
+    def counted_walk(self, *args):
+        for c in active:
+            c[1] += 1
+        return walk(self, *args)
+
+    def counted_solve_many(*args):
+        assert active
+        active[-1][2] += 1
+        return solve_many(*args)
+
+    def counted_solve(ring, dst_twists, e, *args):
+        active.append([QuotientPieces(ring, ()).dim(dst_twists, e), 0, 0])
+        try:
+            return solve(ring, dst_twists, e, *args)
+        finally:
+            done.append(active.pop())
+
+    monkeypatch.setattr(QuotientPieces, "_walk", counted_walk)
+    monkeypatch.setattr(_kernels, "solve_many", counted_solve_many)
+    monkeypatch.setattr(complexes, "graded_solve", counted_solve)
+    build_infinite(codim2_xa_yb(), 6)
+    assert any(dim for dim, _, _ in done)
+    assert all(walks == 1 and solves == (dim > 0) for dim, walks, solves in done)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -58,6 +59,27 @@ def test_strong_ext_round_trip():
     assert obj["flags"]["strong"]
     S2 = io_json.hmf_from_json(obj)
     assert validate_strong(S2).ok
+
+
+@pytest.mark.parametrize("strong,drop_ext,message", [
+    (False, False, "flags.strong is false, but strong_ext is present"),
+    (True, True, "flags.strong is true, but strong_ext is absent"),
+    ("yes", False, "'strong' must be a boolean"),
+])
+def test_strong_flag_agrees_with_strong_ext(tmp_path, capsys, strong, drop_ext,
+                                            message):
+    from hmf.extract import strengthen
+
+    obj = io_json.hmf_to_json(strengthen(codim2_xa_yb()))
+    obj["flags"]["strong"] = strong
+    if drop_ext:
+        del obj["strong_ext"]
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        io_json.hmf_from_json(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(io_json.dumps(obj))
+    assert main(["validate", str(bad)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_schema_errors():
@@ -386,6 +408,9 @@ MALFORMED = [
         ("hmf", ("ring", "vars", 0, 1), True),
         ("hmf", ("flags", "generalized"), "no"),
         ("hmf", ("flags", "generalized"), 0),
+        # a strong flag that is not a boolean, or is set with no strong_ext
+        ("hmf", ("flags", "strong"), "yes"),
+        ("hmf", ("flags", "strong"), True),
         # a level-0 slot: a factorization has levels 1..c only
         ("hmf", ("flags", "generalized"), True),
         ("hmf", ("d_blocks", "0->0"), []),

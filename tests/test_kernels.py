@@ -12,6 +12,12 @@ from hmf.ring import MAX_PRIME
 P = 32003
 
 
+def augmented(A, B):
+    """The solve_many input for A X = B: the SparseMatrix of [A | B] and
+    the number of columns of A."""
+    return sparse(np.concatenate([A, B], axis=1)), A.shape[1]
+
+
 def random_matrix(data, m, n):
     A = np.zeros((m, n), dtype=np.int64)
     for i in range(m):
@@ -41,7 +47,7 @@ def test_solve_consistency(data):
     A = random_matrix(data, m, n)
     X = random_matrix(data, n, 2)
     B = (A @ X) % P
-    ok, Y = _kernels.solve_many(sparse(A), sparse(B), P)
+    ok, Y = _kernels.solve_many(*augmented(A, B), P)
     assert all(ok)
     assert (((A @ dense(Y, P)) - B) % P == 0).all()
 
@@ -49,7 +55,7 @@ def test_solve_consistency(data):
 def test_inconsistent_column_flagged():
     A = np.array([[1, 0], [0, 0]], dtype=np.int64)
     B = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    ok, X = _kernels.solve_many(sparse(A), sparse(B), P)
+    ok, X = _kernels.solve_many(*augmented(A, B), P)
     assert not ok[0] and ok[1]
     assert (dense(X, P)[:, 0] == 0).all()
 
@@ -73,7 +79,7 @@ def test_matmul_exact(p, m, k, n):
     for A, B in [(rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n))),
                  (np.full((m, k), p - 1), np.full((k, n), p - 1))]:
         AB = exact_product(A, B, p)
-        ok, X = _kernels.solve_many(sparse(A), sparse(AB), p)
+        ok, X = _kernels.solve_many(*augmented(A, AB), p)
         assert all(ok) and X.shape == (k, n)
         assert (exact_product(A, dense(X, p), p) == AB).all()
 
@@ -152,8 +158,8 @@ def reference_nullspace(A, p):
 def check_kernels(A, p, B=None):
     """rref, rank, nullspace and (given B) solve_many of A against the
     scalar reference; none of them may modify their input."""
-    S, SB = sparse(A), None if B is None else sparse(B)
-    S0, SB0 = copy.deepcopy((S, SB))
+    S, SAB = sparse(A), None if B is None else augmented(A, B)[0]
+    S0, SAB0 = copy.deepcopy((S, SAB))
     R, piv = _kernels.rref(S, p)
     R_ref, piv_ref = reference_rref(A, p)
     assert R.shape == A.shape
@@ -164,18 +170,18 @@ def check_kernels(A, p, B=None):
     assert dense(N, p).tolist() == reference_nullspace(A, p)
     results = [R, N]
     if B is not None:
-        ok, X = _kernels.solve_many(S, SB, p)
+        ok, X = _kernels.solve_many(SAB, A.shape[1], p)
         ok_ref, X_ref = reference_solve_many(A, B, p)
         assert ok == ok_ref
         assert dense(X, p).tolist() == X_ref
         results.append(X)
-    assert (S, SB) == (S0, SB0)
+    assert (S, SAB) == (S0, SAB0)
     # no returned row is a row of the input: writing to them leaves it as it was
     for M in results:
         for row in M.rows.values():
             row.clear()
             row[-1] = 1
-    assert (S, SB) == (S0, SB0)
+    assert (S, SAB) == (S0, SAB0)
 
 
 @given(st.data())
@@ -339,7 +345,7 @@ def test_kernels_over_q(data):
         B[:, 3] = B[:, 2]
     check_kernels(A, 0, B)
     R, _ = _kernels.rref(sparse(A), 0)
-    _, X = _kernels.solve_many(sparse(A), sparse(B), 0)
+    _, X = _kernels.solve_many(*augmented(A, B), 0)
     N = _kernels.nullspace(sparse(A), 0)
     assert all(type(x) is Fraction
                for M in (R, X, N) for row in M.rows.values() for x in row.values())

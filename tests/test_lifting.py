@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from map_ops import scale_poly
 from second_solution import second_solution
@@ -107,6 +109,33 @@ def test_higher_homotopies_names_first_failing_index(two_failures):
     assert "index (0, 1)" in str(err.value)
 
 
+@pytest.fixture(scope="module")
+def U(F):
+    """The cone U(2) of the quotient tower, degrees 0..10, at level 1."""
+    from hmf.resolutions import build_infinite
+
+    return build_infinite(F, 10).stages[2].sigma.complex
+
+
+def test_higher_homotopies_raises_for_the_lowest_failing_order(U):
+    # the sweep lifts by target degree: a wrong sigma_(2) at m = 0 (target
+    # 3) is met before a wrong sigma_(1) at m = 5 (target 6), but the
+    # failure raised is that of the lowest failing order.  The true
+    # sigma_(2) vanishes on U, so its wrong value is a linear entry, not
+    # twice the true one
+    true = higher_homotopies(U, (2,), 3)
+    assert true.get((2,), 0).is_zero()
+    wrong = {((1,), 5): true.get((1,), 5).scale(2),
+             ((2,), 0): MatrixMap.from_strings(
+                 U.ring, U.module(0), U.module(3),
+                 [["a", "0", "0"], ["0", "0", "0"]], 1, 4)}
+    for key, name in (((2,), 0), "index (2,)"), (((1,), 5), "index (1,)"):
+        with pytest.raises(SolverBug, match=rf"degree {key[1]} \({re.escape(name)}\)"):
+            higher_homotopies(U, (2,), 3, start={key: wrong[key]})
+    with pytest.raises(SolverBug, match=r"degree 5 \(index \(1,\)\)"):
+        higher_homotopies(U, (2,), 3, start=wrong)
+
+
 def test_koszul_extension_names_first_failing_slot(two_failures):
     _, L, B, psi0 = two_failures
     for idx in (2, 4):
@@ -184,6 +213,27 @@ def test_multi_index_system(F, L):
     assert (1, 0) in sigma.known_indices() and (0, 1) in sigma.known_indices()
     failures = validate_homotopy_system(sigma, max_total=2)
     assert not failures
+
+
+def test_higher_homotopies_eliminates_each_differential_once(U, monkeypatch):
+    # every pending (a, m) of one target degree, of every order, is lifted
+    # in one call: each d_D is handed to solve_factorization once, in
+    # ascending D, and only where some sigma_a lands in degree D
+    import hmf.lifting as lifting
+
+    degree = {id(d): D for D, d in U.diffs.items()}
+    seen = []
+    factor = lifting.solve_factorization
+
+    def counted(A, Cs, level):
+        seen.append(degree[id(A)])
+        return factor(A, Cs, level)
+
+    monkeypatch.setattr(lifting, "solve_factorization", counted)
+    sigma = higher_homotopies(U, (2,), 3)
+    targets = {m + 2 * sum(a) - 1 for a in sigma.maps for m in sigma.maps[a]}
+    assert seen == sorted(targets)
+    assert any(sum(a) == 3 for a in sigma.maps)
 
 
 def test_solver_and_checker_read_one_identity(L, monkeypatch):
